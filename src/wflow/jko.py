@@ -12,6 +12,15 @@ is convex (``P``: fixed previous half-level quantiles, ``M``: current ones,
 work; an accelerated projected-gradient loop with an exact monotone
 projection is the fallback.  Optimality is always certified by the
 projected-gradient fixed-point residual.
+
+Evaluation contract: every iterate is evaluated once, in one sweep that
+yields the objective, its gradient, both energies and the per-cell
+quantities (midpoints, widths, displacement, cell density) everything else
+reads from.  The banded curvature is formed from an evaluation, and only at
+iterates Newton steps from.  A step's ledger entries come from two
+evaluations: ``E_*_before`` from the one at ``Xprev`` that starts Newton,
+everything else from the one at the accepted nodes.  The descent guard
+compares the objective values of the same two evaluations.
 """
 
 from __future__ import annotations
@@ -143,8 +152,32 @@ class SchemeTrajectory:
 # single-step solver
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
+class _Evaluation:
+    """Everything one step iterate determines, computed in one cell sweep.
+
+    ``w`` is the width clamped at the vacuum floor and ``gaps`` the raw node
+    spacing; they agree on every accepted iterate.  ``V`` holds the potential
+    at the midpoints, or None without a potential.
+    """
+
+    X: np.ndarray
+    M: np.ndarray
+    gaps: np.ndarray
+    w: np.ndarray
+    disp: np.ndarray
+    v: np.ndarray
+    rho: np.ndarray
+    c: np.ndarray
+    V: np.ndarray | None
+    e_int: float
+    e_free: float
+    f: float
+    g: np.ndarray
+
+
 class _StepObjective:
-    """Objective/gradient/curvature bundle for one step at fixed ``Xprev``."""
+    """Objective of one step at fixed ``Xprev``: evaluation and curvature."""
 
     def __init__(self, problem: JkoProblem, Xprev: np.ndarray):
         self.pb = problem
@@ -155,113 +188,116 @@ class _StepObjective:
         self.wmin = VACUUM_FLOOR_FACTOR * problem.domain.length
         self.has_potential = not problem.potential.is_zero
 
-    def value(self, X: np.ndarray) -> float:
+    def evaluate(self, X: np.ndarray) -> _Evaluation:
+        """Objective, gradient, energies and per-cell quantities at ``X``."""
+        pb = self.pb
         M = 0.5 * (X[:-1] + X[1:])
-        w = np.maximum(np.diff(X), self.wmin)
-        out = self.h * self.mu * float(np.sum(self.pb.cost.value((self.P - M) / self.h)))
-        out += float(np.sum(self.pb.energy.value(self.mu / w) * w))
+        gaps = np.diff(X)
+        w = np.maximum(gaps, self.wmin)
+        disp = self.P - M
+        v = disp / self.h
+        rho = self.mu / w
+        c = pb.cost.value(v)
+        e_int = float(np.sum(pb.energy.value(rho) * w))
+        f = self.h * self.mu * float(np.sum(c))
+        f += e_int
+        e_free = e_int
+        cell = -0.5 * self.mu * pb.cost.derivative(v)
+        V = None
         if self.has_potential:
-            out += self.mu * float(np.sum(self.pb.potential.value(M)))
-        return out
-
-    def gradient(self, X: np.ndarray) -> np.ndarray:
-        M = 0.5 * (X[:-1] + X[1:])
-        w = np.maximum(np.diff(X), self.wmin)
-        u = self.pb.cost.derivative((self.P - M) / self.h)
-        gp = -self.pb.energy.pressure(self.mu / w)
-        cell = -0.5 * self.mu * u
-        if self.has_potential:
-            cell = cell + 0.5 * self.mu * self.pb.potential.derivative(M)
+            V = pb.potential.value(M)
+            e_pot = self.mu * float(np.sum(V))
+            f += e_pot
+            e_free += e_pot
+            cell = cell + 0.5 * self.mu * pb.potential.derivative(M)
+        gp = -pb.energy.pressure(rho)
         g = np.zeros_like(X)
         g[:-1] += cell - gp
         g[1:] += cell + gp
-        return g
+        return _Evaluation(X=X, M=M, gaps=gaps, w=w, disp=disp, v=v, rho=rho,
+                           c=c, V=V, e_int=e_int, e_free=e_free, f=f, g=g)
 
-    def cell_curvatures(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell curvature split: coupling part and width part."""
-        M = 0.5 * (X[:-1] + X[1:])
-        w = np.maximum(np.diff(X), self.wmin)
-        v = (self.P - M) / self.h
-        ct = (self.mu / (4.0 * self.h)) * self.pb.cost.second_derivative(v)
-        rho = self.mu / w
-        ge = self.mu**2 * self.pb.energy.second_derivative(rho) / w**3
+    def hessian(self, ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
+        """Tridiagonal Hessian at an evaluated iterate: (diagonal, off-diagonal).
+
+        Each cell contributes a coupling part ``ct`` (cost and potential,
+        through the midpoint) and a width part ``ge`` (energy).
+        """
+        ct = (self.mu / (4.0 * self.h)) * self.pb.cost.second_derivative(ev.v)
+        ge = self.mu**2 * self.pb.energy.second_derivative(ev.rho) / ev.w**3
         if self.has_potential:
-            ct = ct + 0.25 * self.mu * self.pb.potential.second_derivative(M)
-        return ct, ge
+            ct = ct + 0.25 * self.mu * self.pb.potential.second_derivative(ev.M)
+        cell = ct + ge
+        diag = np.zeros(self.m + 1)
+        diag[1:] += cell
+        diag[:-1] += cell
+        return diag, ct - ge
 
-    def kkt_residual(self, X: np.ndarray, g: np.ndarray | None = None) -> float:
-        g = self.gradient(X) if g is None else g
+    def kkt_residual(self, X: np.ndarray, g: np.ndarray) -> float:
         z = np.clip(isotonic_regression(X - g).x,
                     self.pb.domain.a, self.pb.domain.b)
         return float(np.max(np.abs(X - z)))
 
 
-def _newton_solve(obj: _StepObjective, X0: np.ndarray
-                  ) -> tuple[np.ndarray, int, float] | None:
+def _newton_solve(obj: _StepObjective, start: _Evaluation
+                  ) -> tuple[_Evaluation, int, float] | None:
     """Damped Newton on the banded system; None signals fallback.
 
-    The wall bounds on the two endpoint nodes are handled by an active-set
-    rule (pinned while the gradient presses outward, free otherwise); runs
-    with interior nodes stacked on a wall are left to the projected-gradient
-    fallback.
+    Starts from the evaluated previous nodes and keeps each accepted trial's
+    evaluation for the next iteration.  The wall bounds on the two endpoint
+    nodes are handled by an active-set rule (pinned while the gradient
+    presses outward, free otherwise); runs with interior nodes stacked on a
+    wall are left to the projected-gradient fallback.
     """
     pb = obj.pb
     a, b = pb.domain.a, pb.domain.b
     edge = 1e-12 * pb.domain.length
-    X = np.clip(X0.copy(), a, b)
-    fX = obj.value(X)
+    X = np.clip(start.X, a, b)
+    ev = start if np.array_equal(X, start.X) else obj.evaluate(X)
     m = obj.m
     for it in range(1, pb.newton_max_iter + 1):
-        g = obj.gradient(X)
+        X, g = ev.X, ev.g
         r = obj.kkt_residual(X, g)
         if r <= pb.tol:
-            return X, it - 1, r
+            return ev, it - 1, r
         if X[1] <= a + edge or X[-2] >= b - edge:
             return None
         i0 = 1 if (X[0] <= a + edge and g[0] >= 0.0) else 0
         i1 = m - 1 if (X[-1] >= b - edge and g[-1] <= 0.0) else m
-        ct, ge = obj.cell_curvatures(X)
-        cell = ct + ge
-        ndof = i1 - i0 + 1
-        ab = np.zeros((3, ndof))
-        diag = np.zeros(m + 1)
-        diag[1:] += cell
-        diag[:-1] += cell
+        diag, off = obj.hessian(ev)
+        ab = np.zeros((3, i1 - i0 + 1))
         ab[1, :] = diag[i0:i1 + 1]
-        off = ct[i0:i1] - ge[i0:i1]
-        ab[0, 1:] = off
-        ab[2, :-1] = off
+        ab[0, 1:] = off[i0:i1]
+        ab[2, :-1] = off[i0:i1]
         try:
             dX = solve_banded((1, 1), ab, -g[i0:i1 + 1])
-        except Exception:
+        except ValueError:
             return None
         gdot = float(g[i0:i1 + 1] @ dX)
         if not np.isfinite(gdot) or gdot >= 0.0:
             return None
         step = 1.0
-        accepted = False
         for _ in range(60):
             Xn = X.copy()
             Xn[i0:i1 + 1] = X[i0:i1 + 1] + step * dX
             Xn[0] = max(Xn[0], a)
             Xn[-1] = min(Xn[-1], b)
             if np.all(np.diff(Xn) > 0.0):
-                fn = obj.value(Xn)
-                if fn <= fX + 1e-4 * step * gdot:
-                    accepted = True
+                evn = obj.evaluate(Xn)
+                if evn.f <= ev.f + 1e-4 * step * gdot:
                     break
             step *= 0.5
-        if not accepted:
+        else:
             return None
-        X, fX = Xn, fn
-    r = obj.kkt_residual(X)
+        ev = evn
+    r = obj.kkt_residual(ev.X, ev.g)
     if r <= pb.tol:
-        return X, pb.newton_max_iter, r
+        return ev, pb.newton_max_iter, r
     return None
 
 
 def _fista_solve(obj: _StepObjective, X0: np.ndarray
-                 ) -> tuple[np.ndarray, int, float]:
+                 ) -> tuple[_Evaluation, int, float]:
     """Monotone-restart FISTA with exact projection onto the feasible box."""
     pb = obj.pb
     a, b = pb.domain.a, pb.domain.b
@@ -269,116 +305,91 @@ def _fista_solve(obj: _StepObjective, X0: np.ndarray
     def project(Y):
         return np.clip(isotonic_regression(Y).x, a, b)
 
-    X = project(X0)
-    y = X.copy()
+    ex = obj.evaluate(project(X0))
+    y = ex.X.copy()
     t = 1.0
     L = 1.0
-    fX = obj.value(X)
-    best_f, best_X, best_r = fX, X.copy(), obj.kkt_residual(X)
+    best, best_r = ex, obj.kkt_residual(ex.X, ex.g)
     nit = 0
     for nit in range(1, pb.fista_max_iter + 1):
-        g = obj.gradient(y)
-        fy = obj.value(y)
+        ey = obj.evaluate(y)
         while True:
-            Xn = project(y - g / L)
+            Xn = project(y - ey.g / L)
             d = Xn - y
-            if obj.value(Xn) <= fy + float(g @ d) + 0.5 * L * float(d @ d) + 1e-15:
+            en = obj.evaluate(Xn)
+            if en.f <= ey.f + float(ey.g @ d) + 0.5 * L * float(d @ d) + 1e-15:
                 break
             L *= 2.0
             if L > 1e18:
-                Xn = X
+                en = ex
                 break
-        fn = obj.value(Xn)
-        r = obj.kkt_residual(Xn)
-        if fn < best_f:
-            best_f, best_X, best_r = fn, Xn.copy(), r
+        r = obj.kkt_residual(en.X, en.g)
+        if en.f < best.f:
+            best, best_r = en, r
         if r <= pb.tol:
-            return Xn, nit, r
+            return en, nit, r
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        yn = Xn + ((t - 1.0) / tn) * (Xn - X)
-        if fn > fX:
-            yn, tn = Xn.copy(), 1.0
-        X, y, t, fX = Xn, yn, tn, fn
+        yn = en.X + ((t - 1.0) / tn) * (en.X - ex.X)
+        if en.f > ex.f:
+            yn, tn = en.X.copy(), 1.0
+        ex, y, t = en, yn, tn
         L = max(L * 0.7, 1e-12)
-    return best_X, nit, best_r
+    return best, nit, best_r
 
 
-def _quantile_el_pieces(problem: JkoProblem, Xprev: np.ndarray, X: np.ndarray
-                        ) -> tuple[float, float]:
-    """Velocity-matching residual and dissipation integrand on mass cells."""
-    mu = 1.0 / problem.m
-    P = 0.5 * (Xprev[:-1] + Xprev[1:])
-    M = 0.5 * (X[:-1] + X[1:])
-    w = np.diff(X)
-    rho = mu / w
-    wv = problem.energy.derivative(rho)
-    if not problem.potential.is_zero:
-        wv = wv + problem.potential.value(M)
-    dw = np.gradient(wv, M)
+def _step_diagnostics(problem: JkoProblem, start: _Evaluation,
+                      final: _Evaluation, r: float, iterations: int
+                      ) -> StepDiagnostics:
+    """Ledger entries of one step, read off its start and final evaluations.
+
+    The Euler-Lagrange pieces are the velocity-matching residual and the
+    dissipation integrand on mass cells.
+    """
+    wv = problem.energy.derivative(final.rho)
+    if final.V is not None:
+        wv = wv + final.V
+    dw = np.gradient(wv, final.M)
     rhs = problem.cost.conjugate_gradient(dw)
-    lhs = (P - M) / problem.h
-    el = float(np.mean(np.abs(lhs - rhs)))
-    dissipation = float(np.mean(np.abs(dw) ** problem.cost.qstar))
-    return el, dissipation
-
-
-def _quantile_energies(problem: JkoProblem, X: np.ndarray) -> tuple[float, float]:
-    """(internal, free) energy of the measure induced by nodes ``X``."""
-    mu = 1.0 / problem.m
-    w = np.diff(X)
-    e_int = float(np.sum(problem.energy.value(mu / w) * w))
-    e_free = e_int
-    if not problem.potential.is_zero:
-        M = 0.5 * (X[:-1] + X[1:])
-        e_free += mu * float(np.sum(problem.potential.value(M)))
-    return e_int, e_free
+    return StepDiagnostics(
+        W_value=float(np.mean(final.c)),
+        E_internal_before=start.e_int,
+        E_internal_after=final.e_int,
+        E_free_before=start.e_free,
+        E_free_after=final.e_free,
+        second_moment=float(np.mean(final.disp**2)),
+        dissipation=float(np.mean(np.abs(dw) ** problem.cost.qstar)),
+        el_residual_L1=float(np.mean(np.abs(final.v - rhs))),
+        kkt_residual=r,
+        iterations=iterations,
+    )
 
 
 def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray
                    ) -> tuple[np.ndarray, StepDiagnostics]:
     """One minimizing-movement step in quantile coordinates."""
-    Xprev = np.asarray(Xprev, dtype=float)
+    Xprev = np.array(Xprev, dtype=float)
     obj = _StepObjective(problem, Xprev)
-    result = _newton_solve(obj, Xprev)
+    start = obj.evaluate(Xprev)
+    result = _newton_solve(obj, start)
     newton_used = 0
     if result is None:
-        X, nit, r = _fista_solve(obj, Xprev)
+        final, nit, r = _fista_solve(obj, Xprev)
         if r > problem.tol:
             raise ConvergenceError(
                 f"step solver stalled at residual {r:.3e} (tol {problem.tol:.1e})",
-                best=X, residual=r)
+                best=final.X, residual=r)
     else:
-        X, newton_used, r = result
+        final, newton_used, r = result
         nit = 0
-    w = np.diff(X)
-    if np.any(w <= obj.wmin):
+    if np.any(final.gaps <= obj.wmin):
         raise DegeneracyError(
-            f"mass cell collapsed to width {float(np.min(w)):.3e}; "
+            f"mass cell collapsed to width {float(np.min(final.gaps)):.3e}; "
             "the evolution left the positive-density regime")
-    if obj.value(X) > obj.value(Xprev) + 1e-12:
-        raise ConvergenceError("step increased the objective", best=X, residual=r)
-
-    e_int_prev, e_free_prev = _quantile_energies(problem, Xprev)
-    e_int, e_free = _quantile_energies(problem, X)
-    P = 0.5 * (Xprev[:-1] + Xprev[1:])
-    M = 0.5 * (X[:-1] + X[1:])
-    disp = P - M
-    W = float(np.mean(problem.cost.value(disp / problem.h)))
-    sec = float(np.mean(disp**2))
-    el, dissipation = _quantile_el_pieces(problem, Xprev, X)
-    diag = StepDiagnostics(
-        W_value=W,
-        E_internal_before=e_int_prev,
-        E_internal_after=e_int,
-        E_free_before=e_free_prev,
-        E_free_after=e_free,
-        second_moment=sec,
-        dissipation=dissipation,
-        el_residual_L1=el,
-        kkt_residual=r,
-        iterations=newton_used + nit,
-    )
-    return X, diag
+    if final.f > start.f + 1e-12:
+        raise ConvergenceError("step increased the objective", best=final.X,
+                               residual=r)
+    return final.X, _step_diagnostics(problem, start, final, r,
+                                      newton_used + nit)
 
 
 def jko_step(problem: JkoProblem, rho_prev: GridDensity

@@ -113,28 +113,12 @@ def wasserstein_cost(rho0: GridDensity, rho1: GridDensity, cost: CostSpec,
     return float(np.mean(cost.value((x0 - x1) / h)))
 
 
-def quantile_cost(X0: np.ndarray, X1: np.ndarray, cost: CostSpec,
-                  h: float) -> float:
-    """Transport work between two measures given by quantile nodes."""
-    if not (h > 0.0):
-        raise ParameterError(f"scaling h must be positive, got {h}")
-    p0 = 0.5 * (X0[:-1] + X0[1:])
-    p1 = 0.5 * (X1[:-1] + X1[1:])
-    return float(np.mean(cost.value((p0 - p1) / h)))
-
-
 def coupling_second_moment(rho0: GridDensity, rho1: GridDensity,
                            m: int = 512) -> float:
     """Second moment ``int |x - y|^2 dgamma`` of the monotone coupling."""
     x0 = _midquantiles(rho0, m)
     x1 = _midquantiles(rho1, m)
     return float(np.mean((x0 - x1) ** 2))
-
-
-def quantile_second_moment(X0: np.ndarray, X1: np.ndarray) -> float:
-    p0 = 0.5 * (X0[:-1] + X0[1:])
-    p1 = 0.5 * (X1[:-1] + X1[1:])
-    return float(np.mean((p0 - p1) ** 2))
 
 
 def displacement_interpolate(path: InterpolantPath, t: float,

@@ -155,7 +155,9 @@ def test_convergence_error_carries_best():
 
 def test_step_gradient_matches_finite_differences():
     # the pressure-difference form of the objective gradient is analytic;
-    # certify it against central differences of the objective itself
+    # certify it against central differences of the objective itself, and
+    # the tridiagonal Hessian Newton solves with against central
+    # differences of that gradient
     from wflow.jko import _StepObjective
 
     rng = np.random.default_rng(17)
@@ -170,14 +172,20 @@ def test_step_gradient_matches_finite_differences():
     X = Xprev + rng.uniform(-1.0, 1.0, m + 1) * 1e-3
     X.sort()
     X[0], X[-1] = 0.0, 1.0
-    g = obj.gradient(X)
+    ev = obj.evaluate(X)
+    g = ev.g
+    diag, off = obj.hessian(ev)
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eps = 1e-7
     for k in rng.choice(m + 1, size=10, replace=False):
         xp, xm = X.copy(), X.copy()
         xp[k] += eps
         xm[k] -= eps
-        fd = (obj.value(xp) - obj.value(xm)) / (2 * eps)
+        ep, em = obj.evaluate(xp), obj.evaluate(xm)
+        fd = (ep.f - em.f) / (2 * eps)
         assert g[k] == pytest.approx(fd, rel=2e-5, abs=1e-7)
+        hcol = (ep.g - em.g) / (2 * eps)
+        assert H[:, k] == pytest.approx(hcol, rel=1e-5, abs=1e-5 * np.max(np.abs(H[:, k])))
 
 
 def test_fista_fallback_matches_newton():
@@ -314,6 +322,23 @@ def test_run_scheme_deterministic():
     t2 = run_scheme(pb, rho, T=0.05)
     for a, b in zip(t1.densities, t2.densities):
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("newton_max_iter", [80, 0])
+def test_step_energies_chain_exactly(newton_max_iter):
+    # each step's starting energies are the previous step's final ones,
+    # bit for bit, on equilibrium steps (no iteration) and on FISTA steps
+    pb = JkoProblem(cost=Q2, energy=ENTROPY,
+                    potential=PotentialSpec.quadratic(1.0, 0.0), domain=SYM,
+                    h=0.5, m=16, newton_max_iter=newton_max_iter)
+    traj = run_scheme(pb, cosine_density(16, amp=0.3, freq=0.5, domain=SYM),
+                      T=14.0)
+    diags = traj.diagnostics
+    assert any(d.iterations == 0 for d in diags)
+    assert any(d.iterations > 0 for d in diags)
+    for prev, nxt in zip(diags[:-1], diags[1:]):
+        assert nxt.E_internal_before == prev.E_internal_after
+        assert nxt.E_free_before == prev.E_free_after
 
 
 def test_run_scheme_rejects_bad_horizon():
