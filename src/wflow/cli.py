@@ -20,7 +20,8 @@ import numpy as np
 
 from . import diagnostics, refsolve, transport
 from .convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
-from .density import Domain, GridDensity, density_from_csv, normalize
+from .density import (Domain, GridDensity, csv_rows, density_from_csv,
+                      float_cells, normalize)
 from .errors import ParameterError, WflowError
 from .jko import JkoProblem, SchemeTrajectory, floored_density, run_scheme
 
@@ -118,8 +119,15 @@ def _rho0_from_config(spec, domain: Domain, n: int) -> GridDensity:
 
 
 def load_config(path: str | Path, force: bool = False) -> RunConfig:
-    """Parse and validate one run description."""
-    raw = json.loads(Path(path).read_text())
+    """Parse and validate one run description; malformed ones raise ParameterError."""
+    try:
+        return _parse_config(json.loads(Path(path).read_text()), force)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(
+            f"malformed config: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_config(raw, force: bool) -> RunConfig:
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
     preset = raw.get("preset")
@@ -185,11 +193,16 @@ def output_dir(cfg: RunConfig, root: str | None) -> Path:
 # ---------------------------------------------------------------------------
 
 def trajectory_to_csv(traj: SchemeTrajectory) -> str:
-    lines = ["t,x,rho"]
+    # x cells are formatted once per grid, t once per snapshot
+    x_cells = {}
+    chunks = ["t,x,rho\n"]
     for t, rho in zip(traj.times, traj.densities):
-        for x, v in zip(rho.centers, rho.values):
-            lines.append(f"{float(t)!r},{float(x)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+        grid = (rho.domain, rho.n)
+        if grid not in x_cells:
+            x_cells[grid] = float_cells(rho.centers)
+        chunks.append(csv_rows([repr(float(t))] * rho.n, x_cells[grid],
+                               float_cells(rho.values)))
+    return "".join(chunks)
 
 
 def diagnostics_to_jsonl(traj: SchemeTrajectory) -> str:
@@ -197,8 +210,13 @@ def diagnostics_to_jsonl(traj: SchemeTrajectory) -> str:
                    for d in traj.diagnostics)
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _write_trajectory(out: Path, traj: SchemeTrajectory) -> None:
+    (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
+    (out / "diagnostics.jsonl").write_text(diagnostics_to_jsonl(traj))
 
 
 def _report_document(cfg: RunConfig, *, assumptions=None, led=None,
@@ -209,10 +227,14 @@ def _report_document(cfg: RunConfig, *, assumptions=None, led=None,
         "config_hash": config_hash(cfg.raw),
         "assumptions": assumptions,
         "ledger": led.as_dict() if led is not None else None,
-        "flags": [f.as_dict() for f in led.flags] if led is not None else [],
         "rate_fits": list(rate_fits),
         "comparisons": list(comparisons),
     }
+
+
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -224,37 +246,35 @@ def cmd_run(config_path: str, root: str | None = None,
     try:
         cfg = load_config(config_path, force=force)
         problem = cfg.problem()
-    except (WflowError, OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (WflowError, OSError) as exc:
+        return _config_error(exc)
     out = output_dir(cfg, root)
-    _write(out / "config.json",
-           json.dumps(cfg.raw, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "config.json", cfg.raw)
     try:
         traj = run_scheme(problem, cfg.initial_density(), cfg.T)
     except WflowError as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None:
-            _write(out / "trajectory.csv", trajectory_to_csv(partial))
-            _write(out / "diagnostics.jsonl", diagnostics_to_jsonl(partial))
+            _write_trajectory(out, partial)
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _write(out / "trajectory.csv", trajectory_to_csv(traj))
-    _write(out / "diagnostics.jsonl", diagnostics_to_jsonl(traj))
+    _write_trajectory(out, traj)
     led = diagnostics.ledger(problem, traj)
-    report = _report_document(cfg, assumptions=problem.assumptions.as_dict(),
-                              led=led)
-    _write(out / "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", _report_document(
+        cfg, assumptions=problem.assumptions.as_dict(), led=led))
     print(f"artifacts in {out}")
     return EXIT_OK if led.all_pass else EXIT_SOLVER
 
 
-def _study_member(args) -> tuple[float, float]:
+def _study_member(args) -> tuple[float, float | None, str | None]:
+    """``(h, summed coupling second moments, None)``, or ``(h, None, error)``."""
     config_path, h = args
-    cfg = load_config(config_path)
-    problem = cfg.problem(h=h)
-    traj = run_scheme(problem, cfg.initial_density(), cfg.T)
-    return h, sum(d.second_moment for d in traj.diagnostics)
+    try:
+        cfg = load_config(config_path)
+        traj = run_scheme(cfg.problem(h=h), cfg.initial_density(), cfg.T)
+    except WflowError as exc:
+        return h, None, str(exc)
+    return h, sum(d.second_moment for d in traj.diagnostics), None
 
 
 def cmd_study(config_path: str, values: list[float], root: str | None = None,
@@ -265,44 +285,30 @@ def cmd_study(config_path: str, values: list[float], root: str | None = None,
         if len(values) < 4:
             print("study needs at least 4 step sizes", file=sys.stderr)
             return EXIT_CONFIG
-    except (WflowError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (WflowError, OSError) as exc:
+        return _config_error(exc)
     jobs = [(config_path, h) for h in values]
-    results = []
-    failures = []
+    outcomes = None
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as ex:
-                futures = {ex.submit(_study_member, j): j for j in jobs}
-                for fut, job in futures.items():
-                    try:
-                        results.append(fut.result())
-                    except WflowError as exc:
-                        failures.append({"h": job[1], "error": str(exc)})
-        except (OSError, PermissionError):
-            results, failures = [], []
-            workers = 1
-    if workers <= 1 and not results:
-        for job in jobs:
-            try:
-                results.append(_study_member(job))
-            except WflowError as exc:
-                failures.append({"h": job[1], "error": str(exc)})
+                outcomes = list(ex.map(_study_member, jobs))
+        except OSError:  # no process pool here; run the members serially
+            pass
+    if outcomes is None:
+        outcomes = list(map(_study_member, jobs))
+    results = sorted((h, tot) for h, tot, err in outcomes if err is None)
+    failures = [{"h": h, "error": err} for h, _, err in outcomes if err is not None]
     out = output_dir(cfg, root)
     if failures:
         report = _report_document(cfg)
         report["partial"] = True
         report["failures"] = failures
-        report["completed"] = [{"h": h, "total": tot}
-                               for h, tot in sorted(results)]
-        _write(out / "rate.json",
-               json.dumps(report, sort_keys=True, indent=2) + "\n")
+        report["completed"] = [{"h": h, "total": tot} for h, tot in results]
+        _write_json(out / "rate.json", report)
         print(f"study aborted: {len(failures)} member(s) failed", file=sys.stderr)
         return EXIT_SOLVER
-    results.sort(key=lambda r: r[0])
-    hs = [r[0] for r in results]
-    totals = [r[1] for r in results]
+    hs, totals = zip(*results)
     try:
         fit = diagnostics.fit_rate(hs, totals)
     except WflowError as exc:
@@ -316,11 +322,9 @@ def cmd_study(config_path: str, values: list[float], root: str | None = None,
         "passes": fit.slope >= expected - 0.15,
     }])
     report["passes"] = fit.slope >= expected - 0.15
-    _write(out / "rate.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
-    lines = ["h,total_second_moment"]
-    for h, tot in zip(hs, totals):
-        lines.append(f"{float(h)!r},{float(tot)!r}")
-    _write(out / "rate.csv", "\n".join(lines) + "\n")
+    _write_json(out / "rate.json", report)
+    (out / "rate.csv").write_text(
+        "h,total_second_moment\n" + csv_rows(float_cells(hs), float_cells(totals)))
     print(f"slope {fit.slope!r} (expected >= {expected - 0.15!r}); artifacts in {out}")
     return EXIT_OK if report["passes"] else EXIT_SOLVER
 
@@ -330,9 +334,8 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     try:
         cfg = load_config(config_path)
         problem = cfg.problem()
-    except (WflowError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (WflowError, OSError) as exc:
+        return _config_error(exc)
     out = output_dir(cfg, root)
     try:
         rho0 = cfg.initial_density()
@@ -344,8 +347,8 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     except WflowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _write(out / "trajectory.csv", trajectory_to_csv(traj))
-    _write(out / "reference.csv", trajectory_to_csv(fd))
+    (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
+    (out / "reference.csv").write_text(trajectory_to_csv(fd))
     report = _report_document(cfg, comparisons=[{
         "against": "finite-difference reference",
         "threshold": threshold,
@@ -353,12 +356,9 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         "passes": table.l1_final <= threshold,
     }])
     report["passes"] = table.l1_final <= threshold
-    _write(out / "comparison.json",
-           json.dumps(report, sort_keys=True, indent=2) + "\n")
-    lines = ["t,l1_error"]
-    for t, err in zip(table.times, table.l1_errors):
-        lines.append(f"{float(t)!r},{float(err)!r}")
-    _write(out / "comparison.csv", "\n".join(lines) + "\n")
+    _write_json(out / "comparison.json", report)
+    (out / "comparison.csv").write_text("t,l1_error\n" + csv_rows(
+        float_cells(table.times), float_cells(table.l1_errors)))
     print(f"final-time L1 gap {table.l1_final!r} vs threshold {threshold!r}")
     return EXIT_OK if report["passes"] else EXIT_SOLVER
 

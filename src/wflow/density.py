@@ -301,11 +301,18 @@ def l1_distance(rho_a: GridDensity, rho_b: GridDensity) -> float:
 # CSV interchange: header `x,rho`, one row per cell center, ascending x
 # ---------------------------------------------------------------------------
 
+def float_cells(values) -> list[str]:
+    """Each value as the ``repr`` of a Python float, which reads back exactly."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def csv_rows(*columns: list[str]) -> str:
+    """One comma-joined line per row of equally long columns of cells."""
+    return "".join([",".join(row) + "\n" for row in zip(*columns)])
+
+
 def density_to_csv(rho: GridDensity) -> str:
-    lines = ["x,rho"]
-    for x, v in zip(rho.centers, rho.values):
-        lines.append(f"{float(x)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    return "x,rho\n" + csv_rows(float_cells(rho.centers), float_cells(rho.values))
 
 
 def density_from_csv(text: str) -> GridDensity:

@@ -44,9 +44,8 @@ class LedgerFlag:
 
 @dataclass(frozen=True)
 class InequalityLedger:
-    """Per-step records plus pass/fail flags for the proved inequalities."""
+    """Cumulative sums plus pass/fail flags for the proved inequalities."""
 
-    steps: tuple[dict, ...]
     cumulative_work: float
     cumulative_second_moment: float
     dissipation_sum: float
@@ -59,7 +58,6 @@ class InequalityLedger:
 
     def as_dict(self) -> dict:
         return {
-            "steps": list(self.steps),
             "cumulative_work": self.cumulative_work,
             "cumulative_second_moment": self.cumulative_second_moment,
             "dissipation_sum": self.dissipation_sum,
@@ -95,17 +93,6 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory,
             "trajectory lacks one diagnostics record per step")
     h = problem.h
     omega = problem.domain.length
-    steps = []
-    for k, d in enumerate(diags, start=1):
-        steps.append({
-            "k": k,
-            "E_internal": d.E_internal_after,
-            "E_free": d.E_free_after,
-            "W": d.W_value,
-            "second_moment": d.second_moment,
-            "dissipation_integrand": d.dissipation,
-            "el_residual": d.el_residual_L1,
-        })
     W = np.array([d.W_value for d in diags])
     cum_W = np.cumsum(h * W) if len(W) else np.array([0.0])
     sec = np.array([d.second_moment for d in diags])
@@ -168,7 +155,6 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory,
         detail="summed h * int rho |d(F'(rho)+V)|^{q*} under the growth cap"))
 
     return InequalityLedger(
-        steps=tuple(steps),
         cumulative_work=total_work,
         cumulative_second_moment=float(cum_sec[-1]),
         dissipation_sum=total_dis,

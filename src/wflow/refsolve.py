@@ -76,7 +76,8 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
     def jacobian_banded(rho_new, rho_old):
         # Tridiagonal coupling only; build by three-coloring of FD columns.
         # Consecutive cells always land in distinct colors, so each response
-        # row isolates exactly one perturbed column.
+        # row isolates exactly one perturbed column.  solve_banded layout:
+        # row 0 superdiagonal (shifted), row 2 subdiagonal.
         base = residual(rho_new, rho_old)
         ab = np.zeros((3, n))
         scale = float(np.max(np.abs(rho_new))) + 1e-300
@@ -86,18 +87,12 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
             cols = np.arange(color, n, 3)
             pert[cols] += eps[cols]
             dres = residual(pert, rho_old) - base
-            for j in cols:
-                ab[1, j] = dres[j] / eps[j]
-                if j > 0:
-                    ab[0, j] = dres[j - 1] / eps[j]
-                if j < n - 1:
-                    ab[2, j] = dres[j + 1] / eps[j]
-        # solve_banded layout: row 0 superdiagonal (shifted), row 2 subdiagonal
-        out = np.zeros((3, n))
-        out[1] = ab[1]
-        out[0, 1:] = ab[0, 1:]
-        out[2, :-1] = ab[2, :-1]
-        return out, base
+            ab[1, cols] = dres[cols] / eps[cols]
+            up = cols[cols > 0]
+            ab[0, up] = dres[up - 1] / eps[up]
+            down = cols[cols < n - 1]
+            ab[2, down] = dres[down + 1] / eps[down]
+        return ab, base
 
     rho = rho0.values.copy()
     times = [0.0]
@@ -117,12 +112,12 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
                     polish = np.maximum(cur + solve_banded((1, 1), ab, -res), 0.0)
                     if float(np.max(np.abs(residual(polish, rho_old)))) <= norm0:
                         cur = polish
-                except Exception:
+                except ValueError:  # includes LinAlgError
                     pass
                 break
             try:
                 delta = solve_banded((1, 1), ab, -res)
-            except Exception as exc:
+            except ValueError as exc:  # includes LinAlgError
                 raise ConvergenceError(
                     f"singular Newton system at step {k}", best=cur,
                     residual=norm0) from exc

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wflow import refsolve
 from wflow.cli import (
     cmd_crosscheck,
     cmd_oracle,
@@ -13,7 +14,11 @@ from wflow.cli import (
     config_hash,
     load_config,
     main,
+    trajectory_to_csv,
 )
+from wflow.density import Domain, normalize
+from wflow.errors import ParameterError
+from wflow.jko import SchemeTrajectory, run_scheme
 
 
 @pytest.fixture
@@ -49,6 +54,42 @@ def test_load_config_presets(tmp_path):
     assert cfg.label == "fokker-planck"
 
 
+MALFORMED_CONFIGS = {
+    "n-null": json.dumps({"preset": "fokker-planck", "n": None}),
+    "tabulated-without-table": json.dumps(
+        {"preset": "fokker-planck", "potential": {"kind": "tabulated"}}),
+    "cost-term-not-a-pair": json.dumps(
+        {"cost_terms": [1], "energy_terms": [{"kind": "entropy"}]}),
+    "energy-term-not-an-object": json.dumps(
+        {"cost_terms": [[1.0, 2.0]], "energy_terms": [1]}),
+    "not-json": "{\"preset\": ",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS.keys())
+def test_load_config_malformed_raises_parameter_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="malformed config"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("command", ["run", "study", "crosscheck"])
+@pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_exits_1(tmp_path, outroot, capsys, text, command):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "study":
+        argv += ["--values", "0.05,0.025,0.0125,0.00625"]
+    assert main(argv) == 1  # an uncaught exception would fail the test here
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_config_hash_stable(tmp_path):
     path = write_config(tmp_path)
     cfg = load_config(path)
@@ -67,6 +108,9 @@ def test_run_writes_artifacts_and_passes(tmp_path, outroot):
             "config.json"} <= files
     report = json.loads((rundirs[0] / "report.json").read_text())
     assert report["ledger"]["all_pass"] is True
+    # per-step records and flags are written once, in diagnostics.jsonl and
+    # ledger.flags
+    assert "flags" not in report and "steps" not in report["ledger"]
     lines = (rundirs[0] / "diagnostics.jsonl").read_text().strip().splitlines()
     assert len(lines) == 5
     rec = json.loads(lines[0])
@@ -159,17 +203,43 @@ def test_study_parallel_workers_match_serial(tmp_path, outroot):
     assert (rundir / "rate.csv").read_bytes() == serial
 
 
-def test_study_member_failure_flags_partial(tmp_path, outroot):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_study_member_failure_flags_partial(tmp_path, outroot, workers):
     path = write_config(tmp_path, newton_max_iter=0, fista_max_iter=3,
                         domain_a=0.0, domain_b=2.0, T=0.2,
                         rho0={"profile": "cosine", "amplitude": 0.4,
                               "frequency": 0.5})
-    code = cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80])
+    code = cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80],
+                     workers=workers)
     assert code == 2
     rundir = next(outroot.iterdir())
     report = json.loads((rundir / "rate.json").read_text())
     assert report["partial"] is True
     assert len(report["failures"]) >= 1
+
+
+def per_row_trajectory_csv(traj):
+    """Reference writer: one f-string per row."""
+    lines = ["t,x,rho"]
+    for t, rho in zip(traj.times, traj.densities):
+        for x, v in zip(rho.centers, rho.values):
+            lines.append(f"{float(t)!r},{float(x)!r},{float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_row_reference(tmp_path):
+    cfg = load_config(write_config(tmp_path, potential={
+        "kind": "quadratic", "kappa": 1.0, "center": 0.3}))
+    traj = run_scheme(cfg.problem(), cfg.rho0, cfg.T)
+    fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
+                           cfg.rho0, cfg.T, refsolve.FdConfig(n=cfg.n, dt=cfg.h))
+    # same n on another domain, and another n on the same domain
+    wide, _ = normalize(np.linspace(1.0, 2.0, cfg.n), Domain(-0.5, 1.5))
+    coarse, _ = normalize(np.linspace(1.0, 2.0, 40), cfg.domain)
+    mixed = SchemeTrajectory(times=(0.0, 0.1, 0.2, 0.3, 0.4),
+                             densities=(cfg.rho0, wide, fd.final, coarse, wide))
+    for tr in (traj, fd, mixed):
+        assert trajectory_to_csv(tr) == per_row_trajectory_csv(tr)
 
 
 def test_crosscheck_heat(tmp_path, outroot):

@@ -234,6 +234,15 @@ def test_csv_roundtrip_exact():
     assert back.domain.b == pytest.approx(rho.domain.b, abs=1e-15)
 
 
+def test_csv_writer_matches_per_row_reference():
+    rng = np.random.default_rng(5)
+    rho, _ = normalize(rng.uniform(0.2, 3.0, 53), Domain(-0.75, 2.5))
+    lines = ["x,rho"]
+    for x, v in zip(rho.centers, rho.values):
+        lines.append(f"{float(x)!r},{float(v)!r}")
+    assert density_to_csv(rho) == "\n".join(lines) + "\n"
+
+
 def test_csv_rejects_bad_header():
     with pytest.raises(InvalidDensityError):
         density_from_csv("a,b\n1,2\n")

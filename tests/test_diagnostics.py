@@ -70,13 +70,11 @@ def test_ledger_heat_run_passes():
     traj = run_scheme(pb, cosine_density(128), T=0.3)
     led = ledger(pb, traj)
     assert led.all_pass, [f.as_dict() for f in led.flags if not f.passed]
-    d = led.as_dict()
-    assert len(d["steps"]) == 30
-    assert d["steps"][0]["k"] == 1
+    assert len(traj.diagnostics) == 30
     # cumulative sums equal the sum of the per-step entries exactly
     assert led.cumulative_work == sum(
-        pb.h * s["W"] for s in led.steps) or led.cumulative_work == pytest.approx(
-        sum(pb.h * s["W"] for s in led.steps), abs=0.0)
+        pb.h * d.W_value for d in traj.diagnostics) or led.cumulative_work == pytest.approx(
+        sum(pb.h * d.W_value for d in traj.diagnostics), abs=0.0)
 
 
 def test_ledger_flags_reversed_trajectory():
