@@ -164,10 +164,16 @@ def _parse_config(raw, force: bool) -> RunConfig:
     T = float(raw.get("T", 1.0))
     rho0 = _rho0_from_config(raw.get("rho0"), domain, n)
     floor_delta = raw.get("floor_delta")
+    if floor_delta is not None:
+        floor_delta = float(floor_delta)
+        if not (floor_delta > 0.0):
+            raise ParameterError(f"floor_delta must be positive, got {floor_delta}")
+    elif not rho0.strictly_positive:
+        raise ParameterError(
+            "initial density has zero cells; set floor_delta to floor it")
     return RunConfig(
         raw=raw, cost=cost, energy=energy, potential=potential, domain=domain,
-        n=n, m=m, h=h, T=T, rho0=rho0,
-        floor_delta=None if floor_delta is None else float(floor_delta),
+        n=n, m=m, h=h, T=T, rho0=rho0, floor_delta=floor_delta,
         tol=float(raw.get("solver_tol", 1e-9)),
         newton_max_iter=int(raw.get("newton_max_iter", 80)),
         fista_max_iter=int(raw.get("fista_max_iter", 100_000)),
@@ -281,7 +287,8 @@ def cmd_study(config_path: str, values: list[float], root: str | None = None,
               workers: int = 0) -> int:
     try:
         cfg = load_config(config_path)
-        cfg.problem(h=values[0] if values else None)  # validates assumptions
+        for h in values:  # every step size and the assumptions, before any run
+            cfg.problem(h=h)
         if len(values) < 4:
             print("study needs at least 4 step sizes", file=sys.stderr)
             return EXIT_CONFIG

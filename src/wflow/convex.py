@@ -449,39 +449,13 @@ class PotentialSpec:
 # auxiliary convex function with H'' = x^{1/q*} F''
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      rtol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature with relative tolerance ``rtol``."""
-    def simpson(lo, flo, hi, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, flo, hi, fhi, fmid, whole, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm, frm = f(lmid), f(rmid)
-        left = simpson(lo, flo, mid, fmid, flm)
-        right = simpson(mid, fmid, hi, fhi, frm)
-        if depth <= 0:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * rtol * (abs(left + right) + 1e-300):
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, flo, mid, fmid, flm, left, depth - 1)
-                + recurse(mid, fmid, hi, fhi, frm, right, depth - 1))
-
-    if a == b:
-        return 0.0
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, 60)
-
-
 @dataclass(frozen=True)
 class AuxiliaryH:
     """Convex diagnostic companion of an energy: ``H''(x) = x^{1/q*} F''(x)``.
 
-    ``H'`` is integrated from the base point 1 by adaptive Simpson
-    quadrature; it is strictly increasing because ``H'' > 0``.
+    ``H'`` is integrated from the base point 1 by ``scipy.integrate.quad``
+    (QUADPACK's adaptive Gauss-Kronrod rule, relative tolerance 1e-12); it is
+    strictly increasing because ``H'' > 0``.
     """
 
     energy: EnergySpec
@@ -499,7 +473,11 @@ class AuxiliaryH:
     def h_prime(self, x: float) -> float:
         if not (x > 0.0):
             raise ParameterError("h_prime needs x > 0")
-        return _adaptive_simpson(lambda s: float(self.h_second(s)), 1.0, float(x))
+        # imported here: scipy.integrate takes tens of milliseconds to import
+        # and no command evaluates H
+        from scipy.integrate import quad
+
+        return quad(self.h_second, 1.0, float(x), epsabs=0.0, epsrel=1e-12)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +636,12 @@ def preset_specs(name: str, m: float | None = None, p: float | None = None,
     ``porous-medium``    quadratic cost with ``x^m/(m-1)``, ``m > 1``
     ``fast-diffusion``   quadratic cost with ``x^m/(m-1)``, ``1/2 <= m < 1``
     ``p-laplacian``      dual-power cost, ``x^m/(m(m-1))`` with
-                         ``m = (2p-3)/(p-1)``, ``p >= 3/2``
+                         ``m = (2p-3)/(p-1)``, ``p > 3/2``
     ``doubly-degenerate`` dual-power cost, ``n x^m/(m(m-1))`` with
-                         ``m = n + (p-2)/(p-1)``
+                         ``m = n + (p-2)/(p-1)``, ``p > 1``,
+                         ``n > max(0, (2-p)/(p-1))`` and ``n != 1/(p-1)``
+
+    The lower bounds are strict: ``m`` or the coefficient is zero on them.
     """
     if name == "fokker-planck":
         return CostSpec.single_power(2.0), EnergySpec.entropy()
@@ -673,8 +654,8 @@ def preset_specs(name: str, m: float | None = None, p: float | None = None,
             raise ParameterError("fast-diffusion preset needs 1/2 <= m < 1")
         return CostSpec.single_power(2.0), EnergySpec.power(m)
     if name == "p-laplacian":
-        if p is None or not (p >= 1.5):
-            raise ParameterError("p-laplacian preset needs p >= 3/2")
+        if p is None or not (p > 1.5):
+            raise ParameterError("p-laplacian preset needs p > 3/2")
         q = p / (p - 1.0)
         mm = (2.0 * p - 3.0) / (p - 1.0)
         if mm == 1.0:  # p = 2 degenerates to the heat equation
@@ -683,11 +664,13 @@ def preset_specs(name: str, m: float | None = None, p: float | None = None,
     if name == "doubly-degenerate":
         if p is None or n is None:
             raise ParameterError("doubly-degenerate preset needs n and p")
+        if not (p > 1.0):
+            raise ParameterError("doubly-degenerate preset needs p > 1")
         q = p / (p - 1.0)
-        low = (2.0 - p) / (p - 1.0)
-        if not (n >= low) or n == 1.0 / (p - 1.0):
+        low = max((2.0 - p) / (p - 1.0), 0.0)
+        if not (n > low) or n == 1.0 / (p - 1.0):
             raise ParameterError(
-                f"doubly-degenerate preset needs n >= {low} and n != 1/(p-1)")
+                f"doubly-degenerate preset needs n > {low} and n != 1/(p-1)")
         mm = n + (p - 2.0) / (p - 1.0)
         return CostSpec.single_power(q), EnergySpec.power(mm, coeff=n / mm)
     raise ParameterError(f"unknown preset {name!r}")

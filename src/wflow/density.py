@@ -17,6 +17,7 @@ import numpy as np
 from .convex import EnergySpec, PotentialSpec
 from .errors import (
     DegenerateCellError,
+    DomainMismatchError,
     InvalidDensityError,
     NonInvertibleCdfError,
     ParameterError,
@@ -285,7 +286,6 @@ def l1_distance(rho_a: GridDensity, rho_b: GridDensity) -> float:
     Handles different resolutions by merging both edge sets.
     """
     if rho_a.domain != rho_b.domain:
-        from .errors import DomainMismatchError
         raise DomainMismatchError("densities live on different domains")
     if rho_a.n == rho_b.n:
         return float(np.sum(np.abs(rho_a.values - rho_b.values)) * rho_a.dx)

@@ -17,7 +17,7 @@ from .errors import (
     IncompleteLedgerError,
     ParameterError,
 )
-from .jko import JkoProblem, SchemeTrajectory
+from .jko import JkoProblem, SchemeTrajectory, run_scheme
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,6 @@ def second_moment_rate(make_problem, rho0: GridDensity, T: float,
     resolution; each run accumulates ``sum_k int |x-y|^2 dgamma_k`` over the
     horizon.
     """
-    from .jko import run_scheme
-
     totals = []
     for h in h_values:
         problem = make_problem(h)

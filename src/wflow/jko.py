@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import isotonic_regression
 
 from .convex import (
@@ -54,6 +54,7 @@ from .errors import (
     ParameterError,
     SchemeAbortError,
 )
+from .transport import monotone_map
 
 VACUUM_FLOOR_FACTOR = 1e-14
 MAX_STEPS = 10**6
@@ -265,13 +266,11 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
         i0 = 1 if (X[0] <= a + edge and g[0] >= 0.0) else 0
         i1 = m - 1 if (X[-1] >= b - edge and g[-1] <= 0.0) else m
         diag, off = obj.hessian(ev)
-        ab = np.zeros((3, i1 - i0 + 1))
-        ab[1, :] = diag[i0:i1 + 1]
-        ab[0, 1:] = off[i0:i1]
-        ab[2, :-1] = off[i0:i1]
-        try:
-            dX = solve_banded((1, 1), ab, -g[i0:i1 + 1])
-        except ValueError:
+        d, e, rhs = diag[i0:i1 + 1], off[i0:i1], -g[i0:i1 + 1]
+        if not all(np.isfinite(v).all() for v in (d, e, rhs)):
+            return None
+        *_, dX, info = dgtsv(e, d, e, rhs)
+        if info != 0:
             return None
         gdot = float(g[i0:i1 + 1] @ dX)
         if not np.isfinite(gdot) or gdot >= 0.0:
@@ -489,8 +488,6 @@ def euler_lagrange_residual(problem: JkoProblem, rho_prev: GridDensity,
     interpolated at the same points.  The residual is the density-weighted
     L1 gap, computed by mass quadrature.
     """
-    from .transport import monotone_map
-
     S = monotone_map(rho_prev, rho_next, problem.m)
     y = 0.5 * (S.X_src[:-1] + S.X_src[1:])
     target = 0.5 * (S.X_tgt[:-1] + S.X_tgt[1:])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma as gamma_fn
 
 from .convex import CostSpec, EnergySpec, PotentialSpec
@@ -73,13 +73,12 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
         return rho_new - rho_old - cfg.dt * _flux_divergence(
             rho_new, vpot, dx, cost, energy)
 
-    def jacobian_banded(rho_new, rho_old):
+    def jacobian(rho_new, rho_old):
         # Tridiagonal coupling only; build by three-coloring of FD columns.
         # Consecutive cells always land in distinct colors, so each response
-        # row isolates exactly one perturbed column.  solve_banded layout:
-        # row 0 superdiagonal (shifted), row 2 subdiagonal.
+        # row isolates exactly one perturbed column.
         base = residual(rho_new, rho_old)
-        ab = np.zeros((3, n))
+        sub, diag, sup = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
         scale = float(np.max(np.abs(rho_new))) + 1e-300
         eps = np.sqrt(np.finfo(float).eps) * (np.abs(rho_new) + scale)
         for color in range(3):
@@ -87,40 +86,42 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
             cols = np.arange(color, n, 3)
             pert[cols] += eps[cols]
             dres = residual(pert, rho_old) - base
-            ab[1, cols] = dres[cols] / eps[cols]
+            diag[cols] = dres[cols] / eps[cols]
             up = cols[cols > 0]
-            ab[0, up] = dres[up - 1] / eps[up]
+            sup[up - 1] = dres[up - 1] / eps[up]
             down = cols[cols < n - 1]
-            ab[2, down] = dres[down + 1] / eps[down]
-        return ab, base
+            sub[down] = dres[down + 1] / eps[down]
+        return sub, diag, sup, base
 
     rho = rho0.values.copy()
     times = [0.0]
     densities = [rho0]
     for k in range(1, steps + 1):
-        rho_old = rho.copy()
-        cur = rho.copy()
+        rho_old = cur = rho
         clamped = False
         converged = False
         for _ in range(cfg.newton_max_iter):
-            ab, res = jacobian_banded(cur, rho_old)
+            sub, diag, sup, res = jacobian(cur, rho_old)
             norm0 = float(np.max(np.abs(res)))
+            # one solve serves the Newton and the polishing step; a singular
+            # or non-finite system leaves delta None
+            delta = None
+            if all(np.isfinite(v).all() for v in (sub, diag, sup, res)):
+                *_, x, info = dgtsv(sub, diag, sup, -res)
+                if info == 0:
+                    delta = x
             if norm0 <= cfg.newton_tol:
                 converged = True
                 # one polishing iteration tightens mass telescoping
-                try:
-                    polish = np.maximum(cur + solve_banded((1, 1), ab, -res), 0.0)
+                if delta is not None:
+                    polish = np.maximum(cur + delta, 0.0)
                     if float(np.max(np.abs(residual(polish, rho_old)))) <= norm0:
                         cur = polish
-                except ValueError:  # includes LinAlgError
-                    pass
                 break
-            try:
-                delta = solve_banded((1, 1), ab, -res)
-            except ValueError as exc:  # includes LinAlgError
+            if delta is None:
                 raise ConvergenceError(
                     f"singular Newton system at step {k}", best=cur,
-                    residual=norm0) from exc
+                    residual=norm0)
             tau = 1.0
             cand = cur
             for _ in range(40):

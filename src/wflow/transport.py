@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .convex import CostSpec
-from .density import GridDensity, QuantileRep, from_quantiles, to_quantiles
+from .density import (GridDensity, QuantileRep, csv_rows, float_cells,
+                      from_quantiles, l1_distance, to_quantiles)
 from .errors import OracleLimitError, ParameterError
 
 EXHAUSTIVE_LIMIT = 8
@@ -76,11 +77,8 @@ class TransportPlan:
         return float(np.sum(w * cost.value((x - y) / h)))
 
     def to_csv(self) -> str:
-        rows = sorted(self.atoms)
-        lines = ["x,y,mass"]
-        for x, y, w in rows:
-            lines.append(f"{x!r},{y!r},{w!r}")
-        return "\n".join(lines) + "\n"
+        columns = np.array(sorted(self.atoms), dtype=float).reshape(-1, 3).T
+        return "x,y,mass\n" + csv_rows(*map(float_cells, columns))
 
 
 @dataclass(frozen=True)
@@ -189,8 +187,6 @@ def monotone_atom_cost(atoms0, atoms1, cost: CostSpec, h: float) -> float:
 def push_forward_residual(rho_src: GridDensity, rho_tgt: GridDensity,
                           S: MonotoneMap, n: int | None = None) -> float:
     """L1 gap between ``S`` push-forward of the source and the target."""
-    from .density import l1_distance
-
     n = n or rho_tgt.n
     rep = QuantileRep(domain=rho_src.domain, X=S.X_tgt)
     pushed = from_quantiles(rep, n)

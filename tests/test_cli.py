@@ -16,7 +16,7 @@ from wflow.cli import (
     main,
     trajectory_to_csv,
 )
-from wflow.density import Domain, normalize
+from wflow.density import Domain, density_to_csv, normalize
 from wflow.errors import ParameterError
 from wflow.jko import SchemeTrajectory, run_scheme
 
@@ -88,6 +88,55 @@ def test_malformed_config_exits_1(tmp_path, outroot, capsys, text, command):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+# valid JSON whose values the config check must reject: preset parameters on
+# the boundary of their window, and initial data the scheme cannot start from
+REJECTED_CONFIGS = {
+    "p-laplacian-p-3/2": {"preset": "p-laplacian", "exponent_p": 1.5},
+    "doubly-degenerate-p-1": {"preset": "doubly-degenerate",
+                              "exponent_p": 1.0, "exponent_n": 1.0},
+    "doubly-degenerate-m-0": {"preset": "doubly-degenerate",
+                              "exponent_p": 3.0, "exponent_n": -0.5},
+    "zero-cell-without-floor": {"rho0": "zero-cell.csv"},
+    "floor-delta-0": {"floor_delta": 0},
+}
+
+
+def write_zero_cell_csv(tmp_path):
+    vals = np.ones(64)
+    vals[10] = 0.0
+    path = tmp_path / "zero-cell.csv"
+    path.write_text(density_to_csv(normalize(vals, Domain(0.0, 1.0))[0]))
+    return {"csv": str(path)}
+
+
+@pytest.mark.parametrize("command", ["run", "study", "crosscheck"])
+@pytest.mark.parametrize("overrides", REJECTED_CONFIGS.values(),
+                         ids=REJECTED_CONFIGS.keys())
+def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
+                                                overrides, command):
+    if overrides.get("rho0") == "zero-cell.csv":
+        overrides = {"rho0": write_zero_cell_csv(tmp_path)}
+    path = write_config(tmp_path, **overrides)
+    argv = [command, "--config", str(path)]
+    if command == "study":
+        argv += ["--values", "0.05,0.025,0.0125,0.00625"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not outroot.exists()
+
+
+@pytest.mark.parametrize("values", [
+    "-0.005,0.04,0.02,0.01", "0.04,0.02,0.01,-0.005", "0.04,0.02,0.01,0"])
+def test_study_checks_every_step_size_before_running(tmp_path, outroot,
+                                                     capsys, values):
+    path = write_config(tmp_path)
+    assert main(["study", "--config", str(path), f"--values={values}"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not outroot.exists()
 
 
 def test_config_hash_stable(tmp_path):

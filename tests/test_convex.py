@@ -332,6 +332,31 @@ def test_preset_doubly_degenerate():
         preset_specs("doubly-degenerate", n=0.5, p=3.0)  # n = 1/(p-1)
 
 
+@pytest.mark.parametrize("name,kw,ok", [
+    ("p-laplacian", {"p": 1.4}, False),
+    ("p-laplacian", {"p": 1.5}, False),            # m = 0
+    ("p-laplacian", {"p": 1.5 + 1e-6}, True),
+    ("p-laplacian", {"p": 1.6}, True),
+    ("doubly-degenerate", {"p": 0.5, "n": 1.0}, False),
+    ("doubly-degenerate", {"p": 1.0, "n": 1.0}, False),  # p - 1 = 0
+    ("doubly-degenerate", {"p": 1.1, "n": 12.0}, True),
+    ("doubly-degenerate", {"p": 3.0, "n": -0.5}, False),  # m = 0
+    ("doubly-degenerate", {"p": 3.0, "n": -0.4}, False),  # coefficient < 0
+    ("doubly-degenerate", {"p": 3.0, "n": 0.0}, False),   # coefficient 0
+    ("doubly-degenerate", {"p": 3.0, "n": 0.1}, True),
+    ("doubly-degenerate", {"p": 1.5, "n": 1.0}, False),   # m = 0
+    ("doubly-degenerate", {"p": 1.5, "n": 1.1}, True),
+])
+def test_preset_window_boundaries(name, kw, ok):
+    if not ok:
+        with pytest.raises(ParameterError):
+            preset_specs(name, **kw)
+        return
+    cost, F = preset_specs(name, **kw)
+    assert cost.q > 1.0
+    assert all(t[0] == "power" and t[2] > 0.0 for t in F.terms)
+
+
 def test_preset_unknown():
     with pytest.raises(ParameterError):
         preset_specs("heat-death")

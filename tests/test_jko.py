@@ -188,6 +188,33 @@ def test_step_gradient_matches_finite_differences():
         assert H[:, k] == pytest.approx(hcol, rel=1e-5, abs=1e-5 * np.max(np.abs(H[:, k])))
 
 
+@pytest.mark.parametrize("where,bad", [
+    (None, None), ("diag", np.nan), ("diag", np.inf), ("off", np.nan),
+    ("off", np.inf),
+], ids=["all-zero", "diag-nan", "diag-inf", "off-nan", "off-inf"])
+def test_newton_falls_back_on_singular_or_nonfinite_system(where, bad):
+    from wflow.jko import _newton_solve, _StepObjective
+
+    def hessian(ev):
+        diag, off = np.zeros(ev.X.size), np.zeros(ev.X.size - 1)
+        if where is not None:
+            diag[:] = 1.0
+            (diag if where == "diag" else off)[3] = bad
+        return diag, off
+
+    pb = heat_problem(h=2e-3, m=64)
+    Xprev = to_quantiles(cosine_density(64), 64).X
+    obj = _StepObjective(pb, Xprev)
+    start = obj.evaluate(Xprev)
+    assert _newton_solve(obj, start) is not None
+    obj.hessian = hessian
+    trials = []
+    evaluate = obj.evaluate
+    obj.evaluate = lambda X: trials.append(X) or evaluate(X)
+    assert _newton_solve(obj, start) is None
+    assert not trials  # gave up before any trial step
+
+
 def test_fista_fallback_matches_newton():
     pb = heat_problem(h=2e-3, m=128)
     rho = cosine_density(128)

@@ -3,7 +3,7 @@ import pytest
 
 from wflow.convex import CostSpec, EnergySpec, PotentialSpec
 from wflow.density import Domain, GridDensity, l1_distance, normalize
-from wflow.errors import ParameterError
+from wflow.errors import ConvergenceError, ParameterError
 from wflow.refsolve import (
     FdConfig,
     barenblatt,
@@ -52,6 +52,18 @@ def test_heat_mode_decay_rate():
     mode = lambda r: 2.0 * float(np.sum(r.values * np.cos(2 * np.pi * xc)) * r.dx)
     ratio = mode(traj.final) / mode(rho)
     assert ratio == pytest.approx(np.exp(-4.0 * np.pi**2 * T), rel=1e-2)
+
+
+def test_fd_zero_cell_under_entropy_is_singular():
+    # log(0) makes the residual and its Jacobian non-finite at step 1
+    n = 32
+    vals = np.ones(n)
+    vals[5] = 0.0
+    rho, _ = normalize(vals, UNIT)
+    with (np.errstate(divide="ignore", invalid="ignore"),
+          pytest.raises(ConvergenceError, match="singular Newton system at step 1")):
+        fd_solve(Q2, ENTROPY, PotentialSpec.zero(), UNIT, rho, T=0.01,
+                 cfg=FdConfig(n=n, dt=1e-3))
 
 
 def test_fd_mass_conservation():

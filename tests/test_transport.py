@@ -202,6 +202,21 @@ def test_plan_csv_sorted():
     assert xs == sorted(xs)
 
 
+def per_row_plan_csv(plan):
+    """Reference writer: one f-string per atom."""
+    lines = ["x,y,mass"]
+    for x, y, w in sorted(plan.atoms):
+        lines.append(f"{x!r},{y!r},{w!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_plan_csv_matches_per_row_reference():
+    rng = np.random.default_rng(5)
+    for k in (1, 7, 33):
+        _, plan = lp_oracle(rng.normal(size=k), rng.normal(size=k), Q2, h=0.3)
+        assert plan.to_csv() == per_row_plan_csv(plan)
+
+
 # ---------------------------------------------------------------------------
 # displacement interpolation
 # ---------------------------------------------------------------------------
