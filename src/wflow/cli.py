@@ -23,11 +23,19 @@ from .convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
 from .density import (Domain, GridDensity, csv_rows, density_from_csv,
                       float_cells, normalize)
 from .errors import ParameterError, WflowError
-from .jko import JkoProblem, SchemeTrajectory, floored_density, run_scheme
+from .jko import (JkoProblem, SchemeTrajectory, floored_density, run_scheme,
+                  step_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
+
+CONFIG_KEYS = frozenset({
+    "preset", "exponent_m", "exponent_p", "exponent_n", "cost_terms",
+    "energy_terms", "potential", "domain_a", "domain_b", "n", "m", "h", "T",
+    "rho0", "floor_delta", "solver_tol", "newton_max_iter", "fista_max_iter",
+    "force", "output_dir",
+})
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +62,15 @@ class RunConfig:
     label: str
 
     def problem(self, h: float | None = None) -> JkoProblem:
-        return JkoProblem(cost=self.cost, energy=self.energy,
-                          potential=self.potential, domain=self.domain,
-                          h=self.h if h is None else h, m=self.m,
-                          tol=self.tol, newton_max_iter=self.newton_max_iter,
-                          fista_max_iter=self.fista_max_iter, force=self.force)
+        """The step problem at step size ``h`` (default: the config's), with
+        its step count to ``T`` checked."""
+        pb = JkoProblem(cost=self.cost, energy=self.energy,
+                        potential=self.potential, domain=self.domain,
+                        h=self.h if h is None else h, m=self.m,
+                        tol=self.tol, newton_max_iter=self.newton_max_iter,
+                        fista_max_iter=self.fista_max_iter, force=self.force)
+        step_count(self.T, pb.h)
+        return pb
 
     def initial_density(self) -> GridDensity:
         if self.floor_delta is not None:
@@ -130,6 +142,9 @@ def load_config(path: str | Path, force: bool = False) -> RunConfig:
 def _parse_config(raw, force: bool) -> RunConfig:
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
     preset = raw.get("preset")
     if preset:
         cost, energy = preset_specs(
@@ -341,6 +356,7 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     try:
         cfg = load_config(config_path)
         problem = cfg.problem()
+        fd_cfg = refsolve.FdConfig(n=cfg.n, dt=cfg.h)
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     out = output_dir(cfg, root)
@@ -348,8 +364,7 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         rho0 = cfg.initial_density()
         traj = run_scheme(problem, rho0, cfg.T)
         fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
-                               rho0, cfg.T,
-                               refsolve.FdConfig(n=cfg.n, dt=cfg.h))
+                               rho0, cfg.T, fd_cfg)
         table = diagnostics.compare(traj, fd)
     except WflowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

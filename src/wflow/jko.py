@@ -17,14 +17,24 @@ Evaluation contract: every iterate is evaluated once, in one sweep that
 yields the objective, its gradient, both energies and the per-cell
 quantities (midpoints, widths, displacement, cell density) everything else
 reads from.  The banded curvature is formed from an evaluation, and only at
-iterates Newton steps from.  A step's ledger entries come from two
-evaluations: ``E_*_before`` from the one at ``Xprev`` that starts Newton,
-everything else from the one at the accepted nodes.  The descent guard
-compares the objective values of the same two evaluations.
+iterates Newton steps from.
+
+Warm start: inside a run, step ``k + 1`` starts at the predictor
+``2 X_k - X_{k-1}`` (endpoints clipped to the walls), and that one
+evaluation replaces the one at ``Xprev``.  ``Xprev`` is evaluated only when
+the predictor is not strictly increasing or its objective lies above the
+objective at ``Xprev``.  That objective needs no evaluation: at ``Xprev``
+the displacement is zero and ``c(0) = 0``, so it equals step ``k``'s final
+free energy bit for bit, and the run carries it, with the internal energy,
+into the next step.  A step's ``E_*_before`` are these carried energies and
+the descent guard compares against the carried free energy; everything else
+in the ledger comes from the evaluation at the accepted nodes.  The first
+step of a run, and a step called on its own, start cold at ``Xprev``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +68,7 @@ from .transport import monotone_map
 
 VACUUM_FLOOR_FACTOR = 1e-14
 MAX_STEPS = 10**6
+FISTA_PATIENCE = 500   # iterations without a new best objective before FISTA stops
 
 
 @dataclass(frozen=True)
@@ -158,8 +169,9 @@ class _Evaluation:
     """Everything one step iterate determines, computed in one cell sweep.
 
     ``w`` is the width clamped at the vacuum floor and ``gaps`` the raw node
-    spacing; they agree on every accepted iterate.  ``V`` holds the potential
-    at the midpoints, or None without a potential.
+    spacing; they agree on every accepted iterate.  ``Fw`` holds the cell
+    terms of the internal energy, and ``V`` the potential at the midpoints,
+    or None without a potential.
     """
 
     X: np.ndarray
@@ -170,6 +182,7 @@ class _Evaluation:
     v: np.ndarray
     rho: np.ndarray
     c: np.ndarray
+    Fw: np.ndarray
     V: np.ndarray | None
     e_int: float
     e_free: float
@@ -199,7 +212,8 @@ class _StepObjective:
         v = disp / self.h
         rho = self.mu / w
         c = pb.cost.value(v)
-        e_int = float(np.sum(pb.energy.value(rho) * w))
+        Fw = pb.energy.value(rho) * w
+        e_int = float(np.sum(Fw))
         f = self.h * self.mu * float(np.sum(c))
         f += e_int
         e_free = e_int
@@ -216,7 +230,8 @@ class _StepObjective:
         g[:-1] += cell - gp
         g[1:] += cell + gp
         return _Evaluation(X=X, M=M, gaps=gaps, w=w, disp=disp, v=v, rho=rho,
-                           c=c, V=V, e_int=e_int, e_free=e_free, f=f, g=g)
+                           c=c, Fw=Fw, V=V, e_int=e_int, e_free=e_free, f=f,
+                           g=g)
 
     def hessian(self, ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Hessian at an evaluated iterate: (diagonal, off-diagonal).
@@ -234,6 +249,19 @@ class _StepObjective:
         diag[:-1] += cell
         return diag, ct - ge
 
+    def rounding_error(self, ev: _Evaluation) -> float:
+        """A priori bound on the rounding error of ``ev.f``.
+
+        ``f`` sums ``m`` cell terms; recursive summation of ``m`` terms errs
+        by at most about ``m * eps * sum|term|`` (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., section 4.2).  The
+        transport terms are nonnegative.
+        """
+        s = self.h * self.mu * float(np.sum(ev.c)) + float(np.sum(np.abs(ev.Fw)))
+        if ev.V is not None:
+            s += self.mu * float(np.sum(np.abs(ev.V)))
+        return self.m * np.finfo(float).eps * s
+
     def kkt_residual(self, X: np.ndarray, g: np.ndarray) -> float:
         z = np.clip(isotonic_regression(X - g).x,
                     self.pb.domain.a, self.pb.domain.b)
@@ -244,11 +272,18 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
                   ) -> tuple[_Evaluation, int, float] | None:
     """Damped Newton on the banded system; None signals fallback.
 
-    Starts from the evaluated previous nodes and keeps each accepted trial's
+    Starts from the evaluated start point and keeps each accepted trial's
     evaluation for the next iteration.  The wall bounds on the two endpoint
     nodes are handled by an active-set rule (pinned while the gradient
     presses outward, free otherwise); runs with interior nodes stacked on a
     wall are left to the projected-gradient fallback.
+
+    The backtracking test is Armijo's with the rounding error of ``f``
+    (``_StepObjective.rounding_error``) as slack.  Near the solution the
+    predicted decrease ``-g.dX`` falls below that error, and the plain test
+    then compares noise with noise; with the slack the full Newton step is
+    taken there unless it raises ``f`` beyond its rounding error.  A trial
+    that equals the current nodes bit for bit is never accepted.
     """
     pb = obj.pb
     a, b = pb.domain.a, pb.domain.b
@@ -275,15 +310,18 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
         gdot = float(g[i0:i1 + 1] @ dX)
         if not np.isfinite(gdot) or gdot >= 0.0:
             return None
+        slack = obj.rounding_error(ev)
         step = 1.0
         for _ in range(60):
             Xn = X.copy()
             Xn[i0:i1 + 1] = X[i0:i1 + 1] + step * dX
             Xn[0] = max(Xn[0], a)
             Xn[-1] = min(Xn[-1], b)
+            if np.array_equal(Xn, X):
+                return None
             if np.all(np.diff(Xn) > 0.0):
                 evn = obj.evaluate(Xn)
-                if evn.f <= ev.f + 1e-4 * step * gdot:
+                if evn.f <= ev.f + 1e-4 * step * gdot + slack:
                     break
             step *= 0.5
         else:
@@ -295,21 +333,27 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
     return None
 
 
-def _fista_solve(obj: _StepObjective, X0: np.ndarray
+def _fista_solve(obj: _StepObjective, start: _Evaluation
                  ) -> tuple[_Evaluation, int, float]:
-    """Monotone-restart FISTA with exact projection onto the feasible box."""
+    """Monotone-restart FISTA with exact projection onto the feasible box.
+
+    Starts from the projection of the evaluated start point and returns the
+    best iterate once ``FISTA_PATIENCE`` iterations bring no new best
+    objective.
+    """
     pb = obj.pb
     a, b = pb.domain.a, pb.domain.b
 
     def project(Y):
         return np.clip(isotonic_regression(Y).x, a, b)
 
-    ex = obj.evaluate(project(X0))
+    X0 = project(start.X)
+    ex = start if np.array_equal(X0, start.X) else obj.evaluate(X0)
     y = ex.X.copy()
     t = 1.0
     L = 1.0
     best, best_r = ex, obj.kkt_residual(ex.X, ex.g)
-    nit = 0
+    last_gain = nit = 0
     for nit in range(1, pb.fista_max_iter + 1):
         ey = obj.evaluate(y)
         while True:
@@ -324,9 +368,11 @@ def _fista_solve(obj: _StepObjective, X0: np.ndarray
                 break
         r = obj.kkt_residual(en.X, en.g)
         if en.f < best.f:
-            best, best_r = en, r
+            best, best_r, last_gain = en, r, nit
         if r <= pb.tol:
             return en, nit, r
+        if nit - last_gain >= FISTA_PATIENCE:
+            break
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         yn = en.X + ((t - 1.0) / tn) * (en.X - ex.X)
         if en.f > ex.f:
@@ -336,10 +382,11 @@ def _fista_solve(obj: _StepObjective, X0: np.ndarray
     return best, nit, best_r
 
 
-def _step_diagnostics(problem: JkoProblem, start: _Evaluation,
+def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
                       final: _Evaluation, r: float, iterations: int
                       ) -> StepDiagnostics:
-    """Ledger entries of one step, read off its start and final evaluations.
+    """Ledger entries of one step: ``before = (E_internal, E_free)`` at
+    ``Xprev``, everything else read off the final evaluation.
 
     The Euler-Lagrange pieces are the velocity-matching residual and the
     dissipation integrand on mass cells.
@@ -351,9 +398,9 @@ def _step_diagnostics(problem: JkoProblem, start: _Evaluation,
     rhs = problem.cost.conjugate_gradient(dw)
     return StepDiagnostics(
         W_value=float(np.mean(final.c)),
-        E_internal_before=start.e_int,
+        E_internal_before=before[0],
         E_internal_after=final.e_int,
-        E_free_before=start.e_free,
+        E_free_before=before[1],
         E_free_after=final.e_free,
         second_moment=float(np.mean(final.disp**2)),
         dissipation=float(np.mean(np.abs(dw) ** problem.cost.qstar)),
@@ -363,16 +410,43 @@ def _step_diagnostics(problem: JkoProblem, start: _Evaluation,
     )
 
 
-def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray
+def _predictor(obj: _StepObjective, Xprev: np.ndarray, Xback: np.ndarray,
+               f_prev: float) -> _Evaluation | None:
+    """Evaluated ``2 Xprev - Xback`` with its endpoints on the walls, or None
+    if it is not strictly increasing or its objective exceeds ``f_prev``."""
+    guess = 2.0 * Xprev - np.asarray(Xback, dtype=float)
+    guess[0] = max(guess[0], obj.pb.domain.a)
+    guess[-1] = min(guess[-1], obj.pb.domain.b)
+    if not np.all(np.diff(guess) > 0.0):
+        return None
+    ev = obj.evaluate(guess)
+    return ev if ev.f <= f_prev else None
+
+
+def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
+                   Xback: np.ndarray | None = None,
+                   before: tuple[float, float] | None = None
                    ) -> tuple[np.ndarray, StepDiagnostics]:
-    """One minimizing-movement step in quantile coordinates."""
+    """One minimizing-movement step in quantile coordinates.
+
+    Called with ``Xprev`` alone, the step starts cold at ``Xprev``.  Inside a
+    run, ``Xback`` holds the nodes one step before ``Xprev`` and ``before``
+    the ``(E_internal, E_free)`` of ``Xprev`` that the previous step
+    reported; the step then starts at the predictor (module docstring).
+    """
     Xprev = np.array(Xprev, dtype=float)
     obj = _StepObjective(problem, Xprev)
-    start = obj.evaluate(Xprev)
+    start = None
+    if Xback is not None and before is not None:
+        start = _predictor(obj, Xprev, Xback, before[1])
+    if start is None:
+        start = obj.evaluate(Xprev)
+        if before is None:
+            before = (start.e_int, start.e_free)
     result = _newton_solve(obj, start)
     newton_used = 0
     if result is None:
-        final, nit, r = _fista_solve(obj, Xprev)
+        final, nit, r = _fista_solve(obj, start)
         if r > problem.tol:
             raise ConvergenceError(
                 f"step solver stalled at residual {r:.3e} (tol {problem.tol:.1e})",
@@ -384,10 +458,10 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray
         raise DegeneracyError(
             f"mass cell collapsed to width {float(np.min(final.gaps)):.3e}; "
             "the evolution left the positive-density regime")
-    if final.f > start.f + 1e-12:
+    if final.f > before[1] + 1e-12:
         raise ConvergenceError("step increased the objective", best=final.X,
                                residual=r)
-    return final.X, _step_diagnostics(problem, start, final, r,
+    return final.X, _step_diagnostics(problem, before, final, r,
                                       newton_used + nit)
 
 
@@ -409,6 +483,16 @@ def jko_step(problem: JkoProblem, rho_prev: GridDensity
     return rho, diag
 
 
+def step_count(T: float, h: float) -> int:
+    """Number of steps of size ``h`` to the horizon ``T``, within 1..MAX_STEPS."""
+    ratio = T / h
+    steps = int(round(ratio)) if math.isfinite(ratio) else 0
+    if not 1 <= steps <= MAX_STEPS:
+        raise ParameterError(f"horizon T = {T!r} with step h = {h!r} gives "
+                             f"{ratio:.3g} steps, needs 1..{MAX_STEPS}")
+    return steps
+
+
 def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
                ) -> SchemeTrajectory:
     """Iterate the step solver up to the horizon ``T``.
@@ -417,9 +501,7 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
     snapshots are derived views.  A failing step aborts with the partial
     trajectory attached.
     """
-    steps = int(round(T / problem.h))
-    if steps < 1 or steps > MAX_STEPS:
-        raise ParameterError(f"horizon gives {steps} steps, needs 1..{MAX_STEPS}")
+    steps = step_count(T, problem.h)
     if rho0.domain != problem.domain:
         raise ParameterError("initial density lives on the wrong domain")
     if not rho0.strictly_positive:
@@ -427,12 +509,13 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
             "the scheme needs strictly positive initial data; "
             "floor degenerate data first")
     X = to_quantiles(rho0, problem.m).X
+    Xback = before = None
     times = [0.0]
     densities = [rho0]
     diags: list[StepDiagnostics] = []
     for k in range(1, steps + 1):
         try:
-            X, diag = jko_step_nodes(problem, X)
+            Xnext, diag = jko_step_nodes(problem, X, Xback, before)
         except (ConvergenceError, DegeneracyError) as exc:
             raise SchemeAbortError(
                 f"step {k} failed: {exc}",
@@ -440,6 +523,8 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
                                          densities=tuple(densities),
                                          diagnostics=tuple(diags)),
                 cause=exc) from exc
+        Xback, X = X, Xnext
+        before = (diag.E_internal_after, diag.E_free_after)
         times.append(k * problem.h)
         densities.append(from_quantiles(
             QuantileRep(domain=problem.domain, X=X), rho0.n))

@@ -100,6 +100,9 @@ REJECTED_CONFIGS = {
                               "exponent_p": 3.0, "exponent_n": -0.5},
     "zero-cell-without-floor": {"rho0": "zero-cell.csv"},
     "floor-delta-0": {"floor_delta": 0},
+    # T = 0.001 is under half of h = 0.01 and of every step size study tries
+    "horizon-under-half-step": {"T": 0.001},
+    "unknown-key": {"bogus_key": 1},
 }
 
 
@@ -129,8 +132,34 @@ def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
     assert not outroot.exists()
 
 
+def test_unknown_config_key_is_named(tmp_path):
+    path = write_config(tmp_path, bogus_key=1, another=2)
+    with pytest.raises(ParameterError, match="another, bogus_key"):
+        load_config(path)
+
+
+def test_config_accepts_every_key_it_reads(tmp_path):
+    path = write_config(tmp_path, exponent_m=None, exponent_p=None,
+                        exponent_n=None, cost_terms=None, energy_terms=None,
+                        floor_delta=1e-3, solver_tol=1e-8, newton_max_iter=40,
+                        fista_max_iter=1000, force=False,
+                        output_dir=str(tmp_path / "elsewhere"))
+    cfg = load_config(path)
+    assert (cfg.tol, cfg.newton_max_iter, cfg.fista_max_iter) == (1e-8, 40, 1000)
+
+
+def test_crosscheck_small_grid_exits_1_before_running(tmp_path, outroot,
+                                                      capsys):
+    path = write_config(tmp_path, n=8, m=8)
+    assert main(["crosscheck", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "n >= 16" in err
+    assert not outroot.exists()
+
+
 @pytest.mark.parametrize("values", [
-    "-0.005,0.04,0.02,0.01", "0.04,0.02,0.01,-0.005", "0.04,0.02,0.01,0"])
+    "-0.005,0.04,0.02,0.01", "0.04,0.02,0.01,-0.005", "0.04,0.02,0.01,0",
+    "0.2,0.1,0.05,0.025"])  # T = 0.05 is under half of h = 0.2
 def test_study_checks_every_step_size_before_running(tmp_path, outroot,
                                                      capsys, values):
     path = write_config(tmp_path)

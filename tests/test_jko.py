@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,23 @@ def test_degeneracy_guard_fires():
         jko_step_nodes(pb, X)
 
 
+def test_fista_stops_when_best_objective_stalls():
+    # the degeneracy case above: FISTA's best objective stops improving
+    # within a few dozen iterations, so it returns after FISTA_PATIENCE
+    # more instead of running to fista_max_iter
+    from wflow.jko import FISTA_PATIENCE, _fista_solve, _StepObjective
+
+    pb = heat_problem(h=1e-8, m=8)
+    X = np.linspace(0.0, 1.0, 9)
+    X[4] = X[3] + 1e-16
+    obj = _StepObjective(pb, X)
+    start = obj.evaluate(X)
+    best, nit, r = _fista_solve(obj, start)
+    assert r > pb.tol
+    assert best.f <= start.f
+    assert FISTA_PATIENCE <= nit < 2 * FISTA_PATIENCE
+
+
 def test_convergence_error_carries_best():
     pb = heat_problem(h=1e-3, m=64, newton_max_iter=0, fista_max_iter=3)
     rho = cosine_density(64)
@@ -213,6 +233,32 @@ def test_newton_falls_back_on_singular_or_nonfinite_system(where, bad):
     obj.evaluate = lambda X: trials.append(X) or evaluate(X)
     assert _newton_solve(obj, start) is None
     assert not trials  # gave up before any trial step
+
+
+def test_newton_never_takes_a_null_step():
+    # when every real trial raises the objective, backtracking ends at a
+    # trial that rounds back to the current nodes; Newton gives up there
+    # (fallback) instead of evaluating and accepting that null step
+    from wflow.jko import _newton_solve, _StepObjective
+
+    pb = heat_problem(h=2e-3, m=64)
+    Xprev = to_quantiles(cosine_density(64), 64).X
+    obj = _StepObjective(pb, Xprev)
+    start = obj.evaluate(Xprev)
+    evaluate = obj.evaluate
+    trials = []
+
+    def rising(X):
+        ev = evaluate(X)
+        trials.append(X)
+        if not np.array_equal(X, Xprev):
+            ev.f = start.f + 1.0
+        return ev
+
+    obj.evaluate = rising
+    assert _newton_solve(obj, start) is None
+    assert trials
+    assert not any(np.array_equal(X, Xprev) for X in trials)
 
 
 def test_fista_fallback_matches_newton():
@@ -366,6 +412,98 @@ def test_step_energies_chain_exactly(newton_max_iter):
     for prev, nxt in zip(diags[:-1], diags[1:]):
         assert nxt.E_internal_before == prev.E_internal_after
         assert nxt.E_free_before == prev.E_free_after
+
+
+def _plap_problem():
+    from wflow.convex import preset_specs
+
+    cost, F = preset_specs("p-laplacian", p=3.0)
+    pb = JkoProblem(cost=cost, energy=F, potential=NOPOT, domain=UNIT,
+                    h=2e-3, m=512)
+    return pb, cosine_density(64, amp=0.4, freq=0.5), 0.06
+
+
+def _fp_problem():
+    pb = JkoProblem(cost=Q2, energy=ENTROPY,
+                    potential=PotentialSpec.quadratic(1.0, 0.0), domain=SYM,
+                    h=1e-2, m=128)
+    return pb, cosine_density(64, amp=0.3, freq=0.5, domain=SYM), 0.5
+
+
+@pytest.mark.parametrize("make", [_plap_problem, _fp_problem],
+                         ids=["p-laplacian", "fokker-planck"])
+def test_warm_started_run_matches_cold_steps(make, monkeypatch):
+    # run_scheme starts each step at the predictor 2 X_k - X_{k-1} with the
+    # previous step's energies carried; the same steps started cold at
+    # X_k give the same nodes to within the step tolerance
+    from wflow import jko
+
+    pb, rho, T = make()
+    warm_nodes = []
+
+    def recording(*args):
+        X, d = jko_step_nodes(*args)
+        warm_nodes.append(X)
+        return X, d
+
+    monkeypatch.setattr(jko, "jko_step_nodes", recording)
+    traj = run_scheme(pb, rho, T)
+    X = to_quantiles(rho, pb.m).X
+    cold = []
+    for _ in traj.diagnostics:
+        X, d = jko_step_nodes(pb, X)
+        cold.append(d)
+    assert np.max(np.abs(warm_nodes[-1] - X)) <= 1e-6 * np.max(np.abs(X))
+    for w, c in zip(traj.diagnostics, cold):
+        assert w.E_free_after == pytest.approx(c.E_free_after, rel=1e-8)
+    if make is _plap_problem:
+        # cold, every step costs 7-8 Newton iterations at q = 1.5
+        assert all(d.iterations >= 7 for d in cold)
+        assert all(d.iterations <= 2 for d in traj.diagnostics[3:])
+
+
+def _benchmark_profile(n, amp, freq, seed):
+    # seeded input profile of the wflow benchmark: the cosine profile plus
+    # four no-flux modes of amplitude <= 0.005, floored at 0.05
+    rng = random.Random(seed)
+    coeffs = [(k, rng.uniform(-0.005, 0.005)) for k in range(3, 7)]
+    xhat = [(i + 0.5) / n for i in range(n)]
+    return [max(1.0 + amp * math.cos(2.0 * math.pi * freq * s)
+                + sum(c * math.cos(k * math.pi * s) for k, c in coeffs), 0.05)
+            for s in xhat]
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("Newton fell back to FISTA")
+
+
+def test_newton_converges_past_round_off_heat(monkeypatch):
+    # at m = 16384 the KKT tolerance 1e-9 lies where the predicted decrease
+    # -g.dX is below the rounding error of the objective; a plain Armijo
+    # test there halves down to a bit-for-bit null step and falls back
+    from wflow import jko
+
+    monkeypatch.setattr(jko, "_fista_solve", _no_fallback)
+    pb = heat_problem(h=5e-4, m=16384, tol=1e-9)
+    rho = normalize(_benchmark_profile(256, 0.5, 1.0, seed=3), UNIT)[0]
+    X, diag = jko_step_nodes(pb, to_quantiles(rho, pb.m).X)
+    assert diag.kkt_residual <= 1e-9
+    assert diag.E_free_after < diag.E_free_before
+
+
+def test_newton_converges_past_round_off_fokker_planck(monkeypatch):
+    # the README Fokker-Planck run on a perturbed profile that needed the
+    # fallback once in 1000 steps
+    from wflow import jko
+
+    monkeypatch.setattr(jko, "_fista_solve", _no_fallback)
+    pb = JkoProblem(cost=Q2, energy=ENTROPY,
+                    potential=PotentialSpec.quadratic(1.0, 0.0), domain=SYM,
+                    h=0.01, m=256)
+    rho = normalize(_benchmark_profile(256, 0.3, 0.5, seed=4), SYM)[0]
+    traj = run_scheme(pb, rho, T=10.0)
+    assert len(traj.diagnostics) == 1000
+    assert max(d.kkt_residual for d in traj.diagnostics) <= pb.tol
 
 
 def test_run_scheme_rejects_bad_horizon():
