@@ -82,6 +82,27 @@ class CostSpec:
         out *= np.sign(z)
         return out if out.ndim else float(out)
 
+    def value_and_derivative(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(c(v), c'(v))`` on an array from one ``|v|^(q_i - 1)`` per term.
+
+        ``c'`` equals ``derivative`` bit for bit; ``c`` is formed as
+        ``A_i |v|^(q_i-1) |v|`` and so differs from ``value`` by a few ulp
+        when ``q_i != 2``.
+        """
+        av = np.abs(v)
+        c = cp = None
+        for A, qi in self.terms:
+            pw = av ** (qi - 1.0)
+            ci = pw * av
+            ci *= A
+            pw *= A * qi
+            if c is None:
+                c, cp = ci, pw
+            else:
+                c += ci
+                cp += pw
+        return c, np.copysign(cp, v, out=cp)
+
     def second_derivative(self, z, floor: float = 1e-12):
         """Radial curvature ``c''``; |z| is floored to keep it finite."""
         az = np.maximum(np.abs(np.asarray(z, dtype=float)), floor)
@@ -102,21 +123,25 @@ class CostSpec:
 
     def conjugate_gradient(self, z):
         """Gradient ``(c*)'(z)``, the inverse of ``c'``, vectorized."""
-        return self.conjugate_pair(z)[1]
+        z = np.asarray(z, dtype=float)
+        zf = np.atleast_1d(z)
+        if self._is_normalized_power():
+            x = np.sign(zf) * np.abs(zf) ** (self.qstar - 1.0)
+        else:
+            x = _invert_derivative(self, np.abs(zf)) * np.sign(zf)
+        return x if z.ndim else float(x[0])
 
     def conjugate_pair(self, z):
         """Return ``(c*(z), (c*)'(z))`` together (shares the inversion)."""
         z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
         zf = np.atleast_1d(z)
+        x = self.conjugate_gradient(zf)
         if self._is_normalized_power():
             qs = self.qstar
-            x = np.sign(zf) * np.abs(zf) ** (qs - 1.0)
             val = np.abs(zf) ** qs / qs
         else:
-            x = _invert_derivative(self, np.abs(zf)) * np.sign(zf)
             val = x * zf - self.value(x)
-        if scalar:
+        if z.ndim == 0:
             return float(val[0]), float(x[0])
         return val, x
 
@@ -242,15 +267,7 @@ class EnergySpec:
         xv = np.atleast_1d(x)
         out = np.zeros_like(xv)
         pos = xv > 0.0
-        xp = xv[pos]
-        acc = np.zeros_like(xp)
-        for t in self.terms:
-            if t[0] == "entropy":
-                acc += t[1] * xp * np.log(xp)
-            else:
-                _, A, m = t
-                acc += A * xp**m / (m - 1.0)
-        out[pos] = acc
+        out[pos] = self.value_and_pressure(xv[pos])[0]
         return float(out[0]) if scalar else out
 
     def derivative(self, x):
@@ -275,17 +292,31 @@ class EnergySpec:
                 out += A * m * x ** (m - 2.0)
         return out if out.ndim else float(out)
 
-    def pressure(self, x):
-        """``P(x) = x F'(x) - F(x)``, the quantity driving the flow."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+    def value_and_pressure(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(F(x), P(x))`` on an array with ``x > 0`` everywhere.
+
+        ``P(x) = x F'(x) - F(x)`` is the quantity driving the flow.  Each
+        term costs one ``log`` or one ``x^m``.  There is no branch for
+        ``x <= 0`` (``value`` handles it): the step solver clamps cell widths
+        at a positive floor, so its densities are positive.
+        """
+        F = P = None
         for t in self.terms:
             if t[0] == "entropy":
-                out += t[1] * x
+                Pi = t[1] * x
+                Fi = np.log(x)
+                Fi *= Pi
             else:
                 _, A, m = t
-                out += A * x**m
-        return out if out.ndim else float(out)
+                Pi = x**m
+                Pi *= A
+                Fi = Pi / (m - 1.0)
+            if F is None:
+                F, P = Fi, Pi
+            else:
+                F += Fi
+                P += Pi
+        return F, P
 
     def derivative_range(self) -> tuple[float, float]:
         """Open range of ``F'`` on ``(0, inf)``."""
@@ -636,12 +667,16 @@ def preset_specs(name: str, m: float | None = None, p: float | None = None,
     ``porous-medium``    quadratic cost with ``x^m/(m-1)``, ``m > 1``
     ``fast-diffusion``   quadratic cost with ``x^m/(m-1)``, ``1/2 <= m < 1``
     ``p-laplacian``      dual-power cost, ``x^m/(m(m-1))`` with
-                         ``m = (2p-3)/(p-1)``, ``p > 3/2``
+                         ``m = (2p-3)/(p-1)``, ``p >= (1 + sqrt 5)/2``
     ``doubly-degenerate`` dual-power cost, ``n x^m/(m(m-1))`` with
                          ``m = n + (p-2)/(p-1)``, ``p > 1``,
-                         ``n > max(0, (2-p)/(p-1))`` and ``n != 1/(p-1)``
+                         ``n >= 1/(p(p-1))`` and ``n != 1/(p-1)``
 
-    The lower bounds are strict: ``m`` or the coefficient is zero on them.
+    The dual-power windows are those where the energy exponent passes the
+    ``energy-power-range`` check, ``m >= 1/q`` with ``q = p/(p-1)``: for
+    ``p-laplacian`` that is ``p^2 - p - 1 >= 0``, for ``doubly-degenerate``
+    ``n >= 1/(p(p-1))``.  The test here is the validator's own comparison,
+    so a preset it accepts never fails that check.
     """
     if name == "fokker-planck":
         return CostSpec.single_power(2.0), EnergySpec.entropy()
@@ -654,10 +689,14 @@ def preset_specs(name: str, m: float | None = None, p: float | None = None,
             raise ParameterError("fast-diffusion preset needs 1/2 <= m < 1")
         return CostSpec.single_power(2.0), EnergySpec.power(m)
     if name == "p-laplacian":
-        if p is None or not (p > 1.5):
-            raise ParameterError("p-laplacian preset needs p > 3/2")
+        window = "p-laplacian preset needs p >= (1 + sqrt 5)/2 = 1.618..."
+        if p is None or not (p > 1.0):
+            raise ParameterError(window)
         q = p / (p - 1.0)
         mm = (2.0 * p - 3.0) / (p - 1.0)
+        if not (mm >= 1.0 / q):
+            raise ParameterError(f"{window}; p = {p!r} gives m = {mm!r} "
+                                 f"< 1/q = {1.0 / q!r}")
         if mm == 1.0:  # p = 2 degenerates to the heat equation
             return CostSpec.single_power(q), EnergySpec.entropy()
         return CostSpec.single_power(q), EnergySpec.power(mm, coeff=1.0 / mm)
@@ -667,10 +706,10 @@ def preset_specs(name: str, m: float | None = None, p: float | None = None,
         if not (p > 1.0):
             raise ParameterError("doubly-degenerate preset needs p > 1")
         q = p / (p - 1.0)
-        low = max((2.0 - p) / (p - 1.0), 0.0)
-        if not (n > low) or n == 1.0 / (p - 1.0):
-            raise ParameterError(
-                f"doubly-degenerate preset needs n > {low} and n != 1/(p-1)")
         mm = n + (p - 2.0) / (p - 1.0)
+        if not (mm >= 1.0 / q) or n == 1.0 / (p - 1.0):
+            raise ParameterError(
+                f"doubly-degenerate preset needs n >= 1/(p(p-1)) = "
+                f"{1.0 / (p * (p - 1.0)):.6g} and n != 1/(p-1)")
         return CostSpec.single_power(q), EnergySpec.power(mm, coeff=n / mm)
     raise ParameterError(f"unknown preset {name!r}")

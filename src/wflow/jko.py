@@ -16,8 +16,13 @@ projected-gradient fixed-point residual.
 Evaluation contract: every iterate is evaluated once, in one sweep that
 yields the objective, its gradient, both energies and the per-cell
 quantities (midpoints, widths, displacement, cell density) everything else
-reads from.  The banded curvature is formed from an evaluation, and only at
-iterates Newton steps from.
+reads from.  The sweep takes one transcendental per cost or energy term:
+``CostSpec.value_and_derivative`` forms ``c`` and ``c'`` from one
+``|v|^(q-1)``, and ``EnergySpec.value_and_pressure`` forms ``F`` and the
+pressure from one ``log`` or ``rho^m``.  The banded curvature is formed from
+an evaluation, and only at iterates Newton steps from.  The KKT residual
+projects ``X - g`` onto the monotone box; when ``X - g`` is already strictly
+increasing it is its own isotonic regression and only the wall clip applies.
 
 Warm start: inside a run, step ``k + 1`` starts at the predictor
 ``2 X_k - X_{k-1}`` (endpoints clipped to the walls), and that one
@@ -168,15 +173,13 @@ class SchemeTrajectory:
 class _Evaluation:
     """Everything one step iterate determines, computed in one cell sweep.
 
-    ``w`` is the width clamped at the vacuum floor and ``gaps`` the raw node
-    spacing; they agree on every accepted iterate.  ``Fw`` holds the cell
-    terms of the internal energy, and ``V`` the potential at the midpoints,
-    or None without a potential.
+    ``w`` is the node spacing clamped at the vacuum floor.  ``Fw`` holds the
+    cell terms of the internal energy, and ``V`` the potential at the
+    midpoints, or None without a potential.
     """
 
     X: np.ndarray
     M: np.ndarray
-    gaps: np.ndarray
     w: np.ndarray
     disp: np.ndarray
     v: np.ndarray
@@ -204,34 +207,37 @@ class _StepObjective:
 
     def evaluate(self, X: np.ndarray) -> _Evaluation:
         """Objective, gradient, energies and per-cell quantities at ``X``."""
-        pb = self.pb
-        M = 0.5 * (X[:-1] + X[1:])
-        gaps = np.diff(X)
-        w = np.maximum(gaps, self.wmin)
+        pb, mu = self.pb, self.mu
+        M = X[:-1] + X[1:]
+        M *= 0.5
+        w = X[1:] - X[:-1]
+        np.maximum(w, self.wmin, out=w)
         disp = self.P - M
         v = disp / self.h
-        rho = self.mu / w
-        c = pb.cost.value(v)
-        Fw = pb.energy.value(rho) * w
-        e_int = float(np.sum(Fw))
-        f = self.h * self.mu * float(np.sum(c))
+        rho = mu / w
+        c, cell = pb.cost.value_and_derivative(v)
+        Fw, pres = pb.energy.value_and_pressure(rho)
+        Fw *= w
+        e_int = float(Fw.sum())
+        f = self.h * mu * float(c.sum())
         f += e_int
         e_free = e_int
-        cell = -0.5 * self.mu * pb.cost.derivative(v)
+        cell *= -0.5 * mu
         V = None
         if self.has_potential:
             V = pb.potential.value(M)
-            e_pot = self.mu * float(np.sum(V))
+            e_pot = mu * float(V.sum())
             f += e_pot
             e_free += e_pot
-            cell = cell + 0.5 * self.mu * pb.potential.derivative(M)
-        gp = -pb.energy.pressure(rho)
+            cell += 0.5 * mu * pb.potential.derivative(M)
+        # cell i adds cell + pres to node i and cell - pres to node i + 1
+        right = cell - pres
+        pres += cell
         g = np.zeros_like(X)
-        g[:-1] += cell - gp
-        g[1:] += cell + gp
-        return _Evaluation(X=X, M=M, gaps=gaps, w=w, disp=disp, v=v, rho=rho,
-                           c=c, Fw=Fw, V=V, e_int=e_int, e_free=e_free, f=f,
-                           g=g)
+        g[:-1] += pres
+        g[1:] += right
+        return _Evaluation(X=X, M=M, w=w, disp=disp, v=v, rho=rho, c=c, Fw=Fw,
+                           V=V, e_int=e_int, e_free=e_free, f=f, g=g)
 
     def hessian(self, ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Hessian at an evaluated iterate: (diagonal, off-diagonal).
@@ -257,15 +263,22 @@ class _StepObjective:
         Stability of Numerical Algorithms*, 2nd ed., section 4.2).  The
         transport terms are nonnegative.
         """
-        s = self.h * self.mu * float(np.sum(ev.c)) + float(np.sum(np.abs(ev.Fw)))
+        s = self.h * self.mu * float(ev.c.sum()) + float(np.abs(ev.Fw).sum())
         if ev.V is not None:
-            s += self.mu * float(np.sum(np.abs(ev.V)))
+            s += self.mu * float(np.abs(ev.V).sum())
         return self.m * np.finfo(float).eps * s
 
     def kkt_residual(self, X: np.ndarray, g: np.ndarray) -> float:
-        z = np.clip(isotonic_regression(X - g).x,
-                    self.pb.domain.a, self.pb.domain.b)
-        return float(np.max(np.abs(X - z)))
+        """Sup-norm of ``X - proj(X - g)``, the projected-gradient residual.
+
+        A strictly increasing ``X - g`` is its own isotonic regression, so
+        the pool-adjacent-violators pass runs only when it is not.
+        """
+        y = X - g
+        if not (y[1:] > y[:-1]).all():
+            y = isotonic_regression(y).x
+        z = y.clip(self.pb.domain.a, self.pb.domain.b)
+        return float(np.abs(X - z).max())
 
 
 def _newton_solve(obj: _StepObjective, start: _Evaluation
@@ -288,8 +301,8 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
     pb = obj.pb
     a, b = pb.domain.a, pb.domain.b
     edge = 1e-12 * pb.domain.length
-    X = np.clip(start.X, a, b)
-    ev = start if np.array_equal(X, start.X) else obj.evaluate(X)
+    X = start.X.clip(a, b)
+    ev = start if (X == start.X).all() else obj.evaluate(X)
     m = obj.m
     for it in range(1, pb.newton_max_iter + 1):
         X, g = ev.X, ev.g
@@ -302,7 +315,8 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
         i1 = m - 1 if (X[-1] >= b - edge and g[-1] <= 0.0) else m
         diag, off = obj.hessian(ev)
         d, e, rhs = diag[i0:i1 + 1], off[i0:i1], -g[i0:i1 + 1]
-        if not all(np.isfinite(v).all() for v in (d, e, rhs)):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()
+                and np.isfinite(rhs).all()):
             return None
         *_, dX, info = dgtsv(e, d, e, rhs)
         if info != 0:
@@ -314,12 +328,12 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
         step = 1.0
         for _ in range(60):
             Xn = X.copy()
-            Xn[i0:i1 + 1] = X[i0:i1 + 1] + step * dX
+            Xn[i0:i1 + 1] += step * dX
             Xn[0] = max(Xn[0], a)
             Xn[-1] = min(Xn[-1], b)
-            if np.array_equal(Xn, X):
+            if (Xn == X).all():
                 return None
-            if np.all(np.diff(Xn) > 0.0):
+            if (Xn[1:] > Xn[:-1]).all():
                 evn = obj.evaluate(Xn)
                 if evn.f <= ev.f + 1e-4 * step * gdot + slack:
                     break
@@ -348,7 +362,7 @@ def _fista_solve(obj: _StepObjective, start: _Evaluation
         return np.clip(isotonic_regression(Y).x, a, b)
 
     X0 = project(start.X)
-    ex = start if np.array_equal(X0, start.X) else obj.evaluate(X0)
+    ex = start if (X0 == start.X).all() else obj.evaluate(X0)
     y = ex.X.copy()
     t = 1.0
     L = 1.0
@@ -382,6 +396,33 @@ def _fista_solve(obj: _StepObjective, start: _Evaluation
     return best, nit, best_r
 
 
+def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, x)`` with the same arithmetic, by direct slicing.
+
+    Second-order differences inside, first-order ones at the ends; numpy
+    switches to the uniform-spacing formula when every spacing is equal,
+    and so does this.
+    """
+    dx = x[1:] - x[:-1]
+    out = np.empty_like(f)
+    if (dx == dx[0]).all():
+        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx[0])
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        span = dx1 + dx2
+        a = -dx2 / (dx1 * span)
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * span)
+        a *= f[:-2]
+        b *= f[1:-1]
+        a += b
+        c *= f[2:]
+        np.add(a, c, out=out[1:-1])
+    out[0] = (f[1] - f[0]) / dx[0]
+    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    return out
+
+
 def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
                       final: _Evaluation, r: float, iterations: int
                       ) -> StepDiagnostics:
@@ -389,22 +430,24 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
     ``Xprev``, everything else read off the final evaluation.
 
     The Euler-Lagrange pieces are the velocity-matching residual and the
-    dissipation integrand on mass cells.
+    dissipation integrand on mass cells.  Means are sums over the ``m``
+    cells divided by ``m``, as ``np.mean`` forms them.
     """
+    k = problem.m
     wv = problem.energy.derivative(final.rho)
     if final.V is not None:
-        wv = wv + final.V
-    dw = np.gradient(wv, final.M)
-    rhs = problem.cost.conjugate_gradient(dw)
+        wv += final.V
+    dw = _gradient(wv, final.M)
+    gap = final.v - problem.cost.conjugate_gradient(dw)
     return StepDiagnostics(
-        W_value=float(np.mean(final.c)),
+        W_value=float(final.c.sum()) / k,
         E_internal_before=before[0],
         E_internal_after=final.e_int,
         E_free_before=before[1],
         E_free_after=final.e_free,
-        second_moment=float(np.mean(final.disp**2)),
-        dissipation=float(np.mean(np.abs(dw) ** problem.cost.qstar)),
-        el_residual_L1=float(np.mean(np.abs(final.v - rhs))),
+        second_moment=float((final.disp**2).sum()) / k,
+        dissipation=float((np.abs(dw) ** problem.cost.qstar).sum()) / k,
+        el_residual_L1=float(np.abs(gap, out=gap).sum()) / k,
         kkt_residual=r,
         iterations=iterations,
     )
@@ -417,7 +460,7 @@ def _predictor(obj: _StepObjective, Xprev: np.ndarray, Xback: np.ndarray,
     guess = 2.0 * Xprev - np.asarray(Xback, dtype=float)
     guess[0] = max(guess[0], obj.pb.domain.a)
     guess[-1] = min(guess[-1], obj.pb.domain.b)
-    if not np.all(np.diff(guess) > 0.0):
+    if not (guess[1:] > guess[:-1]).all():
         return None
     ev = obj.evaluate(guess)
     return ev if ev.f <= f_prev else None
@@ -454,9 +497,10 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
     else:
         final, newton_used, r = result
         nit = 0
-    if np.any(final.gaps <= obj.wmin):
+    gaps = final.X[1:] - final.X[:-1]
+    if (gaps <= obj.wmin).any():
         raise DegeneracyError(
-            f"mass cell collapsed to width {float(np.min(final.gaps)):.3e}; "
+            f"mass cell collapsed to width {float(gaps.min()):.3e}; "
             "the evolution left the positive-density regime")
     if final.f > before[1] + 1e-12:
         raise ConvergenceError("step increased the objective", best=final.X,
@@ -580,7 +624,7 @@ def euler_lagrange_residual(problem: JkoProblem, rho_prev: GridDensity,
     wv = problem.energy.derivative(rho_next.values)
     if not problem.potential.is_zero:
         wv = wv + problem.potential.value(rho_next.centers)
-    dw = np.gradient(_binomial_smooth(wv), rho_next.centers)
+    dw = _gradient(_binomial_smooth(wv), rho_next.centers)
     rhs = problem.cost.conjugate_gradient(np.interp(y, rho_next.centers, dw))
     weights = np.full(y.size, 1.0 / y.size)
     residual = float(np.sum(np.abs(lhs - rhs) * weights))

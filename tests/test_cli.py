@@ -138,6 +138,19 @@ def test_unknown_config_key_is_named(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("overrides,window", [
+    ({"preset": "p-laplacian", "exponent_p": 1.6}, "sqrt 5"),
+    ({"preset": "doubly-degenerate", "exponent_p": 3.0, "exponent_n": 0.1},
+     r"n >= 1/\(p\(p-1\)\)"),
+])
+def test_preset_below_its_window_names_it(tmp_path, overrides, window):
+    # accepted by the preset window before, then refused by the
+    # energy-power-range check with no word on which parameters would pass
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ParameterError, match=window):
+        load_config(path)
+
+
 def test_config_accepts_every_key_it_reads(tmp_path):
     path = write_config(tmp_path, exponent_m=None, exponent_p=None,
                         exponent_n=None, cost_terms=None, energy_terms=None,

@@ -170,6 +170,9 @@ def test_quadratic_energy_pressure():
     t = energy_terms(EnergySpec.power(2.0), 3.0)
     assert t.F == pytest.approx(9.0)
     assert t.P == pytest.approx(9.0, abs=1e-12)
+    F, P = EnergySpec.power(2.0).value_and_pressure(np.array([3.0]))
+    assert F[0] == pytest.approx(9.0)
+    assert P[0] == pytest.approx(9.0, abs=1e-12)
 
 
 def test_entropy_terms_at_one():
@@ -332,20 +335,33 @@ def test_preset_doubly_degenerate():
         preset_specs("doubly-degenerate", n=0.5, p=3.0)  # n = 1/(p-1)
 
 
+PHI = 0.5 * (1.0 + 5.0**0.5)   # p-laplacian needs p >= PHI (m >= 1/q)
+
+
+# The lower ends of the dual-power windows are where the energy exponent
+# meets 1/q: p = PHI for p-laplacian, n = 1/(p(p-1)) for doubly-degenerate.
 @pytest.mark.parametrize("name,kw,ok", [
     ("p-laplacian", {"p": 1.4}, False),
     ("p-laplacian", {"p": 1.5}, False),            # m = 0
-    ("p-laplacian", {"p": 1.5 + 1e-6}, True),
-    ("p-laplacian", {"p": 1.6}, True),
+    ("p-laplacian", {"p": PHI + 1e-9}, True),
+    ("p-laplacian", {"p": 1.7}, True),
     ("doubly-degenerate", {"p": 0.5, "n": 1.0}, False),
     ("doubly-degenerate", {"p": 1.0, "n": 1.0}, False),  # p - 1 = 0
     ("doubly-degenerate", {"p": 1.1, "n": 12.0}, True),
     ("doubly-degenerate", {"p": 3.0, "n": -0.5}, False),  # m = 0
     ("doubly-degenerate", {"p": 3.0, "n": -0.4}, False),  # coefficient < 0
     ("doubly-degenerate", {"p": 3.0, "n": 0.0}, False),   # coefficient 0
-    ("doubly-degenerate", {"p": 3.0, "n": 0.1}, True),
+    ("doubly-degenerate", {"p": 3.0, "n": 1.0 / 6.0 + 1e-9}, True),
     ("doubly-degenerate", {"p": 1.5, "n": 1.0}, False),   # m = 0
-    ("doubly-degenerate", {"p": 1.5, "n": 1.1}, True),
+    ("doubly-degenerate", {"p": 1.5, "n": 4.0 / 3.0 + 1e-9}, True),
+    ("p-laplacian", {"p": 1.5 + 1e-6}, False),     # 0 < m < 1/q
+    ("p-laplacian", {"p": 1.55}, False),
+    ("p-laplacian", {"p": 1.6}, False),
+    ("p-laplacian", {"p": PHI - 1e-9}, False),
+    ("doubly-degenerate", {"p": 3.0, "n": 0.1}, False),   # 0 < m < 1/q
+    ("doubly-degenerate", {"p": 3.0, "n": 1.0 / 6.0 - 1e-9}, False),
+    ("doubly-degenerate", {"p": 1.5, "n": 1.1}, False),   # 0 < m < 1/q
+    ("doubly-degenerate", {"p": 1.5, "n": 4.0 / 3.0 - 1e-9}, False),
 ])
 def test_preset_window_boundaries(name, kw, ok):
     if not ok:
@@ -355,6 +371,31 @@ def test_preset_window_boundaries(name, kw, ok):
     cost, F = preset_specs(name, **kw)
     assert cost.q > 1.0
     assert all(t[0] == "power" and t[2] > 0.0 for t in F.terms)
+
+
+@pytest.mark.parametrize("p", [1.56, 1.6, 1.61, 1.615, 1.62, 1.63, 1.8, 2.5])
+@pytest.mark.parametrize("n", [None, 0.2, 0.5, 0.7, 1.0, 1.5, 3.0])
+def test_preset_window_agrees_with_validator(p, n):
+    # a dual-power spec passes the standing-assumption checks exactly when
+    # the preset accepts its parameters
+    name = "p-laplacian" if n is None else "doubly-degenerate"
+    nn = 1.0 if n is None else n
+    q = p / (p - 1.0)
+    mm = nn + (p - 2.0) / (p - 1.0)
+    if mm <= 0.0:
+        with pytest.raises(ParameterError):
+            preset_specs(name, p=p, n=n)
+        return
+    spec = (CostSpec.single_power(q), EnergySpec.power(mm, coeff=nn / mm))
+    valid = validate_assumptions(*spec, PotentialSpec.zero(),
+                                 domain=(0.0, 1.0)).all_pass
+    if not valid:
+        with pytest.raises(ParameterError, match=r"1/\(p\(p-1\)\)|sqrt 5"):
+            preset_specs(name, p=p, n=n)
+        return
+    cost, F = preset_specs(name, p=p, n=n)
+    assert validate_assumptions(cost, F, PotentialSpec.zero(),
+                                domain=(0.0, 1.0)).all_pass
 
 
 def test_preset_unknown():
