@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +227,7 @@ def trajectory_to_csv(traj: SchemeTrajectory) -> str:
 
 
 def diagnostics_to_jsonl(traj: SchemeTrajectory) -> str:
-    return "".join(json.dumps(d.as_dict(), sort_keys=True) + "\n"
+    return "".join(json.dumps(vars(d), sort_keys=True) + "\n"
                    for d in traj.diagnostics)
 
 
@@ -240,14 +240,19 @@ def _write_trajectory(out: Path, traj: SchemeTrajectory) -> None:
     (out / "diagnostics.jsonl").write_text(diagnostics_to_jsonl(traj))
 
 
+def _audit_dict(audit) -> dict | None:
+    """An assumption report or a ledger as JSON, with its ``all_pass``."""
+    return None if audit is None else {**asdict(audit), "all_pass": audit.all_pass}
+
+
 def _report_document(cfg: RunConfig, *, assumptions=None, led=None,
                      rate_fits=(), comparisons=()) -> dict:
     """One report shape for every command; unused sections stay empty."""
     return {
         "run_config": cfg.raw,
         "config_hash": config_hash(cfg.raw),
-        "assumptions": assumptions,
-        "ledger": led.as_dict() if led is not None else None,
+        "assumptions": _audit_dict(assumptions),
+        "ledger": _audit_dict(led),
         "rate_fits": list(rate_fits),
         "comparisons": list(comparisons),
     }
@@ -282,7 +287,7 @@ def cmd_run(config_path: str, root: str | None = None,
     _write_trajectory(out, traj)
     led = diagnostics.ledger(problem, traj)
     _write_json(out / "report.json", _report_document(
-        cfg, assumptions=problem.assumptions.as_dict(), led=led))
+        cfg, assumptions=problem.assumptions, led=led))
     print(f"artifacts in {out}")
     return EXIT_OK if led.all_pass else EXIT_SOLVER
 
@@ -339,7 +344,7 @@ def cmd_study(config_path: str, values: list[float], root: str | None = None,
     expected = min(1.0, cfg.cost.q - 1.0)
     report = _report_document(cfg, rate_fits=[{
         "vary": "h",
-        "fit": fit.as_dict(),
+        "fit": asdict(fit),
         "expected_exponent": expected,
         "passes": fit.slope >= expected - 0.15,
     }])
@@ -374,7 +379,7 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     report = _report_document(cfg, comparisons=[{
         "against": "finite-difference reference",
         "threshold": threshold,
-        "table": table.as_dict(),
+        "table": asdict(table),
         "passes": table.l1_final <= threshold,
     }])
     report["passes"] = table.l1_final <= threshold
@@ -389,8 +394,11 @@ def cmd_oracle(k: int, seed: int, q: float = 2.0) -> int:
     if k < 1 or k > transport.ORACLE_LIMIT:
         print(f"oracle needs 1 <= k <= {transport.ORACLE_LIMIT}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        cost = CostSpec.single_power(q)
+    except WflowError as exc:
+        return _config_error(exc)
     rng = np.random.default_rng(seed)
-    cost = CostSpec.single_power(q)
     worst = 0.0
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, size=k)

@@ -37,10 +37,6 @@ class LedgerFlag:
     slack: float
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "slack": self.slack, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class InequalityLedger:
@@ -55,16 +51,6 @@ class InequalityLedger:
     @property
     def all_pass(self) -> bool:
         return all(f.passed for f in self.flags)
-
-    def as_dict(self) -> dict:
-        return {
-            "cumulative_work": self.cumulative_work,
-            "cumulative_second_moment": self.cumulative_second_moment,
-            "dissipation_sum": self.dissipation_sum,
-            "dissipation_cap": self.dissipation_cap,
-            "flags": [f.as_dict() for f in self.flags],
-            "all_pass": self.all_pass,
-        }
 
 
 def conjugate_growth_constant(alpha: float, q: float) -> float:
@@ -177,11 +163,6 @@ class RateFit:
     intercept: float
     max_residual: float
 
-    def as_dict(self) -> dict:
-        return {"h_values": list(self.h_values), "totals": list(self.totals),
-                "slope": self.slope, "intercept": self.intercept,
-                "max_residual": self.max_residual}
-
 
 def fit_rate(h_values, totals) -> RateFit:
     h = np.asarray(h_values, dtype=float)
@@ -231,10 +212,6 @@ class ComparisonTable:
     l1_errors: tuple[float, ...]
     l1_final: float
     l1_sup_in_time: float
-
-    def as_dict(self) -> dict:
-        return {"times": list(self.times), "l1_errors": list(self.l1_errors),
-                "l1_final": self.l1_final, "l1_sup_in_time": self.l1_sup_in_time}
 
 
 def compare(traj_a: SchemeTrajectory, traj_b: SchemeTrajectory) -> ComparisonTable:

@@ -120,20 +120,6 @@ class StepDiagnostics:
     kkt_residual: float
     iterations: int
 
-    def as_dict(self) -> dict:
-        return {
-            "W_value": self.W_value,
-            "E_internal_before": self.E_internal_before,
-            "E_internal_after": self.E_internal_after,
-            "E_free_before": self.E_free_before,
-            "E_free_after": self.E_free_after,
-            "second_moment": self.second_moment,
-            "dissipation": self.dissipation,
-            "el_residual_L1": self.el_residual_L1,
-            "kkt_residual": self.kkt_residual,
-            "iterations": self.iterations,
-        }
-
 
 @dataclass(frozen=True)
 class SchemeTrajectory:

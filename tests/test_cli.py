@@ -364,6 +364,14 @@ def test_oracle_command():
     assert cmd_oracle(k=65, seed=0) == 1
 
 
+@pytest.mark.parametrize("q", ["1", "nan", "inf", "-2"])
+def test_oracle_bad_exponent_exits_1(capsys, q):
+    assert main(["oracle", "--k", "4", "--q", q]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_main_dispatch(tmp_path, outroot, capsys):
     path = write_config(tmp_path)
     assert main(["run", "--config", str(path)]) == 0

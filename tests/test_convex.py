@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from wflow.cli import _audit_dict
 from wflow.convex import (
     AuxiliaryH,
     CostSpec,
@@ -281,7 +284,7 @@ def test_fokker_planck_assumptions_pass():
 
 def test_small_power_fails_range_check():
     # m = 0.3 with quadratic cost violates the admissible m >= 1/q window;
-    # the sampled convexity of x F(1/x) itself holds in one dimension.
+    # the convexity of x F(1/x) itself holds for every m > 0 in one dimension.
     report = validate_assumptions(COSTS["q2"], EnergySpec.power(0.3),
                                   PotentialSpec.zero())
     assert not report.all_pass
@@ -301,9 +304,13 @@ def test_admissible_powers_pass_all_checks(m):
 def test_report_serializes():
     report = validate_assumptions(COSTS["q2"], EnergySpec.entropy(),
                                   PotentialSpec.quadratic())
-    d = report.as_dict()
+    d = json.loads(json.dumps(_audit_dict(report)))
     assert d["all_pass"] is True
-    assert len(d["checks"]) >= 6
+    assert [c["name"] for c in d["checks"]] == [
+        "cost-positivity", "cost-coercivity", "cost-growth-bounds",
+        "energy-superlinear-or-decreasing", "energy-displacement-convexity",
+        "energy-power-range", "potential-nonnegative", "potential-convexity"]
+    assert all(c["witness"] is None for c in d["checks"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_ledger_heat_run_passes():
     pb = heat_problem(h=1e-2, m=128)
     traj = run_scheme(pb, cosine_density(128), T=0.3)
     led = ledger(pb, traj)
-    assert led.all_pass, [f.as_dict() for f in led.flags if not f.passed]
+    assert led.all_pass, [asdict(f) for f in led.flags if not f.passed]
     assert len(traj.diagnostics) == 30
     # cumulative sums equal the sum of the per-step entries exactly
     assert led.cumulative_work == sum(
@@ -84,11 +86,11 @@ def test_ledger_flags_reversed_trajectory():
         times=traj.times,
         densities=traj.densities[::-1],
         diagnostics=tuple(
-            type(d)(**{**d.as_dict(),
-                       "E_free_before": d.E_free_after,
-                       "E_free_after": d.E_free_before,
-                       "E_internal_before": d.E_internal_after,
-                       "E_internal_after": d.E_internal_before})
+            replace(d,
+                    E_free_before=d.E_free_after,
+                    E_free_after=d.E_free_before,
+                    E_internal_before=d.E_internal_after,
+                    E_internal_after=d.E_internal_before)
             for d in traj.diagnostics[::-1]),
     )
     led = ledger(pb, reversed_traj)
