@@ -214,15 +214,25 @@ def output_dir(cfg: RunConfig, root: str | None) -> Path:
 # ---------------------------------------------------------------------------
 
 def trajectory_to_csv(traj: SchemeTrajectory) -> str:
-    # x cells are formatted once per grid, t once per snapshot
+    """``t,x,rho`` rows of every snapshot.
+
+    The ``x,rho`` tail of each row is formatted once per distinct snapshot:
+    a snapshot that is the same object as the one before (a run at its
+    fixed point) reuses the tails and only ``t`` is formatted again.
+    """
     x_cells = {}
     chunks = ["t,x,rho\n"]
+    last = tails = None
     for t, rho in zip(traj.times, traj.densities):
-        grid = (rho.domain, rho.n)
-        if grid not in x_cells:
-            x_cells[grid] = float_cells(rho.centers)
-        chunks.append(csv_rows([repr(float(t))] * rho.n, x_cells[grid],
-                               float_cells(rho.values)))
+        if rho is not last:
+            grid = (rho.domain, rho.n)
+            if grid not in x_cells:
+                x_cells[grid] = float_cells(rho.centers)
+            tails = [f"{x},{v}\n"
+                     for x, v in zip(x_cells[grid], float_cells(rho.values))]
+            last = rho
+        lead = repr(float(t)) + ","
+        chunks.append(lead + lead.join(tails))
     return "".join(chunks)
 
 

@@ -467,7 +467,8 @@ class PotentialSpec:
             xs = np.asarray(self.xs)
             slopes = np.diff(np.asarray(self.vs)) / np.diff(xs)
             idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-            out = slopes[idx]
+            # ``value`` holds V flat beyond the table (np.interp)
+            out = np.where((x < xs[0]) | (x > xs[-1]), 0.0, slopes[idx])
         return out if out.ndim else float(out)
 
     def second_derivative(self, x):

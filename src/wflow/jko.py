@@ -35,12 +35,26 @@ into the next step.  A step's ``E_*_before`` are these carried energies and
 the descent guard compares against the carried free energy; everything else
 in the ledger comes from the evaluation at the accepted nodes.  The first
 step of a run, and a step called on its own, start cold at ``Xprev``.
+
+A step posed from its predecessor's minimizer is not solved again.  When
+step ``k`` returned the nodes it started from (``X_k == X_{k-1}`` exactly,
+element for element; never to a tolerance), ``run_scheme`` gives step
+``k + 1`` step ``k``'s density object and diagnostics with zero
+iterations.  That is what the solver would return: step ``k + 1`` poses
+step ``k``'s problem (same ``P``, same nodes), its predictor is ``X_k``
+itself (``2x - x = x`` exactly; only a zero node can flip the sign of its
+zero, which no evaluated quantity sees), and the carried energies are the
+energies of those nodes, which step ``k`` also reported as its starting
+ones.  Evaluating the predictor reproduces step ``k``'s final evaluation
+bit for bit, so the step would find the same certified residual and return
+``X_k`` after zero iterations.  The repeat then holds for every later
+step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -528,8 +542,11 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
     """Iterate the step solver up to the horizon ``T``.
 
     The evolution state is kept in quantile coordinates across steps; grid
-    snapshots are derived views.  A failing step aborts with the partial
-    trajectory attached.
+    snapshots are derived views.  Once a step returns the nodes it started
+    from, every later step poses the same problem and repeats the previous
+    snapshot object and diagnostics with zero iterations (module
+    docstring).  A failing step aborts with the partial trajectory
+    attached.
     """
     steps = step_count(T, problem.h)
     if rho0.domain != problem.domain:
@@ -544,20 +561,24 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
     densities = [rho0]
     diags: list[StepDiagnostics] = []
     for k in range(1, steps + 1):
-        try:
-            Xnext, diag = jko_step_nodes(problem, X, Xback, before)
-        except (ConvergenceError, DegeneracyError) as exc:
-            raise SchemeAbortError(
-                f"step {k} failed: {exc}",
-                partial=SchemeTrajectory(times=tuple(times),
-                                         densities=tuple(densities),
-                                         diagnostics=tuple(diags)),
-                cause=exc) from exc
-        Xback, X = X, Xnext
-        before = (diag.E_internal_after, diag.E_free_after)
+        if Xback is not None and (X == Xback).all():
+            rho, diag = densities[-1], replace(diags[-1], iterations=0)
+        else:
+            try:
+                Xnext, diag = jko_step_nodes(problem, X, Xback, before)
+            except (ConvergenceError, DegeneracyError) as exc:
+                raise SchemeAbortError(
+                    f"step {k} failed: {exc}",
+                    partial=SchemeTrajectory(times=tuple(times),
+                                             densities=tuple(densities),
+                                             diagnostics=tuple(diags)),
+                    cause=exc) from exc
+            Xback, X = X, Xnext
+            before = (diag.E_internal_after, diag.E_free_after)
+            rho = from_quantiles(QuantileRep(domain=problem.domain, X=X),
+                                 rho0.n)
         times.append(k * problem.h)
-        densities.append(from_quantiles(
-            QuantileRep(domain=problem.domain, X=X), rho0.n))
+        densities.append(rho)
         diags.append(diag)
     return SchemeTrajectory(times=tuple(times), densities=tuple(densities),
                             diagnostics=tuple(diags))

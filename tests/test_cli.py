@@ -16,7 +16,8 @@ from wflow.cli import (
     main,
     trajectory_to_csv,
 )
-from wflow.density import Domain, density_to_csv, normalize
+from wflow.density import (Domain, GridDensity, csv_rows, density_to_csv,
+                           float_cells, normalize)
 from wflow.errors import ParameterError
 from wflow.jko import SchemeTrajectory, run_scheme
 
@@ -251,7 +252,8 @@ def test_run_missing_rho0_csv(tmp_path, outroot):
 
 
 def test_run_with_rho0_csv_roundtrip(tmp_path, outroot):
-    from wflow.density import Domain, density_to_csv, normalize
+    from wflow.density import (Domain, GridDensity, csv_rows, density_to_csv,
+                           float_cells, normalize)
 
     xc = Domain(0.0, 1.0).centers(64)
     rho, _ = normalize(1.0 + 0.3 * np.cos(2 * np.pi * xc), Domain(0.0, 1.0))
@@ -331,6 +333,36 @@ def test_trajectory_csv_matches_per_row_reference(tmp_path):
                              densities=(cfg.rho0, wide, fd.final, coarse, wide))
     for tr in (traj, fd, mixed):
         assert trajectory_to_csv(tr) == per_row_trajectory_csv(tr)
+
+
+def parent_trajectory_to_csv(traj: SchemeTrajectory) -> str:
+    # the writer before snapshot tails were reused: x cells once per grid,
+    # every snapshot's rho cells formatted again
+    x_cells = {}
+    chunks = ["t,x,rho\n"]
+    for t, rho in zip(traj.times, traj.densities):
+        grid = (rho.domain, rho.n)
+        if grid not in x_cells:
+            x_cells[grid] = float_cells(rho.centers)
+        chunks.append(csv_rows([repr(float(t))] * rho.n, x_cells[grid],
+                               float_cells(rho.values)))
+    return "".join(chunks)
+
+
+def test_trajectory_csv_bytes_match_parent_writer():
+    dom = Domain(-1.0, 1.0)
+    a, _ = normalize(np.linspace(1.0, 2.0, 24), dom)
+    b, _ = normalize(np.linspace(2.0, 1.0, 24), dom)
+    coarse, _ = normalize(np.linspace(1.0, 3.0, 7), Domain(0.0, 0.5))
+    times = tuple(0.1 * k for k in range(7))
+    same_object = (a, b, b, b, a, a, b)
+    equal_copies = (a, b) + tuple(GridDensity(domain=dom, values=b.values)
+                                  for _ in range(5))
+    two_grids = (a, coarse, coarse, b, coarse, a, a)
+    for densities in (same_object, equal_copies, two_grids):
+        traj = SchemeTrajectory(times=times, densities=densities)
+        assert trajectory_to_csv(traj).encode() == \
+            parent_trajectory_to_csv(traj).encode()
 
 
 def test_crosscheck_heat(tmp_path, outroot):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,6 +9,8 @@ from wflow.convex import CostSpec, EnergySpec, PotentialSpec
 from wflow.density import (
     Domain,
     GridDensity,
+    QuantileRep,
+    from_quantiles,
     l1_distance,
     normalize,
     to_quantiles,
@@ -28,6 +31,7 @@ from wflow.jko import (
     jko_step_nodes,
     run_floor_study,
     run_scheme,
+    step_count,
 )
 
 UNIT = Domain(0.0, 1.0)
@@ -178,14 +182,23 @@ def test_step_gradient_matches_finite_differences():
     # certify it against central differences of the objective itself, and
     # the tridiagonal Hessian Newton solves with against central
     # differences of that gradient
+    _check_step_gradient(PotentialSpec.quadratic(0.7, 0.4))
+
+
+def test_step_gradient_matches_finite_differences_beyond_table():
+    # the table starts inside the domain and V is flat below it, so the
+    # cells there feel no potential force
+    _check_step_gradient(PotentialSpec.tabulated([0.3, 1.0], [0.0, 0.7]))
+
+
+def _check_step_gradient(potential):
     from wflow.jko import _StepObjective
 
     rng = np.random.default_rng(17)
     m = 32
     pb = JkoProblem(cost=CostSpec(terms=((0.5, 2.0), (0.8, 1.7))),
                     energy=EnergySpec(terms=(("entropy", 0.6), ("power", 0.4, 2.0))),
-                    potential=PotentialSpec.quadratic(0.7, 0.4),
-                    domain=UNIT, h=3e-3, m=m)
+                    potential=potential, domain=UNIT, h=3e-3, m=m)
     rho, _ = normalize(rng.uniform(0.4, 1.6, m), UNIT)
     Xprev = to_quantiles(rho, m).X
     obj = _StepObjective(pb, Xprev)
@@ -206,6 +219,20 @@ def test_step_gradient_matches_finite_differences():
         assert g[k] == pytest.approx(fd, rel=2e-5, abs=1e-7)
         hcol = (ep.g - em.g) / (2 * eps)
         assert H[:, k] == pytest.approx(hcol, rel=1e-5, abs=1e-5 * np.max(np.abs(H[:, k])))
+
+
+@pytest.mark.xfail(strict=True, raises=SchemeAbortError,
+                   reason="a cell midpoint that rests on a kink of a tabulated "
+                          "potential cannot be certified by the smooth KKT "
+                          "residual")
+def test_tabulated_potential_run_with_kink_inside_domain():
+    # at the default cap, the fallback's best objective keeps creeping down
+    # and the failing step grinds through 100k FISTA iterations (about 20 s)
+    pb = JkoProblem(cost=Q2, energy=ENTROPY,
+                    potential=PotentialSpec.tabulated([0.3, 1.0], [0.0, 0.7]),
+                    domain=UNIT, h=0.01, m=16, fista_max_iter=2_000)
+    traj = run_scheme(pb, normalize(np.ones(16), UNIT)[0], T=0.2)
+    assert len(traj.diagnostics) == 20
 
 
 @pytest.mark.parametrize("where,bad", [
@@ -460,6 +487,67 @@ def test_warm_started_run_matches_cold_steps(make, monkeypatch):
         # cold, every step costs 7-8 Newton iterations at q = 1.5
         assert all(d.iterations >= 7 for d in cold)
         assert all(d.iterations <= 2 for d in traj.diagnostics[3:])
+
+
+def _run_every_step(pb, rho0, T):
+    # run_scheme's loop before fixed-point steps were repeated: every step
+    # goes through the solver, warm-started as in a run
+    X = to_quantiles(rho0, pb.m).X
+    Xback = before = None
+    densities, diags = [rho0], []
+    for _ in range(step_count(T, pb.h)):
+        Xnext, d = jko_step_nodes(pb, X, Xback, before)
+        Xback, X = X, Xnext
+        before = (d.E_internal_after, d.E_free_after)
+        densities.append(from_quantiles(QuantileRep(domain=pb.domain, X=X),
+                                        rho0.n))
+        diags.append(d)
+    return densities, diags
+
+
+def _counting_step_nodes(monkeypatch, step=jko_step_nodes):
+    from wflow import jko
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(jko, "jko_step_nodes", counting)
+    return calls
+
+
+def test_fixed_point_steps_repeat_what_the_solver_returns(monkeypatch):
+    # once the flow reaches its discrete stationary state bit for bit, the
+    # repeated steps must be exactly the steps the solver would have taken
+    pb = JkoProblem(cost=Q2, energy=ENTROPY,
+                    potential=PotentialSpec.quadratic(1.0, 0.0), domain=SYM,
+                    h=0.05, m=32)
+    rho0 = cosine_density(32, amp=0.3, freq=0.5, domain=SYM)
+    densities, diags = _run_every_step(pb, rho0, T=10.0)
+    calls = _counting_step_nodes(monkeypatch)
+    traj = run_scheme(pb, rho0, T=10.0)
+    assert len(calls) < len(diags) == 200
+    assert [r.values.tobytes() for r in traj.densities] == \
+        [r.values.tobytes() for r in densities]
+    assert traj.diagnostics == tuple(diags)
+
+
+def test_fixed_point_steps_report_zero_iterations(monkeypatch):
+    # a step that iterates its way back onto its start nodes ends the
+    # solving; every step after it reports the zero iterations a re-solve
+    # from those nodes would take
+    def back_to_start(pb, Xprev, Xback=None, before=None):
+        _, d = jko_step_nodes(pb, Xprev, Xback, before)
+        return Xprev.copy(), dataclasses.replace(d, iterations=3)
+
+    pb = heat_problem(h=1e-2, m=32)
+    calls = _counting_step_nodes(monkeypatch, back_to_start)
+    traj = run_scheme(pb, cosine_density(32), T=0.05)
+    assert len(calls) == 1
+    assert [d.iterations for d in traj.diagnostics] == [3, 0, 0, 0, 0]
+    assert all(r is traj.densities[1] for r in traj.densities[2:])
 
 
 def _benchmark_profile(n, amp, freq, seed):
