@@ -33,8 +33,8 @@ EXIT_SOLVER = 2
 CONFIG_KEYS = frozenset({
     "preset", "exponent_m", "exponent_p", "exponent_n", "cost_terms",
     "energy_terms", "potential", "domain_a", "domain_b", "n", "m", "h", "T",
-    "rho0", "floor_delta", "solver_tol", "newton_max_iter", "fista_max_iter",
-    "force", "output_dir",
+    "rho0", "floor_delta", "solver_tol", "newton_max_iter", "force",
+    "output_dir",
 })
 
 
@@ -57,7 +57,6 @@ class RunConfig:
     floor_delta: float | None
     tol: float
     newton_max_iter: int
-    fista_max_iter: int
     force: bool
     label: str
 
@@ -68,7 +67,7 @@ class RunConfig:
                         potential=self.potential, domain=self.domain,
                         h=self.h if h is None else h, m=self.m,
                         tol=self.tol, newton_max_iter=self.newton_max_iter,
-                        fista_max_iter=self.fista_max_iter, force=self.force)
+                        force=self.force)
         step_count(self.T, pb.h)
         return pb
 
@@ -191,7 +190,6 @@ def _parse_config(raw, force: bool) -> RunConfig:
         n=n, m=m, h=h, T=T, rho0=rho0, floor_delta=floor_delta,
         tol=float(raw.get("solver_tol", 1e-9)),
         newton_max_iter=int(raw.get("newton_max_iter", 80)),
-        fista_max_iter=int(raw.get("fista_max_iter", 100_000)),
         force=force or bool(raw.get("force", False)),
         label=preset or "custom",
     )
@@ -420,8 +418,17 @@ def cmd_oracle(k: int, seed: int, q: float = 2.0) -> int:
     return EXIT_OK if worst <= 1e-9 else EXIT_SOLVER
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit as config errors (1); exit 2
+    stays reserved for a failed solve."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wflow",
         description="variational solver for 1-D degenerate diffusion")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -434,7 +441,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_study = sub.add_parser("study", help="step-size sweep with a rate fit")
     p_study.add_argument("--config", required=True)
-    p_study.add_argument("--vary", choices=["h"], default="h")
     p_study.add_argument("--values", required=True,
                          help="comma-separated step sizes")
     p_study.add_argument("--workers", type=int, default=0)

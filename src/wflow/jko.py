@@ -8,10 +8,9 @@ box ``a <= X_0 <= ... <= X_m <= b`` and the objective
            + (1/m) sum_i V(M_i)
 
 is convex (``P``: fixed previous half-level quantiles, ``M``: current ones,
-``w``: cell widths).  A damped Newton method on the banded Hessian does the
-work; an accelerated projected-gradient loop with an exact monotone
-projection is the fallback.  Optimality is always certified by the
-projected-gradient fixed-point residual.
+``w``: cell widths).  A damped Newton method on the banded Hessian solves
+it, and the projected-gradient fixed-point residual certifies the result.
+A step Newton cannot certify fails at once with the reason it stopped.
 
 Evaluation contract: every iterate is evaluated once, in one sweep that
 yields the objective, its gradient, both energies and the per-cell
@@ -87,7 +86,6 @@ from .transport import monotone_map
 
 VACUUM_FLOOR_FACTOR = 1e-14
 MAX_STEPS = 10**6
-FISTA_PATIENCE = 500   # iterations without a new best objective before FISTA stops
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,6 @@ class JkoProblem:
     m: int
     tol: float = 1e-9
     newton_max_iter: int = 80
-    fista_max_iter: int = 100_000
     force: bool = False
     assumptions: AssumptionReport = field(init=False)
 
@@ -282,14 +279,17 @@ class _StepObjective:
 
 
 def _newton_solve(obj: _StepObjective, start: _Evaluation
-                  ) -> tuple[_Evaluation, int, float] | None:
-    """Damped Newton on the banded system; None signals fallback.
+                  ) -> tuple[_Evaluation, int, float]:
+    """Damped Newton on the banded system: ``(final, iterations, residual)``.
 
     Starts from the evaluated start point and keeps each accepted trial's
     evaluation for the next iteration.  The wall bounds on the two endpoint
     nodes are handled by an active-set rule (pinned while the gradient
-    presses outward, free otherwise); runs with interior nodes stacked on a
-    wall are left to the projected-gradient fallback.
+    presses outward, free otherwise).  A step Newton cannot certify raises
+    ``ConvergenceError`` with the last accepted nodes, their residual and
+    the reason it stopped: an interior node on a wall, a non-finite or
+    singular system, no descent direction, a line search that failed or
+    reached the current nodes, or the ``newton_max_iter`` cap.
 
     The backtracking test is Armijo's with the rounding error of ``f``
     (``_StepObjective.rounding_error``) as slack.  Near the solution the
@@ -304,26 +304,35 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
     X = start.X.clip(a, b)
     ev = start if (X == start.X).all() else obj.evaluate(X)
     m = obj.m
-    for it in range(1, pb.newton_max_iter + 1):
+
+    def stopped(reason: str) -> ConvergenceError:
+        return ConvergenceError(
+            f"Newton stopped after {it} iterations at residual {r:.3e} "
+            f"(tol {pb.tol:.1e}): {reason}", best=ev.X, residual=r)
+
+    it = 0
+    while True:
         X, g = ev.X, ev.g
         r = obj.kkt_residual(X, g)
         if r <= pb.tol:
-            return ev, it - 1, r
+            return ev, it, r
+        if it == pb.newton_max_iter:
+            raise stopped("newton_max_iter reached")
         if X[1] <= a + edge or X[-2] >= b - edge:
-            return None
+            raise stopped("an interior node is on a wall")
         i0 = 1 if (X[0] <= a + edge and g[0] >= 0.0) else 0
         i1 = m - 1 if (X[-1] >= b - edge and g[-1] <= 0.0) else m
         diag, off = obj.hessian(ev)
         d, e, rhs = diag[i0:i1 + 1], off[i0:i1], -g[i0:i1 + 1]
         if not (np.isfinite(d).all() and np.isfinite(e).all()
                 and np.isfinite(rhs).all()):
-            return None
+            raise stopped("the Newton system is not finite")
         *_, dX, info = dgtsv(e, d, e, rhs)
         if info != 0:
-            return None
+            raise stopped("the Newton system is singular")
         gdot = float(g[i0:i1 + 1] @ dX)
         if not np.isfinite(gdot) or gdot >= 0.0:
-            return None
+            raise stopped("the Newton direction is not a descent direction")
         slack = obj.rounding_error(ev)
         step = 1.0
         for _ in range(60):
@@ -332,68 +341,16 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
             Xn[0] = max(Xn[0], a)
             Xn[-1] = min(Xn[-1], b)
             if (Xn == X).all():
-                return None
+                raise stopped("the line search reached the current nodes")
             if (Xn[1:] > Xn[:-1]).all():
                 evn = obj.evaluate(Xn)
                 if evn.f <= ev.f + 1e-4 * step * gdot + slack:
                     break
             step *= 0.5
         else:
-            return None
+            raise stopped("the line search failed")
         ev = evn
-    r = obj.kkt_residual(ev.X, ev.g)
-    if r <= pb.tol:
-        return ev, pb.newton_max_iter, r
-    return None
-
-
-def _fista_solve(obj: _StepObjective, start: _Evaluation
-                 ) -> tuple[_Evaluation, int, float]:
-    """Monotone-restart FISTA with exact projection onto the feasible box.
-
-    Starts from the projection of the evaluated start point and returns the
-    best iterate once ``FISTA_PATIENCE`` iterations bring no new best
-    objective.
-    """
-    pb = obj.pb
-    a, b = pb.domain.a, pb.domain.b
-
-    def project(Y):
-        return np.clip(isotonic_regression(Y).x, a, b)
-
-    X0 = project(start.X)
-    ex = start if (X0 == start.X).all() else obj.evaluate(X0)
-    y = ex.X.copy()
-    t = 1.0
-    L = 1.0
-    best, best_r = ex, obj.kkt_residual(ex.X, ex.g)
-    last_gain = nit = 0
-    for nit in range(1, pb.fista_max_iter + 1):
-        ey = obj.evaluate(y)
-        while True:
-            Xn = project(y - ey.g / L)
-            d = Xn - y
-            en = obj.evaluate(Xn)
-            if en.f <= ey.f + float(ey.g @ d) + 0.5 * L * float(d @ d) + 1e-15:
-                break
-            L *= 2.0
-            if L > 1e18:
-                en = ex
-                break
-        r = obj.kkt_residual(en.X, en.g)
-        if en.f < best.f:
-            best, best_r, last_gain = en, r, nit
-        if r <= pb.tol:
-            return en, nit, r
-        if nit - last_gain >= FISTA_PATIENCE:
-            break
-        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        yn = en.X + ((t - 1.0) / tn) * (en.X - ex.X)
-        if en.f > ex.f:
-            yn, tn = en.X.copy(), 1.0
-        ex, y, t = en, yn, tn
-        L = max(L * 0.7, 1e-12)
-    return best, nit, best_r
+        it += 1
 
 
 def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -486,27 +443,16 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
         start = obj.evaluate(Xprev)
         if before is None:
             before = (start.e_int, start.e_free)
-    result = _newton_solve(obj, start)
-    newton_used = 0
-    if result is None:
-        final, nit, r = _fista_solve(obj, start)
-        if r > problem.tol:
-            raise ConvergenceError(
-                f"step solver stalled at residual {r:.3e} (tol {problem.tol:.1e})",
-                best=final.X, residual=r)
-    else:
-        final, newton_used, r = result
-        nit = 0
+    final, nit, r = _newton_solve(obj, start)
     gaps = final.X[1:] - final.X[:-1]
     if (gaps <= obj.wmin).any():
         raise DegeneracyError(
             f"mass cell collapsed to width {float(gaps.min()):.3e}; "
             "the evolution left the positive-density regime")
-    if final.f > before[1] + 1e-12:
+    if final.f > before[1] + obj.rounding_error(final):
         raise ConvergenceError("step increased the objective", best=final.X,
                                residual=r)
-    return final.X, _step_diagnostics(problem, before, final, r,
-                                      newton_used + nit)
+    return final.X, _step_diagnostics(problem, before, final, r, nit)
 
 
 def jko_step(problem: JkoProblem, rho_prev: GridDensity

@@ -7,6 +7,7 @@ import pytest
 
 from wflow import refsolve
 from wflow.cli import (
+    CONFIG_KEYS,
     cmd_crosscheck,
     cmd_oracle,
     cmd_run,
@@ -104,6 +105,7 @@ REJECTED_CONFIGS = {
     # T = 0.001 is under half of h = 0.01 and of every step size study tries
     "horizon-under-half-step": {"T": 0.001},
     "unknown-key": {"bogus_key": 1},
+    "retired-solver-key": {"fista_max_iter": 100000},
 }
 
 
@@ -130,6 +132,8 @@ def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+    for key in set(overrides) - CONFIG_KEYS:
+        assert key in err
     assert not outroot.exists()
 
 
@@ -156,10 +160,9 @@ def test_config_accepts_every_key_it_reads(tmp_path):
     path = write_config(tmp_path, exponent_m=None, exponent_p=None,
                         exponent_n=None, cost_terms=None, energy_terms=None,
                         floor_delta=1e-3, solver_tol=1e-8, newton_max_iter=40,
-                        fista_max_iter=1000, force=False,
-                        output_dir=str(tmp_path / "elsewhere"))
+                        force=False, output_dir=str(tmp_path / "elsewhere"))
     cfg = load_config(path)
-    assert (cfg.tol, cfg.newton_max_iter, cfg.fista_max_iter) == (1e-8, 40, 1000)
+    assert (cfg.tol, cfg.newton_max_iter) == (1e-8, 40)
 
 
 def test_crosscheck_small_grid_exits_1_before_running(tmp_path, outroot,
@@ -237,7 +240,7 @@ def test_run_force_overrides_assumption_gate(tmp_path, outroot):
 
 
 def test_run_solver_failure_exits_2_with_partial(tmp_path, outroot):
-    path = write_config(tmp_path, newton_max_iter=0, fista_max_iter=3)
+    path = write_config(tmp_path, newton_max_iter=0)
     assert cmd_run(str(path)) == 2
     rundir = next(outroot.iterdir())
     files = {p.name for p in rundir.iterdir()}
@@ -298,8 +301,8 @@ def test_study_parallel_workers_match_serial(tmp_path, outroot):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_study_member_failure_flags_partial(tmp_path, outroot, workers):
-    path = write_config(tmp_path, newton_max_iter=0, fista_max_iter=3,
-                        domain_a=0.0, domain_b=2.0, T=0.2,
+    path = write_config(tmp_path, newton_max_iter=0, domain_a=0.0,
+                        domain_b=2.0, T=0.2,
                         rho0={"profile": "cosine", "amplitude": 0.4,
                               "frequency": 0.5})
     code = cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80],
@@ -410,3 +413,23 @@ def test_main_dispatch(tmp_path, outroot, capsys):
     assert main(["oracle", "--k", "4", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "deviation" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],                                         # no --config
+    ["frobnicate"],                                  # unknown subcommand
+    ["study", "--config", "cfg.json", "--values", "0.1", "--workers", "abc"],
+], ids=["run-without-config", "unknown-subcommand", "workers-not-an-int"])
+def test_usage_error_exits_1(capsys, argv):
+    # exit 2 is reserved for a failed solve
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out

@@ -384,7 +384,7 @@ def test_run_invariants(case):
 
 @pytest.mark.xfail(strict=True, raises=SchemeAbortError,
                    reason="q < 2: Newton cycles across the kink of |v|^q at "
-                          "v = 0 and FISTA stalls above tol")
+                          "v = 0 and stops above tol")
 @pytest.mark.parametrize("m,n,mode,amp", [
     (8, 8, 1, 1e-8),        # nearly uniform data
     (64, 64, 1, 1e-6),
