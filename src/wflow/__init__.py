@@ -5,65 +5,3 @@ exact 1-D optimal transport in quantile coordinates, an independent
 finite-difference reference solver, and audit tooling for the inequalities
 the scheme is supposed to satisfy.
 """
-
-from .convex import (
-    AssumptionReport,
-    AuxiliaryH,
-    CostSpec,
-    EnergySpec,
-    PotentialSpec,
-    cost_conjugate,
-    cost_eval,
-    energy_terms,
-    preset_specs,
-    validate_assumptions,
-)
-from .density import (
-    Domain,
-    GridDensity,
-    QuantileRep,
-    energy,
-    from_quantiles,
-    l1_distance,
-    moments_and_norms,
-    normalize,
-    to_quantiles,
-)
-from .diagnostics import InequalityLedger, RateFit, Tolerances, compare, ledger
-from .jko import (
-    JkoProblem,
-    SchemeTrajectory,
-    StepDiagnostics,
-    euler_lagrange_residual,
-    floored_density,
-    jko_step,
-    run_scheme,
-)
-from .refsolve import FdConfig, barenblatt, fd_solve, gibbs_state
-from .transport import (
-    InterpolantPath,
-    MonotoneMap,
-    TransportPlan,
-    coupling_second_moment,
-    displacement_interpolate,
-    lp_oracle,
-    monotone_map,
-    wasserstein_cost,
-)
-
-__all__ = [
-    "AssumptionReport", "AuxiliaryH", "CostSpec", "EnergySpec",
-    "PotentialSpec", "cost_conjugate", "cost_eval", "energy_terms",
-    "preset_specs", "validate_assumptions",
-    "Domain", "GridDensity", "QuantileRep", "energy", "from_quantiles",
-    "l1_distance", "moments_and_norms", "normalize", "to_quantiles",
-    "InequalityLedger", "RateFit", "Tolerances", "compare", "ledger",
-    "JkoProblem", "SchemeTrajectory", "StepDiagnostics",
-    "euler_lagrange_residual", "floored_density", "jko_step", "run_scheme",
-    "FdConfig", "barenblatt", "fd_solve", "gibbs_state",
-    "InterpolantPath", "MonotoneMap", "TransportPlan",
-    "coupling_second_moment", "displacement_interpolate", "lp_oracle",
-    "monotone_map", "wasserstein_cost",
-]
-
-__version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -315,11 +316,9 @@ def cmd_study(config_path: str, values: list[float], root: str | None = None,
               workers: int = 0) -> int:
     try:
         cfg = load_config(config_path)
+        diagnostics.check_step_sizes(values)
         for h in values:  # every step size and the assumptions, before any run
             cfg.problem(h=h)
-        if len(values) < 4:
-            print("study needs at least 4 step sizes", file=sys.stderr)
-            return EXIT_CONFIG
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     jobs = [(config_path, h) for h in values]
@@ -367,6 +366,9 @@ def cmd_study(config_path: str, values: list[float], root: str | None = None,
 def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
                    root: str | None = None) -> int:
     try:
+        if not 0.0 <= threshold < math.inf:
+            raise ParameterError(
+                f"threshold must be finite and >= 0, got {threshold!r}")
         cfg = load_config(config_path)
         problem = cfg.problem()
         fd_cfg = refsolve.FdConfig(n=cfg.n, dt=cfg.h)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -188,28 +188,9 @@ def _invert_derivative(cost: CostSpec, z: np.ndarray) -> np.ndarray:
     return x
 
 
-def cost_eval(cost: CostSpec, z: float) -> tuple[float, float]:
-    """Evaluate ``(c(z), c'(z))`` at a point."""
-    return float(cost.value(z)), float(cost.derivative(z))
-
-
-def cost_conjugate(cost: CostSpec, z: float) -> tuple[float, float]:
-    """Evaluate ``(c*(z), (c*)'(z))`` at a point."""
-    val, grad = cost.conjugate_pair(float(z))
-    return val, grad
-
-
 # ---------------------------------------------------------------------------
 # internal energy densities
 # ---------------------------------------------------------------------------
-
-class EnergyTerms(NamedTuple):
-    F: float
-    Fp: float
-    Fpp: float
-    P: float
-    Fstar_of_Fprime: float
-
 
 @dataclass(frozen=True)
 class EnergySpec:
@@ -373,22 +354,6 @@ def _invert_increasing(fp: Callable, s: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def energy_terms(energy: EnergySpec, x: float) -> EnergyTerms:
-    """All pointwise energy quantities at ``x > 0``.
-
-    ``Fstar_of_Fprime`` is the Legendre transform of ``F`` evaluated at
-    ``F'(x)``, which collapses to ``x F'(x) - F(x)`` (the envelope identity),
-    i.e. the same number as the pressure ``P``.
-    """
-    if not (x > 0.0):
-        raise ParameterError(f"energy terms need x > 0, got {x}")
-    F = float(energy.value(x))
-    Fp = float(energy.derivative(x))
-    Fpp = float(energy.second_derivative(x))
-    P = x * Fp - F
-    return EnergyTerms(F=F, Fp=Fp, Fpp=Fpp, P=P, Fstar_of_Fprime=P)
-
-
 # ---------------------------------------------------------------------------
 # confining potentials
 # ---------------------------------------------------------------------------
@@ -479,41 +444,6 @@ class PotentialSpec:
         else:
             out = np.zeros_like(x)
         return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary convex function with H'' = x^{1/q*} F''
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AuxiliaryH:
-    """Convex diagnostic companion of an energy: ``H''(x) = x^{1/q*} F''(x)``.
-
-    ``H'`` is integrated from the base point 1 by ``scipy.integrate.quad``
-    (QUADPACK's adaptive Gauss-Kronrod rule, relative tolerance 1e-12); it is
-    strictly increasing because ``H'' > 0``.
-    """
-
-    energy: EnergySpec
-    qstar: float
-
-    def __post_init__(self):
-        if not (self.qstar > 1.0):
-            raise InvalidSpecError("conjugate exponent must exceed 1")
-
-    def h_second(self, x):
-        x = np.asarray(x, dtype=float)
-        out = x ** (1.0 / self.qstar) * self.energy.second_derivative(x)
-        return out if out.ndim else float(out)
-
-    def h_prime(self, x: float) -> float:
-        if not (x > 0.0):
-            raise ParameterError("h_prime needs x > 0")
-        # imported here: scipy.integrate takes tens of milliseconds to import
-        # and no command evaluates H
-        from scipy.integrate import quad
-
-        return quad(self.h_second, 1.0, float(x), epsabs=0.0, epsrel=1e-12)[0]
 
 
 # ---------------------------------------------------------------------------

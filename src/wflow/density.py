@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,15 +46,6 @@ class Domain:
     def centers(self, n: int) -> np.ndarray:
         e = self.edges(n)
         return 0.5 * (e[:-1] + e[1:])
-
-
-class Moments(NamedTuple):
-    mean: float
-    second_moment: float
-    essinf: float
-    esssup: float
-    L1: float
-    Linf: float
 
 
 @dataclass(frozen=True)
@@ -261,23 +251,6 @@ def quantile_internal_energy(X: np.ndarray, F: EnergySpec) -> float:
         raise DegenerateCellError("repeated quantile nodes")
     mu = 1.0 / w.size
     return float(np.sum(F.value(mu / w) * w))
-
-
-def moments_and_norms(rho: GridDensity) -> Moments:
-    """Standard moments and norms, exact for the piecewise-constant density."""
-    xc = rho.centers
-    dx = rho.dx
-    v = rho.values
-    mean = float(np.sum(v * xc) * dx)
-    second = float(np.sum(v * (xc**2 + dx**2 / 12.0)) * dx)
-    return Moments(
-        mean=mean,
-        second_moment=second,
-        essinf=float(np.min(v)),
-        esssup=float(np.max(v)),
-        L1=float(np.sum(np.abs(v)) * dx),
-        Linf=float(np.max(np.abs(v))),
-    )
 
 
 def l1_distance(rho_a: GridDensity, rho_b: GridDensity) -> float:

@@ -1,7 +1,7 @@
 """Cross-run audits: inequality ledgers, step-size rate fits, comparisons.
 
 Every bound is assembled from the run's own data; nothing is tuned per run.
-Tolerances live in one record so audits are reproducible bit for bit.
+The audit slacks are module constants, so audits are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -10,24 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridDensity, l1_distance
+from .density import l1_distance
 from .errors import (
     DomainMismatchError,
     FitInvalidError,
     IncompleteLedgerError,
     ParameterError,
 )
-from .jko import JkoProblem, SchemeTrajectory, run_scheme
+from .jko import JkoProblem, SchemeTrajectory
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Audit slacks, one place only."""
-
-    energy_monotone: float = 1e-9
-    cumulative_work: float = 1e-8
-    dissipation_bound: float = 1e-8
-    bound_slack_cells: float = 4.0  # times 1/m, for min/max principle
+ENERGY_MONOTONE_TOL = 1e-9
+CUMULATIVE_WORK_TOL = 1e-8
+DISSIPATION_TOL = 1e-8
+BOUND_SLACK_CELLS = 4.0  # times 1/m, for the min/max principle
 
 
 @dataclass(frozen=True)
@@ -63,8 +58,8 @@ def conjugate_growth_constant(alpha: float, q: float) -> float:
     return 1.0 / (qstar * (alpha * q) ** (qstar - 1.0))
 
 
-def ledger(problem: JkoProblem, trajectory: SchemeTrajectory,
-           tol: Tolerances | None = None) -> InequalityLedger:
+def ledger(problem: JkoProblem, trajectory: SchemeTrajectory
+           ) -> InequalityLedger:
     """Audit one run against every per-step and cumulative inequality.
 
     Flags: (a) free energy never increases; (b) accumulated work is covered
@@ -72,7 +67,6 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory,
     principle (lower bound only without a potential gradient); (d) the summed
     dissipation stays under the growth-derived cap.
     """
-    tol = tol or Tolerances()
     diags = trajectory.diagnostics
     if len(diags) != len(trajectory.times) - 1:
         raise IncompleteLedgerError(
@@ -93,8 +87,8 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory,
     rises = np.diff(e_free)
     worst = float(np.max(rises)) if rises.size else 0.0
     flags.append(LedgerFlag(
-        name="energy-monotone", passed=worst <= tol.energy_monotone,
-        slack=tol.energy_monotone - worst,
+        name="energy-monotone", passed=worst <= ENERGY_MONOTONE_TOL,
+        slack=ENERGY_MONOTONE_TOL - worst,
         detail="free energy nonincreasing across steps"))
 
     e0_free = diags[0].E_free_before if diags else 0.0
@@ -103,12 +97,12 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory,
     total_work = float(cum_W[-1])
     flags.append(LedgerFlag(
         name="cumulative-work-bound",
-        passed=total_work <= budget + tol.cumulative_work,
-        slack=budget + tol.cumulative_work - total_work,
+        passed=total_work <= budget + CUMULATIVE_WORK_TOL,
+        slack=budget + CUMULATIVE_WORK_TOL - total_work,
         detail="sum of h*W covered by initial energy excess"))
 
     rho0 = trajectory.densities[0]
-    slack_cells = tol.bound_slack_cells / problem.m
+    slack_cells = BOUND_SLACK_CELLS / problem.m
     lo0 = float(np.min(rho0.values)) - slack_cells
     hi0 = float(np.max(rho0.values)) + slack_cells
     check_lower = problem.potential.is_zero
@@ -136,8 +130,8 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory,
     total_dis = float(cum_dis[-1])
     flags.append(LedgerFlag(
         name="dissipation-bound",
-        passed=total_dis <= cap + tol.dissipation_bound,
-        slack=cap + tol.dissipation_bound - total_dis,
+        passed=total_dis <= cap + DISSIPATION_TOL,
+        slack=cap + DISSIPATION_TOL - total_dis,
         detail="summed h * int rho |d(F'(rho)+V)|^{q*} under the growth cap"))
 
     return InequalityLedger(
@@ -164,18 +158,24 @@ class RateFit:
     max_residual: float
 
 
-def fit_rate(h_values, totals) -> RateFit:
-    h = np.asarray(h_values, dtype=float)
-    y = np.asarray(totals, dtype=float)
+def check_step_sizes(h_values) -> None:
+    """Raise ``ParameterError`` unless a rate fit can use these step sizes:
+    at least 4 of them, all positive and geometrically spaced."""
+    h = np.sort(np.asarray(h_values, dtype=float))
     if h.size < 4:
         raise ParameterError(f"rate fits need at least 4 step sizes, got {h.size}")
-    order = np.argsort(h)
-    h, y = h[order], y[order]
-    if np.any(h <= 0):
+    if not (h > 0.0).all():
         raise ParameterError("step sizes must be positive")
     ratios = h[1:] / h[:-1]
     if np.any(ratios < 1.25) or np.max(ratios) / np.min(ratios) > 1.2:
         raise ParameterError("step sizes must be geometrically spaced")
+
+
+def fit_rate(h_values, totals) -> RateFit:
+    check_step_sizes(h_values)
+    h = np.asarray(h_values, dtype=float)
+    order = np.argsort(h)
+    h, y = h[order], np.asarray(totals, dtype=float)[order]
     if np.any(y <= 0.0) or np.any(np.diff(y) <= 0.0):
         raise FitInvalidError("totals must be positive and increasing in h")
     slope, intercept = np.polyfit(np.log(h), np.log(y), 1)
@@ -184,22 +184,6 @@ def fit_rate(h_values, totals) -> RateFit:
                    totals=tuple(float(v) for v in y),
                    slope=float(slope), intercept=float(intercept),
                    max_residual=float(np.max(np.abs(resid))))
-
-
-def second_moment_rate(make_problem, rho0: GridDensity, T: float,
-                       h_values) -> RateFit:
-    """Measure the decay of the summed coupling second moments in ``h``.
-
-    ``make_problem(h)`` must build the step problem at fixed spatial
-    resolution; each run accumulates ``sum_k int |x-y|^2 dgamma_k`` over the
-    horizon.
-    """
-    totals = []
-    for h in h_values:
-        problem = make_problem(h)
-        traj = run_scheme(problem, rho0, T)
-        totals.append(sum(d.second_moment for d in traj.diagnostics))
-    return fit_rate(h_values, totals)
 
 
 # ---------------------------------------------------------------------------

@@ -595,18 +595,3 @@ def floored_density(rho0: GridDensity, delta: float) -> GridDensity:
         raise ParameterError(f"floor must be positive, got {delta}")
     values = np.maximum(rho0.values, delta)
     return normalize(values, rho0.domain)[0]
-
-
-def run_floor_study(problem: JkoProblem, rho0: GridDensity, T: float,
-                    deltas: list[float]) -> list[tuple[float, SchemeTrajectory]]:
-    """Run the scheme for a decreasing sequence of density floors.
-
-    Reports the per-floor trajectories; no extrapolation in the floor is
-    attempted.
-    """
-    if not deltas or any(d <= 0.0 for d in deltas):
-        raise ParameterError("floor sequence must be positive")
-    out = []
-    for delta in sorted(deltas, reverse=True):
-        out.append((delta, run_scheme(problem, floored_density(rho0, delta), T)))
-    return out

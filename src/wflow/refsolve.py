@@ -17,17 +17,18 @@ from scipy.special import gamma as gamma_fn
 from .convex import CostSpec, EnergySpec, PotentialSpec
 from .density import Domain, GridDensity
 from .errors import ConvergenceError, ParameterError
-from .jko import SchemeTrajectory
+from .jko import SchemeTrajectory, step_count
+
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Discretization knobs of the reference solver."""
+    """Discretization of the reference solver."""
 
     n: int = 256
     dt: float = 1e-3
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 40
 
     def __post_init__(self):
         if self.n < 16:
@@ -62,9 +63,7 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
         raise ParameterError(f"initial data has {rho0.n} cells, config says {cfg.n}")
     if rho0.domain != domain:
         raise ParameterError("initial density lives on the wrong domain")
-    steps = int(round(T / cfg.dt))
-    if steps < 1:
-        raise ParameterError("horizon shorter than one time step")
+    steps = step_count(T, cfg.dt)
     n = cfg.n
     dx = rho0.dx
     vpot = np.zeros(n) if potential.is_zero else potential.value(rho0.centers)
@@ -100,7 +99,7 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
         rho_old = cur = rho
         clamped = False
         converged = False
-        for _ in range(cfg.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             sub, diag, sup, res = jacobian(cur, rho_old)
             norm0 = float(np.max(np.abs(res)))
             # one solve serves the Newton and the polishing step; a singular
@@ -110,7 +109,7 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
                 *_, x, info = dgtsv(sub, diag, sup, -res)
                 if info == 0:
                     delta = x
-            if norm0 <= cfg.newton_tol:
+            if norm0 <= NEWTON_TOL:
                 converged = True
                 # one polishing iteration tightens mass telescoping
                 if delta is not None:
@@ -141,7 +140,7 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
             cur = cand
         if not converged:
             final = float(np.max(np.abs(residual(cur, rho_old))))
-            if final > cfg.newton_tol:
+            if final > NEWTON_TOL:
                 raise ConvergenceError(
                     f"Newton ran out of iterations at step {k}"
                     + (" (negative iterates clamped)" if clamped else ""),

@@ -1,9 +1,8 @@
 """Exact optimal transport on the line.
 
 For strictly convex costs of the displacement, the optimal coupling between
-two densities pairs their quantiles.  Costs are evaluated at the half-level
-quantiles ``s = (i - 1/2)/m`` (second-order accurate for smooth densities);
-the brute-force oracle certifies optimality on small discrete instances.
+two densities pairs their quantiles (the monotone map); the brute-force
+oracle certifies that optimality on small discrete instances.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .convex import CostSpec
-from .density import (GridDensity, QuantileRep, csv_rows, float_cells,
-                      from_quantiles, l1_distance, to_quantiles)
+from .density import GridDensity, QuantileRep, from_quantiles, to_quantiles
 from .errors import OracleLimitError, ParameterError
 
 EXHAUSTIVE_LIMIT = 8
@@ -43,25 +41,8 @@ class MonotoneMap:
         object.__setattr__(self, "X_src", xs)
         object.__setattr__(self, "X_tgt", xt)
 
-    @property
-    def m(self) -> int:
-        return self.X_src.size - 1
-
     def __call__(self, y):
         return np.interp(np.asarray(y, dtype=float), self.X_src, self.X_tgt)
-
-    def slope(self, y):
-        """Piecewise-constant derivative of the interpolated map."""
-        y = np.asarray(y, dtype=float)
-        slopes = np.diff(self.X_tgt) / np.diff(self.X_src)
-        idx = np.clip(np.searchsorted(self.X_src, y, side="right") - 1,
-                      0, self.m - 1)
-        return slopes[idx]
-
-    def interpolate(self, t: float) -> "MonotoneMap":
-        """Map onto the displacement interpolant ``(1-t) id + t S``."""
-        return MonotoneMap(X_src=self.X_src,
-                           X_tgt=(1.0 - t) * self.X_src + t * self.X_tgt)
 
 
 @dataclass(frozen=True)
@@ -69,16 +50,6 @@ class TransportPlan:
     """Discrete coupling: atoms ``(x, y, mass)`` with equal-weight marginals."""
 
     atoms: tuple[tuple[float, float, float], ...]
-
-    def cost(self, cost: CostSpec, h: float) -> float:
-        x = np.array([a[0] for a in self.atoms])
-        y = np.array([a[1] for a in self.atoms])
-        w = np.array([a[2] for a in self.atoms])
-        return float(np.sum(w * cost.value((x - y) / h)))
-
-    def to_csv(self) -> str:
-        columns = np.array(sorted(self.atoms), dtype=float).reshape(-1, 3).T
-        return "x,y,mass\n" + csv_rows(*map(float_cells, columns))
 
 
 @dataclass(frozen=True)
@@ -96,29 +67,6 @@ def monotone_map(rho0: GridDensity, rho1: GridDensity, m: int) -> MonotoneMap:
     return MonotoneMap(X_src=q1.X, X_tgt=q0.X)
 
 
-def _midquantiles(rho: GridDensity, m: int) -> np.ndarray:
-    s = (np.arange(m) + 0.5) / m
-    return rho.quantile(s)
-
-
-def wasserstein_cost(rho0: GridDensity, rho1: GridDensity, cost: CostSpec,
-                     h: float, m: int = 512) -> float:
-    """Transport work between two densities at time-step scaling ``h``."""
-    if not (h > 0.0):
-        raise ParameterError(f"scaling h must be positive, got {h}")
-    x0 = _midquantiles(rho0, m)
-    x1 = _midquantiles(rho1, m)
-    return float(np.mean(cost.value((x0 - x1) / h)))
-
-
-def coupling_second_moment(rho0: GridDensity, rho1: GridDensity,
-                           m: int = 512) -> float:
-    """Second moment ``int |x - y|^2 dgamma`` of the monotone coupling."""
-    x0 = _midquantiles(rho0, m)
-    x1 = _midquantiles(rho1, m)
-    return float(np.mean((x0 - x1) ** 2))
-
-
 def displacement_interpolate(path: InterpolantPath, t: float,
                              n: int) -> GridDensity:
     """Density of the interpolant ``((1-t) id + t S)`` push-forward."""
@@ -127,12 +75,6 @@ def displacement_interpolate(path: InterpolantPath, t: float,
     Xt = (1.0 - t) * path.map.X_src + t * path.map.X_tgt
     rep = QuantileRep(domain=path.rho_base.domain, X=Xt)
     return from_quantiles(rep, n)
-
-
-def interpolant_quantiles(path: InterpolantPath, t: float) -> np.ndarray:
-    if not (0.0 <= t <= 1.0):
-        raise ParameterError(f"interpolation parameter must be in [0, 1], got {t}")
-    return (1.0 - t) * path.map.X_src + t * path.map.X_tgt
 
 
 def make_path(rho0: GridDensity, rho1: GridDensity, m: int) -> InterpolantPath:
@@ -182,14 +124,3 @@ def monotone_atom_cost(atoms0, atoms1, cost: CostSpec, h: float) -> float:
     if x.shape != y.shape:
         raise ParameterError("atom lists must have equal length")
     return float(np.mean(cost.value((x - y) / h)))
-
-
-def push_forward_residual(rho_src: GridDensity, rho_tgt: GridDensity,
-                          S: MonotoneMap, n: int | None = None) -> float:
-    """L1 gap between ``S`` push-forward of the source and the target."""
-    n = n or rho_tgt.n
-    rep = QuantileRep(domain=rho_src.domain, X=S.X_tgt)
-    pushed = from_quantiles(rep, n)
-    resampled = rho_tgt if rho_tgt.n == n else from_quantiles(
-        to_quantiles(rho_tgt, S.m), n)
-    return l1_distance(pushed, resampled)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wflow import refsolve
+from wflow import cli, refsolve
 from wflow.cli import (
     CONFIG_KEYS,
     cmd_crosscheck,
@@ -176,12 +176,28 @@ def test_crosscheck_small_grid_exits_1_before_running(tmp_path, outroot,
 
 @pytest.mark.parametrize("values", [
     "-0.005,0.04,0.02,0.01", "0.04,0.02,0.01,-0.005", "0.04,0.02,0.01,0",
-    "0.2,0.1,0.05,0.025"])  # T = 0.05 is under half of h = 0.2
+    "0.2,0.1,0.05,0.025",  # T = 0.05 is under half of h = 0.2
+    "0.02,0.019,0.01,0.005",  # not geometrically spaced
+    "0.04,0.02,0.01"])  # a rate fit needs at least 4
 def test_study_checks_every_step_size_before_running(tmp_path, outroot,
-                                                     capsys, values):
+                                                     capsys, monkeypatch,
+                                                     values):
+    runs = []
+    monkeypatch.setattr(cli, "run_scheme", lambda *args: runs.append(args))
     path = write_config(tmp_path)
     assert main(["study", "--config", str(path), f"--values={values}"]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not outroot.exists()
+    assert runs == []
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+def test_crosscheck_threshold_must_be_finite_and_nonnegative(
+        tmp_path, outroot, capsys, threshold):
+    path = write_config(tmp_path)
+    assert main(["crosscheck", "--config", str(path),
+                 f"--threshold={threshold}"]) == 1
+    assert "config error: threshold" in capsys.readouterr().err
     assert not outroot.exists()
 
 

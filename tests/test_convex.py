@@ -5,13 +5,9 @@ import pytest
 
 from wflow.cli import _audit_dict
 from wflow.convex import (
-    AuxiliaryH,
     CostSpec,
     EnergySpec,
     PotentialSpec,
-    cost_conjugate,
-    cost_eval,
-    energy_terms,
     preset_specs,
     validate_assumptions,
     _invert_derivative,
@@ -36,18 +32,18 @@ def sample_z(n=1000):
 # ---------------------------------------------------------------------------
 
 def test_cost_eval_at_origin():
-    val, der = cost_eval(COSTS["q2"], 0.0)
-    assert val == 0.0 and der == 0.0
+    cost = COSTS["q2"]
+    assert cost.value(0.0) == 0.0 and cost.derivative(0.0) == 0.0
 
 
 def test_cost_eval_quadratic():
-    val, der = cost_eval(COSTS["q2"], 2.0)
+    val, der = COSTS["q2"].value(2.0), COSTS["q2"].derivative(2.0)
     assert val == pytest.approx(2.0, abs=1e-14)
     assert der == pytest.approx(2.0, abs=1e-14)
 
 
 def test_cost_eval_two_term():
-    val, der = cost_eval(COSTS["two-term"], 1.0)
+    val, der = COSTS["two-term"].value(1.0), COSTS["two-term"].derivative(1.0)
     assert val == pytest.approx(1.0 / 3.0 + 1.0, abs=1e-14)
     assert der == pytest.approx(1.0 + 1.5, abs=1e-14)
 
@@ -87,19 +83,19 @@ def test_cost_growth_constants():
 # ---------------------------------------------------------------------------
 
 def test_conjugate_quadratic_point():
-    val, grad = cost_conjugate(COSTS["q2"], 1.0)
+    val, grad = COSTS["q2"].conjugate_pair(1.0)
     assert val == pytest.approx(0.5, abs=1e-12)
     assert grad == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("key", sorted(COSTS))
 def test_conjugate_at_origin(key):
-    val, grad = cost_conjugate(COSTS[key], 0.0)
+    val, grad = COSTS[key].conjugate_pair(0.0)
     assert val == 0.0 and grad == 0.0
 
 
 def test_conjugate_cubic_closed_form():
-    val, grad = cost_conjugate(COSTS["q3"], 8.0)
+    val, grad = COSTS["q3"].conjugate_pair(8.0)
     assert val == pytest.approx(8.0**1.5 / 1.5, rel=1e-12)
     assert grad == pytest.approx(np.sqrt(8.0), rel=1e-12)
 
@@ -165,26 +161,22 @@ def _legendre_by_search(F: EnergySpec, s: float) -> float:
 
 
 def test_entropy_terms_at_two():
-    t = energy_terms(EnergySpec.entropy(), 2.0)
-    assert t.P == pytest.approx(2.0, abs=1e-12)
+    _, P = EnergySpec.entropy().value_and_pressure(np.array([2.0]))
+    assert P[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_quadratic_energy_pressure():
-    t = energy_terms(EnergySpec.power(2.0), 3.0)
-    assert t.F == pytest.approx(9.0)
-    assert t.P == pytest.approx(9.0, abs=1e-12)
     F, P = EnergySpec.power(2.0).value_and_pressure(np.array([3.0]))
     assert F[0] == pytest.approx(9.0)
     assert P[0] == pytest.approx(9.0, abs=1e-12)
 
 
 def test_entropy_terms_at_one():
-    t = energy_terms(EnergySpec.entropy(), 1.0)
-    assert t.F == 0.0
-    assert t.Fp == pytest.approx(1.0)
-    assert t.Fpp == pytest.approx(1.0)
-    assert t.P == pytest.approx(1.0)
-    assert t.Fstar_of_Fprime == pytest.approx(1.0)
+    F = EnergySpec.entropy()
+    assert F.value(1.0) == 0.0
+    assert F.derivative(1.0) == pytest.approx(1.0)
+    assert F.second_derivative(1.0) == pytest.approx(1.0)
+    assert F.value_and_pressure(np.array([1.0]))[1][0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("F", [
@@ -201,9 +193,8 @@ def test_energy_derivatives_match_finite_differences(F):
     eps = 1e-4
     fd2 = (F.value(xs + eps) - 2 * F.value(xs) + F.value(xs - eps)) / eps**2
     assert np.allclose(F.second_derivative(xs), fd2, rtol=1e-5, atol=1e-7)
-    for x in xs:
-        t = energy_terms(F, float(x))
-        assert t.P == pytest.approx(x * t.Fp - t.F, abs=1e-12)
+    Fx, P = F.value_and_pressure(xs)
+    assert np.allclose(P, xs * F.derivative(xs) - Fx, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("F,s", [
@@ -214,15 +205,8 @@ def test_energy_derivatives_match_finite_differences(F):
 def test_dual_value_matches_independent_search(F, s):
     # F*(F'(a)) computed by dense maximization vs the envelope identity
     a = float(F.derivative_inverse(s))
-    t = energy_terms(F, a)
-    assert t.Fstar_of_Fprime == pytest.approx(_legendre_by_search(F, s), rel=1e-6)
-
-
-def test_energy_terms_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        energy_terms(EnergySpec.entropy(), 0.0)
-    with pytest.raises(ParameterError):
-        energy_terms(EnergySpec.entropy(), -1.0)
+    assert a * F.derivative(a) - F.value(a) == pytest.approx(
+        _legendre_by_search(F, s), rel=1e-6)
 
 
 def test_energy_rejects_m_equals_one():
@@ -240,7 +224,7 @@ def test_derivative_inverse_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# potentials and the auxiliary convex companion
+# potentials
 # ---------------------------------------------------------------------------
 
 def test_quadratic_potential():
@@ -257,19 +241,6 @@ def test_tabulated_potential_requires_convexity():
         PotentialSpec.tabulated([0.0, 0.5, 1.0], [1.0, -0.1, 1.0])
     V = PotentialSpec.tabulated([0.0, 0.5, 1.0], [1.0, 0.0, 1.0])
     assert V.value(0.25) == pytest.approx(0.5)
-
-
-def test_auxiliary_h_entropy_closed_form():
-    # F'' = 1/x gives H'(x) = (x^c - 1)/c with c = 1/q*
-    F = EnergySpec.entropy()
-    aux = AuxiliaryH(energy=F, qstar=2.0)
-    c = 0.5
-    for x in (0.2, 1.0, 3.0, 10.0):
-        assert aux.h_prime(x) == pytest.approx((x**c - 1.0) / c, rel=1e-9, abs=1e-12)
-    xs = np.array([0.5, 1.0, 2.0])
-    assert np.all(aux.h_second(xs) > 0.0)
-    vals = [aux.h_prime(float(x)) for x in (0.5, 1.0, 2.0, 4.0)]
-    assert np.all(np.diff(vals) > 0.0)
 
 
 # ---------------------------------------------------------------------------

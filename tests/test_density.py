@@ -11,7 +11,6 @@ from wflow.density import (
     energy,
     from_quantiles,
     l1_distance,
-    moments_and_norms,
     normalize,
     quantile_internal_energy,
     to_quantiles,
@@ -200,24 +199,6 @@ def test_quantile_energy_consistent_with_grid_energy():
     e_grid = energy(rho, EnergySpec.entropy())[0]
     e_quant = quantile_internal_energy(X, EnergySpec.entropy())
     assert e_quant == pytest.approx(e_grid, abs=5e-4)
-
-
-def test_moments_uniform():
-    rho, _ = normalize(np.ones(16), UNIT)
-    mom = moments_and_norms(rho)
-    assert mom.mean == pytest.approx(0.5, abs=1e-14)
-    assert mom.second_moment == pytest.approx(1.0 / 3.0, abs=1e-13)
-    assert mom.esssup == pytest.approx(1.0)
-    assert mom.L1 == pytest.approx(1.0)
-
-
-def test_moments_point_mass_like():
-    values = np.zeros(16)
-    values[5] = 1.0
-    rho, _ = normalize(values, UNIT)
-    mom = moments_and_norms(rho)
-    assert mom.essinf == 0.0
-    assert mom.Linf == pytest.approx(16.0)
 
 
 # ---------------------------------------------------------------------------

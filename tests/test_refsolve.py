@@ -25,6 +25,16 @@ def test_fd_config_validation():
         FdConfig(dt=0.0)
 
 
+@pytest.mark.parametrize("T", [float("inf"), float("nan"), 2e3, 1e-4])
+def test_fd_horizon_outside_step_range_is_a_parameter_error(T):
+    # inf and nan once escaped as OverflowError and ValueError; 2e3 needs
+    # 2e6 steps of dt = 1e-3, above jko.MAX_STEPS
+    rho, _ = normalize(np.ones(16), UNIT)
+    with pytest.raises(ParameterError, match="steps, needs 1.."):
+        fd_solve(Q2, ENTROPY, PotentialSpec.zero(), UNIT, rho, T=T,
+                 cfg=FdConfig(n=16, dt=1e-3))
+
+
 def test_equilibrium_is_stationary():
     n = 64
     rho, _ = normalize(np.ones(n), UNIT)
