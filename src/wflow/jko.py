@@ -9,8 +9,8 @@ box ``a <= X_0 <= ... <= X_m <= b`` and the objective
 
 is convex (``P``: fixed previous half-level quantiles, ``M``: current ones,
 ``w``: cell widths).  A damped Newton method on the banded Hessian solves
-it, and the projected-gradient fixed-point residual certifies the result.
-A step Newton cannot certify fails at once with the reason it stopped.
+it, and a wall-clip bound on the projected-gradient residual certifies the
+result.  A step Newton cannot certify fails at once with the reason it stopped.
 
 Evaluation contract: every iterate is evaluated once, in one sweep that
 yields the objective, its gradient, both energies and the per-cell
@@ -19,9 +19,7 @@ reads from.  The sweep takes one transcendental per cost or energy term:
 ``CostSpec.value_and_derivative`` forms ``c`` and ``c'`` from one
 ``|v|^(q-1)``, and ``EnergySpec.value_and_pressure`` forms ``F`` and the
 pressure from one ``log`` or ``rho^m``.  The banded curvature is formed from
-an evaluation, and only at iterates Newton steps from.  The KKT residual
-projects ``X - g`` onto the monotone box; when ``X - g`` is already strictly
-increasing it is its own isotonic regression and only the wall clip applies.
+an evaluation, and only at iterates Newton steps from.
 
 Warm start: inside a run, step ``k + 1`` starts at the predictor
 ``2 X_k - X_{k-1}`` (endpoints clipped to the walls), and that one
@@ -57,7 +55,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import isotonic_regression
 
 from .convex import (
     AssumptionReport,
@@ -266,15 +263,23 @@ class _StepObjective:
         return self.m * np.finfo(float).eps * s
 
     def kkt_residual(self, X: np.ndarray, g: np.ndarray) -> float:
-        """Sup-norm of ``X - proj(X - g)``, the projected-gradient residual.
+        """``D = sup|X - clip(X - g, a, b)|``, the step's certificate.
 
-        A strictly increasing ``X - g`` is its own isotonic regression, so
-        the pool-adjacent-violators pass runs only when it is not.
+        For feasible ``X`` and ``y = X - g``, the projected-gradient residual
+        ``sup|X - clip(iso(y))|`` (``iso``: isotonic regression) is at most
+        ``D``, with equality when ``y`` is nondecreasing.  Upper side: take
+        node ``i`` in an isotonic block of value ``v``; every prefix mean of
+        the block is ``>= v`` (Barlow, Bartholomew, Bremner & Brunk,
+        *Statistical Inference under Order Restrictions*, 1972), so
+        ``clip(v) > X_i + D`` needs some ``j <= i`` with ``y_j > X_j + D``,
+        hence ``clip(y_j) = b`` and ``clip(v) <= b <= X_j + D <= X_i + D``, a
+        contradiction.  Lower side: the same with suffix means and ``a``.
+        So ``D`` never certifies a step the exact residual rejects, and when
+        every gap exceeds ``2 tol`` the two decide alike: a pair with
+        ``y_i >= y_{i+1}`` shares a block, so the exact residual is at least
+        ``(X_{i+1} - X_i) / 2 > tol``.
         """
-        y = X - g
-        if not (y[1:] > y[:-1]).all():
-            y = isotonic_regression(y).x
-        z = y.clip(self.pb.domain.a, self.pb.domain.b)
+        z = (X - g).clip(self.pb.domain.a, self.pb.domain.b)
         return float(np.abs(X - z).max())
 
 

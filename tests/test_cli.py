@@ -303,26 +303,12 @@ def test_study_rate_report(tmp_path, outroot):
     assert len(csv) == 5
 
 
-def test_study_parallel_workers_match_serial(tmp_path, outroot):
-    path = write_config(tmp_path, domain_a=0.0, domain_b=2.0, T=0.2,
-                        rho0={"profile": "cosine", "amplitude": 0.4,
-                              "frequency": 0.5})
-    assert cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80]) == 0
-    rundir = next(outroot.iterdir())
-    serial = (rundir / "rate.csv").read_bytes()
-    assert cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80],
-                     workers=2) == 0
-    assert (rundir / "rate.csv").read_bytes() == serial
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_study_member_failure_flags_partial(tmp_path, outroot, workers):
+def test_study_member_failure_flags_partial(tmp_path, outroot):
     path = write_config(tmp_path, newton_max_iter=0, domain_a=0.0,
                         domain_b=2.0, T=0.2,
                         rho0={"profile": "cosine", "amplitude": 0.4,
                               "frequency": 0.5})
-    code = cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80],
-                     workers=workers)
+    code = cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80])
     assert code == 2
     rundir = next(outroot.iterdir())
     report = json.loads((rundir / "rate.json").read_text())
@@ -423,6 +409,22 @@ def test_oracle_bad_exponent_exits_1(capsys, q):
     assert "Traceback" not in err
 
 
+def test_oracle_negative_seed_exits_1(capsys):
+    assert main(["oracle", "--k", "4", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_overflowing_cost_exits_2(capsys):
+    # at q = 2000 a displacement above 1.43 costs inf; seed 2 draws a sorted
+    # pair that far apart
+    assert main(["oracle", "--k", "4", "--q", "2000", "--seed", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "no finite deviation" in captured.err
+    assert "max relative deviation" not in captured.out
+
+
 def test_main_dispatch(tmp_path, outroot, capsys):
     path = write_config(tmp_path)
     assert main(["run", "--config", str(path)]) == 0
@@ -434,8 +436,8 @@ def test_main_dispatch(tmp_path, outroot, capsys):
 @pytest.mark.parametrize("argv", [
     ["run"],                                         # no --config
     ["frobnicate"],                                  # unknown subcommand
-    ["study", "--config", "cfg.json", "--values", "0.1", "--workers", "abc"],
-], ids=["run-without-config", "unknown-subcommand", "workers-not-an-int"])
+    ["oracle", "--k", "abc"],                        # --k not an int
+], ids=["run-without-config", "unknown-subcommand", "k-not-an-int"])
 def test_usage_error_exits_1(capsys, argv):
     # exit 2 is reserved for a failed solve
     with pytest.raises(SystemExit) as exc:

@@ -93,13 +93,14 @@ def test_energy_kernel_matches_value_and_pressure(energy, x):
 
 @st.composite
 def nodes_and_gradients(draw):
-    """Strictly increasing nodes on the unit interval and a gradient small
-    or large against their spacing, so both KKT paths are taken."""
+    """Strictly increasing nodes on the unit interval and a gradient tiny,
+    small or large against their spacing, so ``X - g`` is sometimes not
+    increasing and the residual falls on both sides of the tolerance."""
     k = draw(st.integers(8, 200))
     gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
     X = np.concatenate(([0.0], np.cumsum(gaps)))
     X /= X[-1]
-    scale = draw(st.sampled_from([1e-6, 1e-3, 1e-1, 10.0])) / k
+    scale = draw(st.sampled_from([1e-12, 1e-6, 1e-3, 1e-1, 10.0])) / k
     g = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0),
                                        min_size=k + 1, max_size=k + 1)))
     return X, g
@@ -108,16 +109,24 @@ def nodes_and_gradients(draw):
 @PROPERTY
 @given(nodes_and_gradients())
 def test_kkt_shortcut_matches_pava(Xg):
+    """The wall-clip certificate bounds the projected-gradient residual on
+    the monotone box (isotonic regression as reference) from above, equals
+    it when ``X - g`` is nondecreasing, and makes the same ``<= tol``
+    decision when every gap exceeds ``2 tol``."""
     X, g = Xg
     obj = _StepObjective(JkoProblem(cost=CostSpec.single_power(2.0),
                                     energy=EnergySpec.entropy(),
                                     potential=PotentialSpec.zero(),
                                     domain=UNIT, h=0.01, m=X.size - 1), X)
     y = X - g
-    if (np.diff(y) > 0.0).all():
-        assert bits(isotonic_regression(y).x) == bits(y)
-    z = np.clip(isotonic_regression(y).x, 0.0, 1.0)
-    assert bits(obj.kkt_residual(X, g)) == bits(np.max(np.abs(X - z)))
+    exact = np.max(np.abs(X - np.clip(isotonic_regression(y).x, 0.0, 1.0)))
+    r = obj.kkt_residual(X, g)
+    assert r >= exact
+    if (np.diff(y) >= 0.0).all():
+        assert bits(r) == bits(exact)
+    tol = obj.pb.tol
+    if np.diff(X).min() > 2.0 * tol:
+        assert (r <= tol) == (exact <= tol)
 
 
 @st.composite
