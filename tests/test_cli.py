@@ -303,17 +303,24 @@ def test_study_rate_report(tmp_path, outroot):
     assert len(csv) == 5
 
 
-def test_study_member_failure_flags_partial(tmp_path, outroot):
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_study_member_failure_flags_partial(tmp_path, outroot, repeats):
+    # members run in the calling process: a failed study run again in the
+    # same process must report the same failures, with no state carried over
     path = write_config(tmp_path, newton_max_iter=0, domain_a=0.0,
                         domain_b=2.0, T=0.2,
                         rho0={"profile": "cosine", "amplitude": 0.4,
                               "frequency": 0.5})
-    code = cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80])
-    assert code == 2
-    rundir = next(outroot.iterdir())
-    report = json.loads((rundir / "rate.json").read_text())
+    reports = []
+    for _ in range(repeats):
+        code = cmd_study(str(path), values=[1 / 10, 1 / 20, 1 / 40, 1 / 80])
+        assert code == 2
+        rundir = next(outroot.iterdir())
+        reports.append(json.loads((rundir / "rate.json").read_text()))
+    report = reports[0]
     assert report["partial"] is True
     assert len(report["failures"]) >= 1
+    assert all(r == report for r in reports)
 
 
 def per_row_trajectory_csv(traj):
