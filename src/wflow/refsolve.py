@@ -8,11 +8,11 @@ quantile-coordinate stepper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.special import gamma as gamma_fn
 
 from .convex import CostSpec, EnergySpec, PotentialSpec
 from .density import Domain, GridDensity
@@ -215,7 +215,7 @@ def barenblatt(m: float, mass: float, t: float, x) -> np.ndarray:
     nexp = 1.0 / (m - 1.0)
     # integral of (C - k y^2)_+^nexp over the line:
     #   C^(nexp + 1/2) k^(-1/2) * sqrt(pi) Gamma(nexp+1) / Gamma(nexp+3/2)
-    beta = np.sqrt(np.pi) * gamma_fn(nexp + 1.0) / gamma_fn(nexp + 1.5)
+    beta = math.sqrt(math.pi) * math.gamma(nexp + 1.0) / math.gamma(nexp + 1.5)
     C = (mass * np.sqrt(k) / beta) ** (1.0 / (nexp + 0.5))
     x = np.asarray(x, dtype=float)
     arg = np.maximum(C - k * x**2 * t ** (-2.0 * a), 0.0)

@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .convex import CostSpec
 from .density import GridDensity, QuantileRep, from_quantiles, to_quantiles
@@ -109,6 +108,7 @@ def lp_oracle(atoms0, atoms1, cost: CostSpec, h: float
         totals = C[np.arange(k)[None, :], perms].sum(axis=1)
         best = perms[int(np.argmin(totals))]
     else:
+        from scipy.optimize import linear_sum_assignment
         _, best = linear_sum_assignment(C)
     w = 1.0 / k
     plan = TransportPlan(atoms=tuple(

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -424,12 +426,49 @@ def test_oracle_negative_seed_exits_1(capsys):
 
 
 def test_oracle_overflowing_cost_exits_2(capsys):
-    # at q = 2000 a displacement above 1.43 costs inf; seed 2 draws a sorted
-    # pair that far apart
-    assert main(["oracle", "--k", "4", "--q", "2000", "--seed", "2"]) == 2
+    # at q = 2000 a displacement above 1.43 costs inf; seed 9 draws a sorted
+    # pair that far apart before any draw whose costs all underflow
+    assert main(["oracle", "--k", "4", "--q", "2000", "--seed", "9"]) == 2
     captured = capsys.readouterr()
     assert "no finite deviation" in captured.err
+    assert "monotone cost inf" in captured.err
     assert "max relative deviation" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "64", "--q", "1e6", "--seed", "0"],
+    ["--k", "12", "--q", "1e6", "--seed", "3"],
+], ids=["k64-seed0", "k12-seed3"])
+def test_oracle_underflowing_cost_exits_2(capsys, argv):
+    # at q = 1e6 |z|^q/q rounds to 0 for every |z| < 0.9992; these seeds
+    # draw a sorted pairing of such displacements, so the exact cost is 0
+    # and there is nothing to compare
+    assert main(["oracle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "no finite deviation" in captured.err
+    assert "monotone cost 0.0" in captured.err
+    assert "max relative deviation" not in captured.out
+
+
+def test_run_loads_neither_scipy_optimize_nor_special(tmp_path):
+    # scipy.optimize serves only `oracle` with more than 8 atoms, and
+    # refsolve.barenblatt takes its gamma function from math
+    path = write_config(tmp_path)
+    script = (
+        "import sys\n"
+        "from wflow.cli import main\n"
+        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special')"
+        " if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, WFLOW_OUT=str(tmp_path / "artifacts"),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_main_dispatch(tmp_path, outroot, capsys):

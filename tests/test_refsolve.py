@@ -187,6 +187,19 @@ def test_barenblatt_symmetry_and_mass():
         assert mass == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 7.0])
+def test_barenblatt_matches_closed_form_at_m2(t):
+    # m = 2: a = 1/3, k = 1/12 and beta = sqrt(pi) Gamma(2) / Gamma(5/2) = 4/3,
+    # so unit mass gives C = (sqrt(1/12) / beta)^(2/3) = 3^(1/3) / 4.  Points
+    # where the clipped bracket is at least C/2 keep the profile well
+    # conditioned, so a gamma ratio an ulp or two off moves it by a few ulp.
+    C = 3.0 ** (1.0 / 3.0) / 4.0
+    xs = np.linspace(-1.0, 1.0, 41) * np.sqrt(6.0 * C) * t ** (1.0 / 3.0)
+    expected = t ** (-1.0 / 3.0) * (C - xs**2 / 12.0 * t ** (-2.0 / 3.0))
+    np.testing.assert_allclose(barenblatt(2.0, 1.0, t, xs), expected,
+                               rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
 def test_barenblatt_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         barenblatt(1.0, 1.0, 0.1, 0.0)
