@@ -33,8 +33,7 @@ EXIT_SOLVER = 2
 CONFIG_KEYS = frozenset({
     "preset", "exponent_m", "exponent_p", "exponent_n", "cost_terms",
     "energy_terms", "potential", "domain_a", "domain_b", "n", "m", "h", "T",
-    "rho0", "floor_delta", "solver_tol", "newton_max_iter", "force",
-    "output_dir",
+    "rho0", "floor_delta", "solver_tol", "newton_max_iter", "output_dir",
 })
 
 
@@ -57,7 +56,6 @@ class RunConfig:
     floor_delta: float | None
     tol: float
     newton_max_iter: int
-    force: bool
     label: str
 
     def problem(self, h: float | None = None) -> JkoProblem:
@@ -66,8 +64,7 @@ class RunConfig:
         pb = JkoProblem(cost=self.cost, energy=self.energy,
                         potential=self.potential, domain=self.domain,
                         h=self.h if h is None else h, m=self.m,
-                        tol=self.tol, newton_max_iter=self.newton_max_iter,
-                        force=self.force)
+                        tol=self.tol, newton_max_iter=self.newton_max_iter)
         step_count(self.T, pb.h)
         return pb
 
@@ -129,16 +126,16 @@ def _rho0_from_config(spec, domain: Domain, n: int) -> GridDensity:
     return normalize(values, domain)[0]
 
 
-def load_config(path: str | Path, force: bool = False) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     """Parse and validate one run description; malformed ones raise ParameterError."""
     try:
-        return _parse_config(json.loads(Path(path).read_text()), force)
+        return _parse_config(json.loads(Path(path).read_text()))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParameterError(
             f"malformed config: {type(exc).__name__}: {exc}") from exc
 
 
-def _parse_config(raw, force: bool) -> RunConfig:
+def _parse_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
     unknown = sorted(set(raw) - CONFIG_KEYS)
@@ -191,7 +188,6 @@ def _parse_config(raw, force: bool) -> RunConfig:
         tol=float(raw.get("solver_tol", JkoProblem.tol)),
         newton_max_iter=int(raw.get("newton_max_iter",
                                     JkoProblem.newton_max_iter)),
-        force=force or bool(raw.get("force", False)),
         label=preset or "custom",
     )
 
@@ -249,19 +245,14 @@ def _write_trajectory(out: Path, traj: SchemeTrajectory) -> None:
     (out / "diagnostics.jsonl").write_text(diagnostics_to_jsonl(traj))
 
 
-def _audit_dict(audit) -> dict | None:
-    """An assumption report or a ledger as JSON, with its ``all_pass``."""
-    return None if audit is None else {**asdict(audit), "all_pass": audit.all_pass}
-
-
-def _report_document(cfg: RunConfig, *, assumptions=None, led=None,
-                     rate_fits=(), comparisons=()) -> dict:
+def _report_document(cfg: RunConfig, *, led=None, rate_fits=(),
+                     comparisons=()) -> dict:
     """One report shape for every command; unused sections stay empty."""
     return {
         "run_config": cfg.raw,
         "config_hash": config_hash(cfg.raw),
-        "assumptions": _audit_dict(assumptions),
-        "ledger": _audit_dict(led),
+        "ledger": (None if led is None
+                   else {**asdict(led), "all_pass": led.all_pass}),
         "rate_fits": list(rate_fits),
         "comparisons": list(comparisons),
     }
@@ -276,10 +267,9 @@ def _config_error(exc: Exception) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_run(config_path: str, root: str | None = None,
-            force: bool = False) -> int:
+def cmd_run(config_path: str, root: str | None = None) -> int:
     try:
-        cfg = load_config(config_path, force=force)
+        cfg = load_config(config_path)
         problem = cfg.problem()
     except (WflowError, OSError) as exc:
         return _config_error(exc)
@@ -295,8 +285,7 @@ def cmd_run(config_path: str, root: str | None = None,
         return EXIT_SOLVER
     _write_trajectory(out, traj)
     led = diagnostics.ledger(problem, traj)
-    _write_json(out / "report.json", _report_document(
-        cfg, assumptions=problem.assumptions, led=led))
+    _write_json(out / "report.json", _report_document(cfg, led=led))
     print(f"artifacts in {out}")
     return EXIT_OK if led.all_pass else EXIT_SOLVER
 
@@ -434,8 +423,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run one configuration end to end")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--force", action="store_true",
-                       help="run even if assumption checks fail")
     p_run.add_argument("--out", default=None)
 
     p_study = sub.add_parser("study", help="step-size sweep with a rate fit")
@@ -458,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, root=args.out, force=args.force)
+        return cmd_run(args.config, root=args.out)
     if args.command == "study":
         try:
             values = [float(tok) for tok in args.values.split(",") if tok.strip()]

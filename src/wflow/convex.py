@@ -4,9 +4,11 @@ Costs are positive sums of powers ``c(z) = sum_i A_i |z|^{q_i}`` with
 ``A_i > 0`` and ``q_i > 1``; energies are positive combinations of ``x ln x``
 and ``x^m / (m - 1)`` terms; potentials are zero, quadratic or tabulated.
 For these families every standing assumption of the existence theory is a
-condition on the parameters, and ``validate_assumptions`` checks it in closed
-form.  Everything is immutable after construction and safe for concurrent
-reads.
+condition on the parameters.  Each constructor enforces the hypotheses on
+its own spec; ``validate_assumptions`` checks the two that couple a spec to
+another input: the energy's exponents to the cost's, and a tabulated
+potential to the domain.  Everything is immutable after construction and
+safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import InvalidSpecError, ParameterError
 _CONJ_TOL = 1e-12
 _CONJ_MAX_ITER = 100
 _CONVEXITY_SLACK = -1e-10
-_DIMENSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +237,6 @@ class EnergySpec:
         return cls(terms=(("power", coeff, m),))
 
     @property
-    def superlinear(self) -> bool:
-        """True when ``F(x)/x`` diverges at infinity."""
-        return any(t[0] == "entropy" or t[2] > 1.0 for t in self.terms)
-
-    @property
     def negative_slope(self) -> bool:
         """True when ``F' < 0`` on the whole half line (pure fast-diffusion)."""
         return all(t[0] == "power" and t[2] < 1.0 for t in self.terms)
@@ -450,98 +446,48 @@ class PotentialSpec:
 # assumption validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    witness: tuple | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list[AssumptionCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def _check(name: str, witness: tuple | None, detail: str) -> AssumptionCheck:
-    """A check that passes exactly when it has no counterexample ``witness``."""
-    return AssumptionCheck(name=name, passed=witness is None, witness=witness,
-                           detail=detail)
-
-
 def validate_assumptions(cost: CostSpec, energy: EnergySpec,
                          potential: PotentialSpec,
-                         domain: tuple[float, float] | None = None
-                         ) -> AssumptionReport:
-    """Check every standing assumption in closed form from the spec parameters.
+                         domain: tuple[float, float] | None = None) -> None:
+    """Check the two standing assumptions that couple a spec to another input.
 
-    For these spec families each hypothesis is a condition on parameters:
+    Every hypothesis on one spec alone is its constructor's, so no spec that
+    can be built fails it:
 
-    - the cost terms all have ``A_i > 0`` and ``q_i > 1``, so ``c`` vanishes
-      only at 0, ``c(z)/|z|`` increases without bound and
-      ``beta |z|^q <= c(z) <= alpha (|z|^q + 1)`` with ``CostSpec``'s own
-      ``q``, ``alpha`` and ``beta``;
-    - ``F`` is superlinear or decreasing, ``x F(1/x)`` is convex (entropy
-      terms, or power exponents ``m >= 1 - 1/d`` in dimension ``d = 1``) and
-      power exponents ``m < 1`` satisfy ``m >= 1/q``;
-    - ``V`` is ``kappa (x - x0)^2 / 2`` with ``kappa >= 0``, or a table of
-      values ``>= 0`` whose slopes increase (checked by ``PotentialSpec``)
-      and whose flat extension beyond its ends stays convex on ``domain``.
+    - ``CostSpec`` takes terms with ``A_i > 0`` and ``q_i > 1`` only, so
+      ``c`` vanishes only at 0, ``c(z)/|z|`` increases without bound and
+      ``beta |z|^q <= c(z) <= alpha (|z|^q + 1)``;
+    - ``EnergySpec`` takes power exponents ``m > 0`` only, so ``x F(1/x)`` is
+      convex (``m >= 1 - 1/d`` in dimension ``d = 1``), and ``F`` is
+      superlinear (an entropy term or some ``m > 1``) or else decreasing
+      (every ``m < 1``);
+    - ``PotentialSpec`` takes ``kappa >= 0`` and convex tables of values
+      ``>= 0`` only.
 
-    Failures are reported with the offending parameters as the witness,
-    never raised.
+    The two checked here raise ``InvalidSpecError`` naming the check and its
+    witness:
+
+    - ``energy-power-range``: power exponents ``m < 1`` need ``m >= 1/q``;
+    - ``potential-convexity``: V is held flat beyond its table (np.interp),
+      so a table end inside ``domain`` must not meet that flat piece in a
+      concave kink (tested with the constructor's slack).
     """
-    bad_term = next(((A, qi) for A, qi in cost.terms
-                     if not (A > 0.0 and qi > 1.0)), None)
-    superlinear = energy.superlinear
-    low_power = next(((t[2], 1.0 - 1.0 / _DIMENSION) for t in energy.terms
-                      if t[0] == "power" and t[2] < 1.0 - 1.0 / _DIMENSION),
-                     None)
-    out_of_range = next(((t[2], 1.0 / cost.q) for t in energy.terms
-                         if t[0] == "power" and t[2] < 1.0 and t[2] < 1.0 / cost.q),
-                        None)
-    if potential.kind == "tabulated":
-        xs, vs = potential.xs, potential.vs
-        negative = next(((x, v) for x, v in zip(xs, vs) if v < 0.0), None)
-        # V is held constant beyond the table (np.interp): a table end inside
-        # the domain joins a slope-0 piece, tested with the constructor's slack
-        a, b = domain if domain is not None else (xs[0], xs[-1])
-        first = (vs[1] - vs[0]) / (xs[1] - xs[0])
-        last = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
-        concave = None
-        if a < xs[0] < b and first < _CONVEXITY_SLACK:
-            concave = (xs[0], first)
-        elif a < xs[-1] < b and -last < _CONVEXITY_SLACK:
-            concave = (xs[-1], last)
-    else:
-        negative = concave = ((potential.center, potential.kappa)
-                              if potential.kappa < 0.0 else None)
-
-    return AssumptionReport(checks=(
-        _check("cost-positivity", bad_term, "c(0)=0 and c(z)>0 for z!=0"),
-        _check("cost-coercivity", bad_term, "c(z)/|z| increasing at large |z|"),
-        _check("cost-growth-bounds", bad_term,
-               "beta |z|^q <= c(z) <= alpha (|z|^q + 1)"),
-        AssumptionCheck(
-            name="energy-superlinear-or-decreasing",
-            passed=superlinear or energy.negative_slope,
-            detail="F(x)/x diverges at infinity" if superlinear
-            else "F' < 0 on (0, inf) with sublinear growth"),
-        _check("energy-displacement-convexity", low_power,
-               "x F(1/x) convex (entropy, or m >= 1 - 1/d with d = 1)"),
-        _check("energy-power-range", out_of_range,
-               "power exponents m < 1 need m >= 1/q"),
-        _check("potential-nonnegative", negative, "V >= 0 on the closed domain"),
-        _check("potential-convexity", concave,
-               "V convex (convex table, flat beyond its ends)"),
-    ))
+    for t in energy.terms:
+        if t[0] == "power" and t[2] < 1.0 and t[2] < 1.0 / cost.q:
+            raise InvalidSpecError(f"energy-power-range (m = {t[2]!r} "
+                                   f"< 1/q = {1.0 / cost.q!r})")
+    if potential.kind != "tabulated" or domain is None:
+        return
+    xs, vs = potential.xs, potential.vs
+    a, b = domain
+    first = (vs[1] - vs[0]) / (xs[1] - xs[0])
+    last = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+    # the slope jumps by ``first`` at the left end and by ``-last`` at the right
+    for x, slope, jump in ((xs[0], first, first), (xs[-1], last, -last)):
+        if a < x < b and jump < _CONVEXITY_SLACK:
+            raise InvalidSpecError(f"potential-convexity (table end x = {x!r} "
+                                   f"meets the flat extension with slope "
+                                   f"{slope!r})")
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,6 @@ class GridDensity:
     def edges(self) -> np.ndarray:
         return self.domain.edges(self.n)
 
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.dx)
-
     def cdf_at_edges(self) -> np.ndarray:
         """Exact CDF at the grid edges, pinned to [0, 1]."""
         cum = np.concatenate(([0.0], np.cumsum(self.values) * self.dx))
@@ -163,17 +160,6 @@ class QuantileRep:
     @property
     def strictly_increasing(self) -> bool:
         return bool(np.all(self.widths > 0.0))
-
-    def cell_densities(self) -> np.ndarray:
-        """Induced density value on each mass cell, ``(1/m) / width``."""
-        w = self.widths
-        if np.any(w <= 0.0):
-            raise DegenerateCellError("repeated quantile nodes")
-        return (1.0 / self.m) / w
-
-    def midpoints(self) -> np.ndarray:
-        """Positions of the half-level quantiles ``(i - 1/2)/m``."""
-        return 0.5 * (self.X[:-1] + self.X[1:])
 
     def cdf(self, x) -> np.ndarray:
         """Piecewise-linear CDF of the induced measure."""

@@ -51,18 +51,12 @@ step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .convex import (
-    AssumptionReport,
-    CostSpec,
-    EnergySpec,
-    PotentialSpec,
-    validate_assumptions,
-)
+from .convex import CostSpec, EnergySpec, PotentialSpec, validate_assumptions
 from .density import (
     Domain,
     GridDensity,
@@ -75,7 +69,6 @@ from .errors import (
     ConvergenceError,
     DegeneracyError,
     InvalidDensityError,
-    InvalidSpecError,
     ParameterError,
     SchemeAbortError,
 )
@@ -97,20 +90,20 @@ class JkoProblem:
     m: int
     tol: float = 1e-9
     newton_max_iter: int = 80
-    force: bool = False
-    assumptions: AssumptionReport = field(init=False)
 
     def __post_init__(self):
         if not (self.h > 0.0):
             raise ParameterError(f"time step must be positive, got {self.h}")
         if self.m < 8:
             raise ParameterError(f"need at least 8 mass cells, got {self.m}")
-        report = validate_assumptions(self.cost, self.energy, self.potential,
-                                      domain=(self.domain.a, self.domain.b))
-        if not report.all_pass and not self.force:
-            failed = ", ".join(c.name for c in report.failed())
-            raise InvalidSpecError(f"standing assumptions fail: {failed}")
-        object.__setattr__(self, "assumptions", report)
+        if not (0.0 < self.tol < math.inf):
+            raise ParameterError(
+                f"solver tolerance must be finite and > 0, got {self.tol}")
+        if self.newton_max_iter < 0:
+            raise ParameterError(
+                f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
+        validate_assumptions(self.cost, self.energy, self.potential,
+                             domain=(self.domain.a, self.domain.b))
 
 
 @dataclass(frozen=True)
@@ -348,7 +341,9 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
             if (Xn == X).all():
                 raise stopped("the line search reached the current nodes")
             if (Xn[1:] > Xn[:-1]).all():
-                evn = obj.evaluate(Xn)
+                # an overflowing trial has f = inf and is rejected
+                with np.errstate(over="ignore"):
+                    evn = obj.evaluate(Xn)
                 if evn.f <= ev.f + 1e-4 * step * gdot + slack:
                     break
             step *= 0.5

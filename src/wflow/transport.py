@@ -26,7 +26,7 @@ class MonotoneMap:
 
     ``S`` pushes the source density forward to the target density; it maps
     the ``i``-th source quantile onto the ``i``-th target quantile and is
-    evaluated by piecewise-linear interpolation of the pairing.
+    linear between them.
     """
 
     X_src: np.ndarray
@@ -39,9 +39,6 @@ class MonotoneMap:
             raise ParameterError("quantile vectors must be 1-D of equal length")
         object.__setattr__(self, "X_src", xs)
         object.__setattr__(self, "X_tgt", xt)
-
-    def __call__(self, y):
-        return np.interp(np.asarray(y, dtype=float), self.X_src, self.X_tgt)
 
 
 @dataclass(frozen=True)

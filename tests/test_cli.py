@@ -108,6 +108,11 @@ REJECTED_CONFIGS = {
     "horizon-under-half-step": {"T": 0.001},
     "unknown-key": {"bogus_key": 1},
     "retired-solver-key": {"fista_max_iter": 100000},
+    # a negative cap never stops Newton; a NaN or negative tolerance made
+    # every step fail as a solver error
+    "newton-max-iter-negative": {"newton_max_iter": -1},
+    "solver-tol-nan": {"solver_tol": float("nan")},
+    "solver-tol-negative": {"solver_tol": -1.0},
 }
 
 
@@ -140,9 +145,25 @@ def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
 
 
 def test_unknown_config_key_is_named(tmp_path):
-    path = write_config(tmp_path, bogus_key=1, another=2)
-    with pytest.raises(ParameterError, match="another, bogus_key"):
+    path = write_config(tmp_path, bogus_key=1, another=2, force=True)
+    with pytest.raises(ParameterError, match="another, bogus_key, force"):
         load_config(path)
+
+
+@pytest.mark.parametrize("overrides,check", [
+    ({"preset": None, "cost_terms": [[0.5, 2.0]],
+      "energy_terms": [{"kind": "power", "exponent": 0.3}]},
+     "energy-power-range (m = 0.3 < 1/q = 0.5)"),
+    ({"potential": {"kind": "tabulated", "x": [0.25, 0.75], "v": [1.0, 0.0]}},
+     "potential-convexity (table end x = 0.25 "),
+], ids=["power-below-1-over-q", "table-end-concave-kink"])
+def test_coupled_assumption_failure_exits_1(tmp_path, outroot, capsys,
+                                            overrides, check):
+    path = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and check in err
+    assert not outroot.exists()
 
 
 @pytest.mark.parametrize("overrides,window", [
@@ -162,7 +183,7 @@ def test_config_accepts_every_key_it_reads(tmp_path):
     path = write_config(tmp_path, exponent_m=None, exponent_p=None,
                         exponent_n=None, cost_terms=None, energy_terms=None,
                         floor_delta=1e-3, solver_tol=1e-8, newton_max_iter=40,
-                        force=False, output_dir=str(tmp_path / "elsewhere"))
+                        output_dir=str(tmp_path / "elsewhere"))
     cfg = load_config(path)
     assert (cfg.tol, cfg.newton_max_iter) == (1e-8, 40)
 
@@ -246,15 +267,6 @@ def test_run_rejects_invalid_exponent(tmp_path, outroot):
     path = write_config(tmp_path, cost_terms=[[1.0, 1.0]], preset=None,
                         energy_terms=[{"kind": "entropy"}])
     assert cmd_run(str(path)) == 1
-
-
-def test_run_force_overrides_assumption_gate(tmp_path, outroot):
-    path = write_config(tmp_path, preset=None,
-                        cost_terms=[[0.5, 2.0]],
-                        energy_terms=[{"kind": "power", "exponent": 0.3}])
-    assert cmd_run(str(path)) == 1
-    code = cmd_run(str(path), force=True)
-    assert code in (0, 2)  # runs; ledger decides the final status
 
 
 def test_run_solver_failure_exits_2_with_partial(tmp_path, outroot):
@@ -483,7 +495,9 @@ def test_main_dispatch(tmp_path, outroot, capsys):
     ["run"],                                         # no --config
     ["frobnicate"],                                  # unknown subcommand
     ["oracle", "--k", "abc"],                        # --k not an int
-], ids=["run-without-config", "unknown-subcommand", "k-not-an-int"])
+    ["run", "--config", "cfg.json", "--force"],      # retired flag
+], ids=["run-without-config", "unknown-subcommand", "k-not-an-int",
+        "run-force"])
 def test_usage_error_exits_1(capsys, argv):
     # exit 2 is reserved for a failed solve
     with pytest.raises(SystemExit) as exc:

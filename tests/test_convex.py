@@ -1,9 +1,6 @@
-import json
-
 import numpy as np
 import pytest
 
-from wflow.cli import _audit_dict
 from wflow.convex import (
     CostSpec,
     EnergySpec,
@@ -248,40 +245,23 @@ def test_tabulated_potential_requires_convexity():
 # ---------------------------------------------------------------------------
 
 def test_fokker_planck_assumptions_pass():
-    report = validate_assumptions(COSTS["q2"], EnergySpec.entropy(),
-                                  PotentialSpec.zero())
-    assert report.all_pass
+    validate_assumptions(COSTS["q2"], EnergySpec.entropy(), PotentialSpec.zero())
 
 
 def test_small_power_fails_range_check():
     # m = 0.3 with quadratic cost violates the admissible m >= 1/q window;
     # the convexity of x F(1/x) itself holds for every m > 0 in one dimension.
-    report = validate_assumptions(COSTS["q2"], EnergySpec.power(0.3),
-                                  PotentialSpec.zero())
-    assert not report.all_pass
-    failed = {c.name for c in report.failed()}
-    assert "energy-power-range" in failed
+    with pytest.raises(InvalidSpecError,
+                       match=r"^energy-power-range \(m = 0\.3 < 1/q = 0\.5\)$"):
+        validate_assumptions(COSTS["q2"], EnergySpec.power(0.3),
+                             PotentialSpec.zero())
 
 
 @pytest.mark.parametrize("m", [0.5, 0.6, 0.7, 0.9, 1.5, 2.0, 3.0])
 def test_admissible_powers_pass_all_checks(m):
     # the whole admissible window must clear validation, including the
     # decreasing-convex profiles of the sublinear exponents
-    report = validate_assumptions(COSTS["q2"], EnergySpec.power(m),
-                                  PotentialSpec.zero())
-    assert report.all_pass, [c.name for c in report.failed()]
-
-
-def test_report_serializes():
-    report = validate_assumptions(COSTS["q2"], EnergySpec.entropy(),
-                                  PotentialSpec.quadratic())
-    d = json.loads(json.dumps(_audit_dict(report)))
-    assert d["all_pass"] is True
-    assert [c["name"] for c in d["checks"]] == [
-        "cost-positivity", "cost-coercivity", "cost-growth-bounds",
-        "energy-superlinear-or-decreasing", "energy-displacement-convexity",
-        "energy-power-range", "potential-nonnegative", "potential-convexity"]
-    assert all(c["witness"] is None for c in d["checks"])
+    validate_assumptions(COSTS["q2"], EnergySpec.power(m), PotentialSpec.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +345,14 @@ def test_preset_window_agrees_with_validator(p, n):
             preset_specs(name, p=p, n=n)
         return
     spec = (CostSpec.single_power(q), EnergySpec.power(mm, coeff=nn / mm))
-    valid = validate_assumptions(*spec, PotentialSpec.zero(),
-                                 domain=(0.0, 1.0)).all_pass
-    if not valid:
+    try:
+        validate_assumptions(*spec, PotentialSpec.zero(), domain=(0.0, 1.0))
+    except InvalidSpecError:
         with pytest.raises(ParameterError, match=r"1/\(p\(p-1\)\)|sqrt 5"):
             preset_specs(name, p=p, n=n)
         return
     cost, F = preset_specs(name, p=p, n=n)
-    assert validate_assumptions(cost, F, PotentialSpec.zero(),
-                                domain=(0.0, 1.0)).all_pass
+    validate_assumptions(cost, F, PotentialSpec.zero(), domain=(0.0, 1.0))
 
 
 def test_preset_unknown():

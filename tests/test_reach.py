@@ -1,61 +1,90 @@
-"""Every top-level function and class of the library is reached by what runs.
+"""Every function, class and method of the library is reached by what runs.
 
-A definition is reached when a command, an acceptance criterion or the
-benchmark harness refers to it by name, directly or through definitions that
-are reached themselves; a helper called only by another unreached helper is
-unreached too.  The roots are the module-level statements of ``src/wflow``
-other than imports (the ``__main__`` entry points, constant tables), every
-reference in ``perfbench/*.py`` and every reference in
-``tests/test_acceptance.py``.  References are AST names, attribute names and
-imported names, never string contents: a config key spelled like a function
-does not keep the function.
+A top-level definition is reached when a command, an acceptance criterion or
+the benchmark harness refers to it by name, directly or through definitions
+that are reached themselves; a helper called only by another unreached
+helper is unreached too.  A method or property is reached only through an
+attribute reference (``obj.name``) from reached code.  Python calls dunder
+methods, and methods that override a base class's (``_Parser.error`` for
+argparse), without naming them, so those count as part of their class.  The
+roots are the module-level statements of ``src/wflow`` other than imports
+(the ``__main__`` entry points, constant tables), every reference in
+``perfbench/*.py`` and every reference in ``tests/test_acceptance.py``.
+References are AST names, attribute names and imported names, never string
+contents: a config key spelled like a function does not keep the function.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wflow"
-DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
-def referenced_names(node: ast.AST) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name.rpartition(".")[2] for alias in sub.names)
-    return names
+def references(nodes) -> tuple[set[str], set[str]]:
+    """Every name the nodes refer to, and the attribute names among them."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rpartition(".")[2] for alias in sub.names)
+    return names | attrs, attrs
+
+
+def split_class(module, node: ast.ClassDef):
+    """The class's methods reached only by name, and the rest of the class."""
+    bases = getattr(module, node.name).__mro__[1:]
+    methods, rest = [], [*node.decorator_list, *node.bases, *node.keywords]
+    for stmt in node.body:
+        named = (isinstance(stmt, ast.FunctionDef)
+                 and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+                 and not any(stmt.name in vars(base) for base in bases))
+        (methods if named else rest).append(stmt)
+    return methods, rest
 
 
 def test_every_library_definition_is_reached():
-    defs: dict[str, list[tuple[str, ast.AST]]] = {}
-    roots: set[str] = set()
+    # name -> (label, references) of each definition reached through it
+    by_name: dict[str, list] = {}
+    by_attr: dict[str, list] = {}
+    todo = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, DEFINITIONS):
-                defs.setdefault(stmt.name, []).append((path.stem, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                module = importlib.import_module(f"wflow.{path.stem}")
+                methods, rest = split_class(module, stmt)
+                label = f"{path.stem}.{stmt.name}"
+                by_name.setdefault(stmt.name, []).append((label, references(rest)))
+                for meth in methods:
+                    by_attr.setdefault(meth.name, []).append(
+                        (f"{label}.{meth.name}", references([meth])))
+            elif isinstance(stmt, ast.FunctionDef):
+                by_name.setdefault(stmt.name, []).append(
+                    (f"{path.stem}.{stmt.name}", references([stmt])))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                roots |= referenced_names(stmt)
+                todo.append(references([stmt]))
     for path in [*sorted((ROOT / "perfbench").glob("*.py")),
                  ROOT / "tests" / "test_acceptance.py"]:
-        roots |= referenced_names(ast.parse(path.read_text()))
+        todo.append(references([ast.parse(path.read_text())]))
 
     reached: set[str] = set()
-    todo = [name for name in roots if name in defs]
     while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for _, node in defs[name]:
-            todo.extend(n for n in referenced_names(node) if n in defs)
+        names, attrs = todo.pop()
+        for table, keys in ((by_name, names), (by_attr, attrs)):
+            for key in keys & table.keys():
+                for label, refs in table[key]:
+                    if label not in reached:
+                        reached.add(label)
+                        todo.append(refs)
 
-    unreached = sorted(f"{module}.{name}" for name, entries in defs.items()
-                       if name not in reached for module, _ in entries)
+    defined = {label for table in (by_name, by_attr)
+               for entries in table.values() for label, _ in entries}
+    unreached = sorted(defined - reached)
     assert not unreached, f"defined but never reached: {', '.join(unreached)}"

@@ -83,7 +83,7 @@ def test_fd_mass_conservation():
     traj = fd_solve(Q2, ENTROPY, PotentialSpec.zero(), UNIT, rho, T=0.02,
                     cfg=FdConfig(n=n, dt=1e-3))
     for r in traj.densities:
-        assert abs(r.mass() - 1.0) <= 1e-12
+        assert abs(np.sum(r.values) * r.dx - 1.0) <= 1e-12
 
 
 def test_fd_maximum_principle():
@@ -151,7 +151,7 @@ def test_gibbs_quadratic_energy_clamps():
     inside = rho.values > 1e-12
     lam = np.mean(lam_plus[inside])
     assert np.allclose(lam_plus[inside], lam, atol=1e-8)
-    assert abs(rho.mass() - 1.0) <= 1e-12
+    assert abs(np.sum(rho.values) * rho.dx - 1.0) <= 1e-12
     # hand integration: mass = int (lam - x^2/2)/2 over {V < lam}
     r = np.sqrt(2.0 * lam)
     hand = (lam * r - r**3 / 6.0) if r <= 1.0 else (lam - 1.0 / 6.0)
