@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -208,15 +209,16 @@ def output_dir(cfg: RunConfig, root: str | None) -> Path:
 # artifact writers (full round-trip decimal precision)
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(traj: SchemeTrajectory) -> str:
-    """``t,x,rho`` rows of every snapshot.
+def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
+    """Write the ``t,x,rho`` rows of every snapshot to ``fh``, one snapshot
+    at a time, so no more than one snapshot's text is held in memory.
 
     The ``x,rho`` tail of each row is formatted once per distinct snapshot:
     a snapshot that is the same object as the one before (a run at its
     fixed point) reuses the tails and only ``t`` is formatted again.
     """
     x_cells = {}
-    chunks = ["t,x,rho\n"]
+    fh.write("t,x,rho\n")
     last = tails = None
     for t, rho in zip(traj.times, traj.densities):
         if rho is not last:
@@ -227,22 +229,29 @@ def trajectory_to_csv(traj: SchemeTrajectory) -> str:
                      for x, v in zip(x_cells[grid], float_cells(rho.values))]
             last = rho
         lead = repr(float(t)) + ","
-        chunks.append(lead + lead.join(tails))
-    return "".join(chunks)
+        fh.write(lead + lead.join(tails))
 
 
-def diagnostics_to_jsonl(traj: SchemeTrajectory) -> str:
-    return "".join(json.dumps(vars(d), sort_keys=True) + "\n"
-                   for d in traj.diagnostics)
+def diagnostics_to_jsonl(traj: SchemeTrajectory, fh: TextIO) -> None:
+    """Write one JSON line per step record to ``fh``."""
+    for d in traj.diagnostics:
+        fh.write(json.dumps(vars(d), sort_keys=True) + "\n")
 
 
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _stream(path: Path, writer, traj: SchemeTrajectory) -> None:
+    """Write one artifact of ``traj`` to ``path`` as ``writer`` formats it;
+    the file is opened with the same defaults as ``Path.write_text``."""
+    with open(path, "w") as fh:
+        writer(traj, fh)
+
+
 def _write_trajectory(out: Path, traj: SchemeTrajectory) -> None:
-    (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
-    (out / "diagnostics.jsonl").write_text(diagnostics_to_jsonl(traj))
+    _stream(out / "trajectory.csv", trajectory_to_csv, traj)
+    _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
 
 
 def _report_document(cfg: RunConfig, *, led=None, rate_fits=(),
@@ -358,8 +367,8 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     except WflowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
-    (out / "reference.csv").write_text(trajectory_to_csv(fd))
+    _stream(out / "trajectory.csv", trajectory_to_csv, traj)
+    _stream(out / "reference.csv", trajectory_to_csv, fd)
     passes = table.l1_final <= threshold
     report = _report_document(cfg, comparisons=[{
         "against": "finite-difference reference",

@@ -8,7 +8,6 @@ plain CDF algebra without interpolation heuristics.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,7 +274,7 @@ def density_to_csv(rho: GridDensity) -> str:
 
 
 def density_from_csv(text: str) -> GridDensity:
-    rows = [line for line in io.StringIO(text).read().splitlines() if line.strip()]
+    rows = [line for line in text.splitlines() if line.strip()]
     if not rows or rows[0].strip() != "x,rho":
         raise InvalidDensityError("expected header 'x,rho'")
     data = np.array([[float(tok) for tok in row.split(",")] for row in rows[1:]])

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +279,10 @@ def test_run_solver_failure_exits_2_with_partial(tmp_path, outroot):
     assert "trajectory.csv" in files  # partial trajectory still written
     text = (rundir / "trajectory.csv").read_text()
     assert text.startswith("t,x,rho")
+    # only whole rows: the header, then n rows per written snapshot
+    steps = (rundir / "diagnostics.jsonl").read_text().count("\n")
+    assert text.endswith("\n")
+    assert text.count("\n") == 1 + 64 * (1 + steps)
 
 
 def test_run_missing_rho0_csv(tmp_path, outroot):
@@ -346,6 +352,12 @@ def per_row_trajectory_csv(traj):
     return "\n".join(lines) + "\n"
 
 
+def csv_text(traj):
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    return buf.getvalue()
+
+
 def test_trajectory_csv_matches_per_row_reference(tmp_path):
     cfg = load_config(write_config(tmp_path, potential={
         "kind": "quadratic", "kappa": 1.0, "center": 0.3}))
@@ -358,7 +370,7 @@ def test_trajectory_csv_matches_per_row_reference(tmp_path):
     mixed = SchemeTrajectory(times=(0.0, 0.1, 0.2, 0.3, 0.4),
                              densities=(cfg.rho0, wide, fd.final, coarse, wide))
     for tr in (traj, fd, mixed):
-        assert trajectory_to_csv(tr) == per_row_trajectory_csv(tr)
+        assert csv_text(tr) == per_row_trajectory_csv(tr)
 
 
 def parent_trajectory_to_csv(traj: SchemeTrajectory) -> str:
@@ -387,8 +399,31 @@ def test_trajectory_csv_bytes_match_parent_writer():
     two_grids = (a, coarse, coarse, b, coarse, a, a)
     for densities in (same_object, equal_copies, two_grids):
         traj = SchemeTrajectory(times=times, densities=densities)
-        assert trajectory_to_csv(traj).encode() == \
+        assert csv_text(traj).encode() == \
             parent_trajectory_to_csv(traj).encode()
+
+
+def test_trajectory_csv_streams_to_its_file(tmp_path):
+    # the writer holds one snapshot's text at a time, never the whole file
+    dom = Domain(0.0, 1.0)
+    xc = dom.centers(256)
+    densities = tuple(
+        normalize(1.0 + 0.5 * np.cos(2 * np.pi * (xc + 0.01 * k)), dom)[0]
+        for k in range(120))
+    traj = SchemeTrajectory(times=tuple(0.01 * k for k in range(120)),
+                            densities=densities)
+    path = tmp_path / "trajectory.csv"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with open(path, "w") as fh:
+            trajectory_to_csv(traj, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    assert peak < size / 4
 
 
 def test_crosscheck_heat(tmp_path, outroot):
