@@ -36,6 +36,8 @@ CONFIG_KEYS = frozenset({
     "energy_terms", "potential", "domain_a", "domain_b", "n", "m", "h", "T",
     "rho0", "floor_delta", "solver_tol", "newton_max_iter", "output_dir",
 })
+# largest n or m: four times the finest grid any test or benchmark uses
+MAX_GRID = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +172,8 @@ def _parse_config(raw) -> RunConfig:
     potential = _potential_from_config(raw.get("potential"))
     domain = Domain(a=float(raw.get("domain_a", 0.0)),
                     b=float(raw.get("domain_b", 1.0)))
-    n = int(raw.get("n", 256))
-    m = int(raw.get("m", n))
+    n = _grid_size(raw, "n", 256)
+    m = _grid_size(raw, "m", n)
     h = float(raw.get("h", 1e-2))
     T = float(raw.get("T", 1.0))
     rho0 = _rho0_from_config(raw.get("rho0"), domain, n)
@@ -191,6 +193,17 @@ def _parse_config(raw) -> RunConfig:
                                     JkoProblem.newton_max_iter)),
         label=preset or "custom",
     )
+
+
+def _grid_size(raw: dict, key: str, default: int) -> int:
+    """``raw[key]`` as a cell count: an integral JSON number in [1, MAX_GRID]."""
+    v = raw.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if type(v) is not int or not 1 <= v <= MAX_GRID:
+        raise ValueError(
+            f"{key} must be an integer in [1, {MAX_GRID}], got {v!r}")
+    return v
 
 
 def config_hash(raw: dict) -> str:

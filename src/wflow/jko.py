@@ -54,8 +54,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .convex import CostSpec, EnergySpec, PotentialSpec, validate_assumptions
 from .density import (
     Domain,

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .convex import CostSpec, EnergySpec, PotentialSpec
 from .density import Domain, GridDensity
 from .errors import ConvergenceError, ParameterError

@@ -12,6 +12,7 @@ import pytest
 from wflow import cli, refsolve
 from wflow.cli import (
     CONFIG_KEYS,
+    MAX_GRID,
     cmd_crosscheck,
     cmd_oracle,
     cmd_run,
@@ -115,6 +116,16 @@ REJECTED_CONFIGS = {
     "newton-max-iter-negative": {"newton_max_iter": -1},
     "solver-tol-nan": {"solver_tol": float("nan")},
     "solver-tol-negative": {"solver_tol": -1.0},
+    # grid sizes are integral JSON numbers in [1, MAX_GRID]: a bool, string
+    # or fraction must not be coerced, nor a size numpy cannot allocate tried
+    "n-bool": {"n": True},
+    "n-string": {"n": "64"},
+    "n-fraction": {"n": 64.9},
+    "n-zero": {"n": 0},
+    "n-over-cap": {"n": MAX_GRID + 1},
+    "m-bool": {"m": True},
+    "m-fraction": {"m": 64.9},
+    "m-huge": {"m": 1e11},
 }
 
 
@@ -144,6 +155,20 @@ def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
     for key in set(overrides) - CONFIG_KEYS:
         assert key in err
     assert not outroot.exists()
+
+
+@pytest.mark.parametrize("key", ["n", "m"])
+def test_grid_size_error_names_key_and_range(tmp_path, key):
+    path = write_config(tmp_path, **{key: 1e11})
+    with pytest.raises(ParameterError,
+                       match=rf"{key} must be an integer in \[1, {MAX_GRID}\]"):
+        load_config(path)
+
+
+def test_grid_sizes_accept_integral_numbers_up_to_the_cap(tmp_path):
+    cfg = load_config(write_config(tmp_path, n=64.0, m=MAX_GRID))
+    assert (cfg.n, cfg.m) == (64, MAX_GRID)
+    assert type(cfg.n) is int
 
 
 def test_unknown_config_key_is_named(tmp_path):
@@ -497,16 +522,36 @@ def test_oracle_underflowing_cost_exits_2(capsys, argv):
     assert "max relative deviation" not in captured.out
 
 
-def test_run_loads_neither_scipy_optimize_nor_special(tmp_path):
+# a fresh command's config overrides and extra arguments, chosen so that each
+# runs its whole path and exits 0
+FRESH_COMMANDS = {
+    "run": ({}, []),
+    "study": ({"domain_b": 2.0, "T": 0.5,
+               "rho0": {"profile": "cosine", "amplitude": 0.4,
+                        "frequency": 0.5}},
+              ["--values", "0.05,0.025,0.0125,0.00625"]),
+    "crosscheck": ({"h": 1e-3}, []),
+}
+
+
+@pytest.mark.parametrize("command", FRESH_COMMANDS)
+def test_fresh_command_loads_no_scipy_subpackage(tmp_path, command):
+    # dgtsv comes from scipy's LAPACK extension alone (wflow._lapack),
     # scipy.optimize serves only `oracle` with more than 8 atoms, and
     # refsolve.barenblatt takes its gamma function from math
-    path = write_config(tmp_path)
+    overrides, extra = FRESH_COMMANDS[command]
+    argv = [command, "--config", str(write_config(tmp_path, **overrides)),
+            *extra]
     script = (
         "import sys\n"
         "from wflow.cli import main\n"
-        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.special')"
-        " if m in sys.modules))\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize',"
+        " 'scipy.special') if m in sys.modules))\n"
+        # scipy.linalg, imported after wflow, reuses wflow's LAPACK module
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "import scipy.linalg.lapack\n"
+        "assert scipy.linalg.lapack._flapack is flapack\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, WFLOW_OUT=str(tmp_path / "artifacts"),

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
@@ -388,8 +388,24 @@ def _recorded_run(pb, rho0, T):
     return traj, nodes
 
 
+def _q201_case():
+    # the draw that found the line-search overflow: at cost exponent
+    # q = 201 a first trial reaches |v| ~ 36, where |v|^200 overflows.  Which
+    # examples the strategy draws depends on the test files pytest collects,
+    # so this one is pinned.
+    p = P_MIN
+    cost, energy = preset_specs("doubly-degenerate", p=p,
+                                n=1.0 / (p * (p - 1.0)) + 1.0)
+    pb = JkoProblem(cost=cost, energy=energy, potential=PotentialSpec.zero(),
+                    domain=UNIT, h=1e-3, m=8)
+    rho0 = normalize(1.0 + 0.12 * np.cos(np.pi * UNIT.centers(8)), UNIT)[0]
+    return pb, rho0, 5 * pb.h
+
+
+@pytest.mark.filterwarnings("error")
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(problems())
+@example(_q201_case())
 def test_run_invariants(case):
     pb, rho0, T = case
     traj, nodes = _recorded_run(pb, rho0, T)
