@@ -38,6 +38,9 @@ CONFIG_KEYS = frozenset({
 })
 # largest n or m: four times the finest grid any test or benchmark uses
 MAX_GRID = 1 << 16
+# largest held trajectory, (steps + 1) * n values (1 GiB of float64): over
+# 500 times the most any test or benchmark holds, 1001 * 256
+MAX_HELD = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +66,16 @@ class RunConfig:
 
     def problem(self, h: float | None = None) -> JkoProblem:
         """The step problem at step size ``h`` (default: the config's), with
-        its step count to ``T`` checked."""
+        its step count to ``T`` and the trajectory it holds checked."""
         pb = JkoProblem(cost=self.cost, energy=self.energy,
                         potential=self.potential, domain=self.domain,
                         h=self.h if h is None else h, m=self.m,
                         tol=self.tol, newton_max_iter=self.newton_max_iter)
-        step_count(self.T, pb.h)
+        held = (step_count(self.T, pb.h) + 1) * self.n
+        if held > MAX_HELD:
+            raise ParameterError(
+                f"T = {self.T!r}, h = {pb.h!r} and n = {self.n} hold {held} "
+                f"trajectory values, over the cap of {MAX_HELD}")
         return pb
 
     def initial_density(self) -> GridDensity:
@@ -133,7 +140,8 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse and validate one run description; malformed ones raise ParameterError."""
     try:
         return _parse_config(json.loads(Path(path).read_text()))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ParameterError(
             f"malformed config: {type(exc).__name__}: {exc}") from exc
 
@@ -170,16 +178,14 @@ def _parse_config(raw) -> RunConfig:
             raise ParameterError("explicit configs need energy_terms")
         energy = EnergySpec(terms=tuple(eterms))
     potential = _potential_from_config(raw.get("potential"))
-    domain = Domain(a=float(raw.get("domain_a", 0.0)),
-                    b=float(raw.get("domain_b", 1.0)))
+    domain = Domain(a=_number(raw, "domain_a", 0.0),
+                    b=_number(raw, "domain_b", 1.0))
     n = _grid_size(raw, "n", 256)
     m = _grid_size(raw, "m", n)
-    h = float(raw.get("h", 1e-2))
-    T = float(raw.get("T", 1.0))
     rho0 = _rho0_from_config(raw.get("rho0"), domain, n)
-    floor_delta = raw.get("floor_delta")
-    if floor_delta is not None:
-        floor_delta = float(floor_delta)
+    floor_delta = None
+    if raw.get("floor_delta") is not None:
+        floor_delta = _number(raw, "floor_delta", None)
         if not (floor_delta > 0.0):
             raise ParameterError(f"floor_delta must be positive, got {floor_delta}")
     elif not rho0.strictly_positive:
@@ -187,20 +193,29 @@ def _parse_config(raw) -> RunConfig:
             "initial density has zero cells; set floor_delta to floor it")
     return RunConfig(
         raw=raw, cost=cost, energy=energy, potential=potential, domain=domain,
-        n=n, m=m, h=h, T=T, rho0=rho0, floor_delta=floor_delta,
-        tol=float(raw.get("solver_tol", JkoProblem.tol)),
-        newton_max_iter=int(raw.get("newton_max_iter",
-                                    JkoProblem.newton_max_iter)),
-        label=preset or "custom",
-    )
+        n=n, m=m, h=_number(raw, "h", 1e-2), T=_number(raw, "T", 1.0),
+        rho0=rho0, floor_delta=floor_delta, label=preset or "custom",
+        tol=_number(raw, "solver_tol", JkoProblem.tol),
+        newton_max_iter=_number(raw, "newton_max_iter",
+                                JkoProblem.newton_max_iter, integral=True))
+
+
+def _number(raw: dict, key: str, default, integral: bool = False):
+    """``raw[key]`` as a JSON number, never a bool or a string: a float, or an
+    int if ``integral`` (``64.0`` counts).  Users check the range."""
+    v = raw.get(key, default)
+    if integral and isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if type(v) is int or type(v) is float and not integral:
+        return v if integral else float(v)
+    raise ValueError(f"{key} must be {'an integer' if integral else 'a number'}"
+                     f", got {v!r}")
 
 
 def _grid_size(raw: dict, key: str, default: int) -> int:
     """``raw[key]`` as a cell count: an integral JSON number in [1, MAX_GRID]."""
-    v = raw.get(key, default)
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if type(v) is not int or not 1 <= v <= MAX_GRID:
+    v = _number(raw, key, default, integral=True)
+    if not 1 <= v <= MAX_GRID:
         raise ValueError(
             f"{key} must be an integer in [1, {MAX_GRID}], got {v!r}")
     return v

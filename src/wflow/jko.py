@@ -72,7 +72,6 @@ from .errors import (
     ParameterError,
     SchemeAbortError,
 )
-from .transport import monotone_map
 
 VACUUM_FLOOR_FACTOR = 1e-14
 MAX_STEPS = 10**6
@@ -117,7 +116,6 @@ class StepDiagnostics:
     E_free_after: float
     second_moment: float
     dissipation: float
-    el_residual_L1: float
     kkt_residual: float
     iterations: int
 
@@ -386,16 +384,14 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
     """Ledger entries of one step: ``before = (E_internal, E_free)`` at
     ``Xprev``, everything else read off the final evaluation.
 
-    The Euler-Lagrange pieces are the velocity-matching residual and the
-    dissipation integrand on mass cells.  Means are sums over the ``m``
-    cells divided by ``m``, as ``np.mean`` forms them.
+    The dissipation integrand is taken on mass cells.  Means are sums over
+    the ``m`` cells divided by ``m``, as ``np.mean`` forms them.
     """
     k = problem.m
     wv = problem.energy.derivative(final.rho)
     if final.V is not None:
         wv += final.V
     dw = _gradient(wv, final.M)
-    gap = final.v - problem.cost.conjugate_gradient(dw)
     return StepDiagnostics(
         W_value=float(final.c.sum()) / k,
         E_internal_before=before[0],
@@ -404,7 +400,6 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
         E_free_after=final.e_free,
         second_moment=float((final.disp**2).sum()) / k,
         dissipation=float((np.abs(dw) ** problem.cost.qstar).sum()) / k,
-        el_residual_L1=float(np.abs(gap, out=gap).sum()) / k,
         kkt_residual=r,
         iterations=iterations,
     )
@@ -453,24 +448,6 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
         raise ConvergenceError("step increased the objective", best=final.X,
                                residual=r)
     return final.X, _step_diagnostics(problem, before, final, r, nit)
-
-
-def jko_step(problem: JkoProblem, rho_prev: GridDensity
-             ) -> tuple[GridDensity, StepDiagnostics]:
-    """One steepest-descent step between grid densities.
-
-    The previous density is lifted to quantile coordinates, the convex step
-    problem is solved there, and the minimizer is rasterized back onto the
-    same grid.
-    """
-    if not rho_prev.strictly_positive:
-        raise InvalidDensityError(
-            "step solver needs strictly positive densities; "
-            "floor degenerate data first")
-    X_prev = to_quantiles(rho_prev, problem.m).X
-    X, diag = jko_step_nodes(problem, X_prev)
-    rho = from_quantiles(QuantileRep(domain=problem.domain, X=X), rho_prev.n)
-    return rho, diag
 
 
 def step_count(T: float, h: float) -> int:
@@ -534,21 +511,6 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
 # Euler-Lagrange residual on grid densities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VelocityField:
-    """Sampled step velocity: map side and flux side of the optimality law."""
-
-    y: np.ndarray
-    map_side: np.ndarray
-    flux_side: np.ndarray
-    weights: np.ndarray
-
-    def relative_residual(self) -> float:
-        num = float(np.sum(np.abs(self.map_side - self.flux_side) * self.weights))
-        den = float(np.sum(np.abs(self.flux_side) * self.weights))
-        return num / max(den, 1e-300)
-
-
 def _binomial_smooth(w: np.ndarray, passes: int = 4) -> np.ndarray:
     # damps the cell-scale sawtooth that exact-mass rasterization leaves in
     # neighboring-cell increments; bias is O(dx^2) per pass
@@ -559,20 +521,20 @@ def _binomial_smooth(w: np.ndarray, passes: int = 4) -> np.ndarray:
 
 
 def euler_lagrange_residual(problem: JkoProblem, rho_prev: GridDensity,
-                            rho_next: GridDensity
-                            ) -> tuple[float, VelocityField]:
-    """Check the step optimality law between two grid densities.
+                            rho_next: GridDensity) -> float:
+    """Relative residual of the step optimality law between grid densities.
 
-    The map side ``(S(y) - y)/h`` uses the monotone map pushing ``rho_next``
-    to ``rho_prev``, evaluated at the half-level quantile positions where the
-    pairing is exact; the flux side applies the conjugate-gradient
-    nonlinearity to centered grid differences of ``F'(rho_next) + V``
-    interpolated at the same points.  The residual is the density-weighted
-    L1 gap, computed by mass quadrature.
+    The map side ``(S(y) - y)/h`` pairs the ``m``-quantiles of ``rho_next``
+    (``y``) and ``rho_prev`` (``S(y)``) at half levels, where the pairing is
+    exact; the flux side applies the conjugate-gradient nonlinearity to
+    centered grid differences of ``F'(rho_next) + V`` interpolated at the
+    same points.  Both sides are weighed by mass quadrature: the L1 gap over
+    the L1 size of the flux side.
     """
-    S = monotone_map(rho_prev, rho_next, problem.m)
-    y = 0.5 * (S.X_src[:-1] + S.X_src[1:])
-    target = 0.5 * (S.X_tgt[:-1] + S.X_tgt[1:])
+    X_src = to_quantiles(rho_next, problem.m).X
+    X_tgt = to_quantiles(rho_prev, problem.m).X
+    y = 0.5 * (X_src[:-1] + X_src[1:])
+    target = 0.5 * (X_tgt[:-1] + X_tgt[1:])
     lhs = (target - y) / problem.h
     wv = problem.energy.derivative(rho_next.values)
     if not problem.potential.is_zero:
@@ -580,9 +542,9 @@ def euler_lagrange_residual(problem: JkoProblem, rho_prev: GridDensity,
     dw = _gradient(_binomial_smooth(wv), rho_next.centers)
     rhs = problem.cost.conjugate_gradient(np.interp(y, rho_next.centers, dw))
     weights = np.full(y.size, 1.0 / y.size)
-    residual = float(np.sum(np.abs(lhs - rhs) * weights))
-    return residual, VelocityField(y=y, map_side=lhs, flux_side=rhs,
-                                   weights=weights)
+    num = float(np.sum(np.abs(lhs - rhs) * weights))
+    den = float(np.sum(np.abs(rhs) * weights))
+    return num / max(den, 1e-300)
 
 
 # ---------------------------------------------------------------------------

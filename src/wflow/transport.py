@@ -1,8 +1,8 @@
 """Exact optimal transport on the line.
 
 For strictly convex costs of the displacement, the optimal coupling between
-two densities pairs their quantiles (the monotone map); the brute-force
-oracle certifies that optimality on small discrete instances.
+two densities pairs their quantiles (``density.to_quantiles``); the
+brute-force oracle certifies that optimality on small discrete instances.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import CostSpec
-from .density import GridDensity, QuantileRep, from_quantiles, to_quantiles
 from .errors import OracleLimitError, ParameterError
 
 EXHAUSTIVE_LIMIT = 8
@@ -21,61 +20,10 @@ ORACLE_LIMIT = 64
 
 
 @dataclass(frozen=True)
-class MonotoneMap:
-    """Quantile pairing realizing the monotone optimal map.
-
-    ``S`` pushes the source density forward to the target density; it maps
-    the ``i``-th source quantile onto the ``i``-th target quantile and is
-    linear between them.
-    """
-
-    X_src: np.ndarray
-    X_tgt: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.X_src, dtype=float)
-        xt = np.asarray(self.X_tgt, dtype=float)
-        if xs.shape != xt.shape or xs.ndim != 1 or xs.size < 2:
-            raise ParameterError("quantile vectors must be 1-D of equal length")
-        object.__setattr__(self, "X_src", xs)
-        object.__setattr__(self, "X_tgt", xt)
-
-
-@dataclass(frozen=True)
 class TransportPlan:
     """Discrete coupling: atoms ``(x, y, mass)`` with equal-weight marginals."""
 
     atoms: tuple[tuple[float, float, float], ...]
-
-
-@dataclass(frozen=True)
-class InterpolantPath:
-    """Displacement interpolation data between a base density and a target."""
-
-    rho_base: GridDensity
-    map: MonotoneMap
-
-
-def monotone_map(rho0: GridDensity, rho1: GridDensity, m: int) -> MonotoneMap:
-    """Monotone map pushing ``rho1`` forward to ``rho0`` at resolution ``m``."""
-    q1 = to_quantiles(rho1, m)
-    q0 = to_quantiles(rho0, m)
-    return MonotoneMap(X_src=q1.X, X_tgt=q0.X)
-
-
-def displacement_interpolate(path: InterpolantPath, t: float,
-                             n: int) -> GridDensity:
-    """Density of the interpolant ``((1-t) id + t S)`` push-forward."""
-    if not (0.0 <= t <= 1.0):
-        raise ParameterError(f"interpolation parameter must be in [0, 1], got {t}")
-    Xt = (1.0 - t) * path.map.X_src + t * path.map.X_tgt
-    rep = QuantileRep(domain=path.rho_base.domain, X=Xt)
-    return from_quantiles(rep, n)
-
-
-def make_path(rho0: GridDensity, rho1: GridDensity, m: int) -> InterpolantPath:
-    """Displacement path from ``rho1`` (t=0) to ``rho0`` (t=1)."""
-    return InterpolantPath(rho_base=rho1, map=monotone_map(rho0, rho1, m))
 
 
 # ---------------------------------------------------------------------------

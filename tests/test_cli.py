@@ -13,6 +13,7 @@ from wflow import cli, refsolve
 from wflow.cli import (
     CONFIG_KEYS,
     MAX_GRID,
+    MAX_HELD,
     cmd_crosscheck,
     cmd_oracle,
     cmd_run,
@@ -126,6 +127,20 @@ REJECTED_CONFIGS = {
     "m-bool": {"m": True},
     "m-fraction": {"m": 64.9},
     "m-huge": {"m": 1e11},
+    # the other numeric keys are JSON numbers too, and newton_max_iter an
+    # integral one: no bool, string or fraction is coerced
+    "newton-max-iter-fraction": {"newton_max_iter": 2.7},
+    "newton-max-iter-bool": {"newton_max_iter": True},
+    "newton-max-iter-string": {"newton_max_iter": "40"},
+    "T-string": {"T": "0.02"},
+    "h-bool": {"h": True},
+    "solver-tol-string": {"solver_tol": "1e-9"},
+    "domain-b-bool": {"domain_b": True},
+    # an integer literal too large for a float
+    "T-int-over-float-range": {"T": 10**400},
+    # 4001 to 32001 snapshots of 65536 cells, at every step size tried: a
+    # held trajectory over MAX_HELD values
+    "held-trajectory-over-cap": {"n": MAX_GRID, "T": 200.0},
 }
 
 
@@ -169,6 +184,16 @@ def test_grid_sizes_accept_integral_numbers_up_to_the_cap(tmp_path):
     cfg = load_config(write_config(tmp_path, n=64.0, m=MAX_GRID))
     assert (cfg.n, cfg.m) == (64, MAX_GRID)
     assert type(cfg.n) is int
+
+
+def test_held_trajectory_cap_names_the_numbers(tmp_path):
+    # 2048 snapshots of 65536 cells hold exactly MAX_HELD values
+    cfg = load_config(write_config(tmp_path, n=MAX_GRID, h=0.5, T=1023.5))
+    assert (2047 + 1) * MAX_GRID == MAX_HELD
+    cfg.problem()
+    with pytest.raises(ParameterError, match=rf"hold {MAX_HELD + MAX_GRID} "
+                       rf"trajectory values, over the cap of {MAX_HELD}"):
+        cfg.problem(h=1023.5 / 2048)
 
 
 def test_unknown_config_key_is_named(tmp_path):
@@ -275,9 +300,9 @@ def test_run_writes_artifacts_and_passes(tmp_path, outroot):
     lines = (rundirs[0] / "diagnostics.jsonl").read_text().strip().splitlines()
     assert len(lines) == 5
     rec = json.loads(lines[0])
-    assert {"W_value", "E_internal_before", "E_internal_after",
-            "E_free_before", "E_free_after", "second_moment", "dissipation",
-            "el_residual_L1", "kkt_residual", "iterations"} <= set(rec)
+    assert set(rec) == {"W_value", "E_internal_before", "E_internal_after",
+                        "E_free_before", "E_free_after", "second_moment",
+                        "dissipation", "kkt_residual", "iterations"}
 
 
 def test_run_byte_identical(tmp_path, outroot):

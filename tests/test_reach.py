@@ -12,6 +12,9 @@ roots are the module-level statements of ``src/wflow`` other than imports
 ``perfbench/*.py`` and every reference in ``tests/test_acceptance.py``.
 References are AST names, attribute names and imported names, never string
 contents: a config key spelled like a function does not keep the function.
+
+The same walk checks that no module of ``src/wflow`` or ``tests`` imports a
+name at top level that it never refers to.
 """
 
 from __future__ import annotations
@@ -88,3 +91,20 @@ def test_every_library_definition_is_reached():
                for entries in table.values() for label, _ in entries}
     unreached = sorted(defined - reached)
     assert not unreached, f"defined but never reached: {', '.join(unreached)}"
+
+
+def test_every_top_level_import_is_used():
+    unused = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted(ROOT.glob("tests/*.py"))]:
+        body = ast.parse(path.read_text()).body
+        imports = [stmt for stmt in body
+                   if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                   and getattr(stmt, "module", None) != "__future__"]
+        used = {sub.id for stmt in body if stmt not in imports
+                for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+        for stmt in imports:
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    assert not unused, f"imported but never used: {', '.join(unused)}"

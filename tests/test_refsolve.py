@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wflow.convex import CostSpec, EnergySpec, PotentialSpec
-from wflow.density import Domain, GridDensity, l1_distance, normalize
+from wflow.density import Domain, l1_distance, normalize
 from wflow.errors import ConvergenceError, ParameterError
 from wflow.refsolve import (
     FdConfig,

@@ -9,15 +9,10 @@ from wflow.density import (
     l1_distance,
     normalize,
     quantile_internal_energy,
+    to_quantiles,
 )
 from wflow.errors import OracleLimitError, ParameterError
-from wflow.transport import (
-    displacement_interpolate,
-    lp_oracle,
-    make_path,
-    monotone_atom_cost,
-    monotone_map,
-)
+from wflow.transport import lp_oracle, monotone_atom_cost
 
 Q2 = CostSpec.single_power(2.0)
 SQUARE = CostSpec(terms=((1.0, 2.0),))  # |z|^2
@@ -37,8 +32,15 @@ def transport_work(rho0, rho1, cost, h, m=512):
     return monotone_atom_cost(rho0.quantile(s), rho1.quantile(s), cost, h)
 
 
-def interpolant_quantiles(path, t):
-    return (1.0 - t) * path.map.X_src + t * path.map.X_tgt
+def quantile_pair(rho0, rho1, m):
+    """Quantiles ``(X1, X0)`` of ``rho1`` and ``rho0``: the monotone map
+    pushing ``rho1`` forward to ``rho0`` sends ``X1[i]`` to ``X0[i]``."""
+    return to_quantiles(rho1, m).X, to_quantiles(rho0, m).X
+
+
+def interpolant(X1, X0, t, n, domain=WIDE):
+    """Density of the displacement interpolant ``(1 - t) X1 + t X0``."""
+    return from_quantiles(QuantileRep(domain, (1.0 - t) * X1 + t * X0), n)
 
 
 def smooth_density(domain, n, amp=0.5, freq=1, phase=0.0):
@@ -55,33 +57,33 @@ def smooth_density(domain, n, amp=0.5, freq=1, phase=0.0):
 def test_identity_map_between_equal_densities():
     rho = smooth_density(WIDE, 64)
     m = 128
-    S = monotone_map(rho, rho, m)
+    X1, X0 = quantile_pair(rho, rho, m)
     y = np.linspace(0.01, 1.99, 97)
-    assert np.max(np.abs(np.interp(y, S.X_src, S.X_tgt) - y)) <= 1.0 / m
+    assert np.max(np.abs(np.interp(y, X1, X0) - y)) <= 1.0 / m
 
 
 def test_translation_map():
     rho1 = block_density(WIDE, 128, 0.0, 1.0)
     rho0 = block_density(WIDE, 128, 1.0, 2.0)
-    S = monotone_map(rho0, rho1, 64)
+    X1, X0 = quantile_pair(rho0, rho1, 64)
     y = np.linspace(0.05, 0.95, 50)
-    assert np.max(np.abs(np.interp(y, S.X_src, S.X_tgt) - (y + 1.0))) <= 2e-2
+    assert np.max(np.abs(np.interp(y, X1, X0) - (y + 1.0))) <= 2e-2
 
 
 def test_dilation_map():
     rho1, _ = normalize(np.ones(128), WIDE)
     rho0 = block_density(WIDE, 128, 0.0, 1.0)
-    S = monotone_map(rho0, rho1, 256)
+    X1, X0 = quantile_pair(rho0, rho1, 256)
     y = np.linspace(0.1, 1.9, 40)
-    assert np.max(np.abs(np.interp(y, S.X_src, S.X_tgt) - y / 2.0)) <= 1e-2
+    assert np.max(np.abs(np.interp(y, X1, X0) - y / 2.0)) <= 1e-2
 
 
 def test_push_forward_residual_small():
     rho1 = smooth_density(WIDE, 128, amp=0.4)
     rho0 = smooth_density(WIDE, 128, amp=0.4, phase=1.2)
     m = 256
-    S = monotone_map(rho0, rho1, m)
-    pushed = from_quantiles(QuantileRep(domain=WIDE, X=S.X_tgt), rho0.n)
+    _, X0 = quantile_pair(rho0, rho1, m)
+    pushed = from_quantiles(QuantileRep(domain=WIDE, X=X0), rho0.n)
     assert l1_distance(pushed, rho0) <= 2.0 / m + 1e-9
 
 
@@ -212,11 +214,9 @@ def test_interpolation_endpoints():
     rho1 = smooth_density(WIDE, 128, amp=0.4)
     rho0 = smooth_density(WIDE, 128, amp=0.4, phase=2.0)
     m = 512
-    path = make_path(rho0, rho1, m)
-    assert l1_distance(displacement_interpolate(path, 0.0, 128), rho1) <= 2.0 / m
-    assert l1_distance(displacement_interpolate(path, 1.0, 128), rho0) <= 2.0 / m
-    with pytest.raises(ParameterError):
-        displacement_interpolate(path, 1.5, 128)
+    X1, X0 = quantile_pair(rho0, rho1, m)
+    assert l1_distance(interpolant(X1, X0, 0.0, 128), rho1) <= 2.0 / m
+    assert l1_distance(interpolant(X1, X0, 1.0, 128), rho0) <= 2.0 / m
 
 
 def test_interpolant_sup_bound():
@@ -226,27 +226,27 @@ def test_interpolant_sup_bound():
         rho1, _ = normalize(rng.uniform(0.25, 2.0, 64), WIDE)
         rho0, _ = normalize(rng.uniform(0.25, 2.0, 64), WIDE)
         lim = max(rho0.values.max(), rho1.values.max())
-        path = make_path(rho0, rho1, m)
+        X1, X0 = quantile_pair(rho0, rho1, m)
         for t in (0.25, 0.5, 0.75):
-            rho_t = displacement_interpolate(path, t, 64)
+            rho_t = interpolant(X1, X0, t, 64)
             assert rho_t.values.max() <= lim + 4.0 / m
 
 
 def test_interpolant_mass():
     rho1 = smooth_density(WIDE, 64, amp=0.7)
     rho0 = smooth_density(WIDE, 64, amp=0.2, freq=2)
-    path = make_path(rho0, rho1, 256)
+    X1, X0 = quantile_pair(rho0, rho1, 256)
     for t in (0.3, 0.9):
-        rho = displacement_interpolate(path, t, 96)
+        rho = interpolant(X1, X0, t, 96)
         assert np.sum(rho.values) * rho.dx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interpolant_map_monotone_for_all_t():
     rho1 = smooth_density(WIDE, 64, amp=0.8, freq=2)
     rho0 = smooth_density(WIDE, 64, amp=0.8, freq=3)
-    path = make_path(rho0, rho1, 128)
+    X1, X0 = quantile_pair(rho0, rho1, 128)
     for t in np.linspace(0, 1, 11):
-        Xt = interpolant_quantiles(path, float(t))
+        Xt = (1.0 - t) * X1 + t * X0
         assert np.all(np.diff(Xt) > 0.0)
 
 
@@ -255,11 +255,11 @@ def test_displacement_convexity_of_internal_energy():
     # quantile form where each term is convex-in-t exactly
     rho1 = smooth_density(WIDE, 128, amp=0.6)
     rho0 = smooth_density(WIDE, 128, amp=0.6, phase=2.5)
-    path = make_path(rho0, rho1, 512)
+    X1, X0 = quantile_pair(rho0, rho1, 512)
     for F in (EnergySpec.entropy(), EnergySpec.power(2.0)):
         ts = np.linspace(0.0, 1.0, 11)
-        es = np.array([quantile_internal_energy(
-            interpolant_quantiles(path, float(t)), F) for t in ts])
+        es = np.array([quantile_internal_energy((1.0 - t) * X1 + t * X0, F)
+                       for t in ts])
         violation = np.max(es[1:-1] - 0.5 * (es[:-2] + es[2:]))
         assert violation <= 1e-8
 
@@ -269,10 +269,10 @@ def test_jacobian_identity_pointwise():
     n, m = 4096, 4096
     rho1 = smooth_density(WIDE, n, amp=0.5)
     rho0 = smooth_density(WIDE, n, amp=0.3, freq=2)
-    path = make_path(rho0, rho1, m)
+    X, X0 = quantile_pair(rho0, rho1, m)
     t = 0.5
-    X, Xt = path.map.X_src, interpolant_quantiles(path, t)
-    rho_t = displacement_interpolate(path, t, n)
+    Xt = (1.0 - t) * X + t * X0
+    rho_t = interpolant(X, X0, t, n)
     y = np.linspace(0.05, 1.95, 401)
     lhs = rho1.values[np.clip(((y - 0.0) / rho1.dx).astype(int), 0, n - 1)]
     xt = np.interp(y, X, Xt)
