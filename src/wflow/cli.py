@@ -41,6 +41,10 @@ MAX_GRID = 1 << 16
 # largest held trajectory, (steps + 1) * n values (1 GiB of float64): over
 # 500 times the most any test or benchmark holds, 1001 * 256
 MAX_HELD = 1 << 27
+# largest solver work, steps * m for the scheme and steps * n for the
+# crosscheck reference: 20 times the most any test or benchmark asks for,
+# 200 * 16384
+MAX_WORK = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +70,8 @@ class RunConfig:
 
     def problem(self, h: float | None = None) -> JkoProblem:
         """The step problem at step size ``h`` (default: the config's), with
-        its step count to ``T`` and the trajectory it holds checked."""
+        its step count to ``T``, the trajectory it holds and its solver work
+        checked."""
         pb = JkoProblem(cost=self.cost, energy=self.energy,
                         potential=self.potential, domain=self.domain,
                         h=self.h if h is None else h, m=self.m,
@@ -76,7 +81,22 @@ class RunConfig:
             raise ParameterError(
                 f"T = {self.T!r}, h = {pb.h!r} and n = {self.n} hold {held} "
                 f"trajectory values, over the cap of {MAX_HELD}")
+        self._check_work(pb.h, "m", self.m)
         return pb
+
+    def reference(self) -> refsolve.FdConfig:
+        """The crosscheck's finite-difference grid and step, with its solver
+        work checked."""
+        self._check_work(self.h, "n", self.n)
+        return refsolve.FdConfig(n=self.n, dt=self.h)
+
+    def _check_work(self, h: float, key: str, cells: int) -> None:
+        steps = step_count(self.T, h)
+        if steps * cells > MAX_WORK:
+            raise ParameterError(
+                f"T = {self.T!r}, h = {h!r} and {key} = {cells} ask for "
+                f"{steps} steps of {cells} unknowns, {steps * cells} in all, "
+                f"over the solver-work cap of {MAX_WORK}")
 
     def initial_density(self) -> GridDensity:
         if self.floor_delta is not None:
@@ -92,10 +112,13 @@ def _potential_from_config(spec) -> PotentialSpec:
         if kind == "zero":
             return PotentialSpec.zero()
         if kind == "quadratic":
-            return PotentialSpec.quadratic(kappa=float(spec.get("kappa", 1.0)),
-                                           center=float(spec.get("center", 0.0)))
+            return PotentialSpec.quadratic(
+                kappa=_number(spec.get("kappa", 1.0), "potential kappa"),
+                center=_number(spec.get("center", 0.0), "potential center"))
         if kind == "tabulated":
-            return PotentialSpec.tabulated(spec["x"], spec["v"])
+            return PotentialSpec.tabulated(
+                [_number(x, "potential x") for x in spec["x"]],
+                [_number(v, "potential v") for v in spec["v"]])
     raise ParameterError(f"unrecognized potential description {spec!r}")
 
 
@@ -105,15 +128,16 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
     if name == "uniform":
         return np.ones(n)
     if name == "cosine":
-        amp = float(params.get("amplitude", 0.5))
-        freq = float(params.get("frequency", 1.0))
+        amp = _number(params.get("amplitude", 0.5), "amplitude")
+        freq = _number(params.get("frequency", 1.0), "frequency")
         if not (0.0 <= amp < 1.0):
             raise ParameterError("cosine profile needs amplitude in [0, 1)")
         return 1.0 + amp * np.cos(2.0 * np.pi * freq * xhat)
     if name == "gaussian":
-        center = float(params.get("center", 0.5 * (domain.a + domain.b)))
-        width = float(params.get("width", 0.2 * domain.length))
-        floor = float(params.get("floor", 1e-3))
+        center = _number(params.get("center", 0.5 * (domain.a + domain.b)),
+                         "center")
+        width = _number(params.get("width", 0.2 * domain.length), "width")
+        floor = _number(params.get("floor", 1e-3), "floor")
         return np.exp(-0.5 * ((xc - center) / width) ** 2) + floor
     raise ParameterError(f"unknown initial profile {name!r}")
 
@@ -164,28 +188,31 @@ def _parse_config(raw) -> RunConfig:
         terms = raw.get("cost_terms")
         if not terms:
             raise ParameterError("config needs a preset or explicit cost_terms")
-        cost = CostSpec(terms=tuple((float(A), float(qi)) for A, qi in terms))
+        cost = CostSpec(terms=tuple(
+            (_number(A, "cost_terms coefficient"),
+             _number(qi, "cost_terms exponent")) for A, qi in terms))
         eterms = []
         for t in raw.get("energy_terms", []):
+            coeff = _number(t.get("coeff", 1.0), "energy_terms coeff")
             if t.get("kind") == "entropy":
-                eterms.append(("entropy", float(t.get("coeff", 1.0))))
+                eterms.append(("entropy", coeff))
             elif t.get("kind") == "power":
-                eterms.append(("power", float(t.get("coeff", 1.0)),
-                               float(t["exponent"])))
+                eterms.append(("power", coeff,
+                               _number(t["exponent"], "energy_terms exponent")))
             else:
                 raise ParameterError(f"unknown energy term {t!r}")
         if not eterms:
             raise ParameterError("explicit configs need energy_terms")
         energy = EnergySpec(terms=tuple(eterms))
     potential = _potential_from_config(raw.get("potential"))
-    domain = Domain(a=_number(raw, "domain_a", 0.0),
-                    b=_number(raw, "domain_b", 1.0))
+    domain = Domain(a=_number(raw.get("domain_a", 0.0), "domain_a"),
+                    b=_number(raw.get("domain_b", 1.0), "domain_b"))
     n = _grid_size(raw, "n", 256)
     m = _grid_size(raw, "m", n)
     rho0 = _rho0_from_config(raw.get("rho0"), domain, n)
     floor_delta = None
     if raw.get("floor_delta") is not None:
-        floor_delta = _number(raw, "floor_delta", None)
+        floor_delta = _number(raw["floor_delta"], "floor_delta")
         if not (floor_delta > 0.0):
             raise ParameterError(f"floor_delta must be positive, got {floor_delta}")
     elif not rho0.strictly_positive:
@@ -193,28 +220,30 @@ def _parse_config(raw) -> RunConfig:
             "initial density has zero cells; set floor_delta to floor it")
     return RunConfig(
         raw=raw, cost=cost, energy=energy, potential=potential, domain=domain,
-        n=n, m=m, h=_number(raw, "h", 1e-2), T=_number(raw, "T", 1.0),
+        n=n, m=m, h=_number(raw.get("h", 1e-2), "h"),
+        T=_number(raw.get("T", 1.0), "T"),
         rho0=rho0, floor_delta=floor_delta, label=preset or "custom",
-        tol=_number(raw, "solver_tol", JkoProblem.tol),
-        newton_max_iter=_number(raw, "newton_max_iter",
-                                JkoProblem.newton_max_iter, integral=True))
+        tol=_number(raw.get("solver_tol", JkoProblem.tol), "solver_tol"),
+        newton_max_iter=_number(
+            raw.get("newton_max_iter", JkoProblem.newton_max_iter),
+            "newton_max_iter", integral=True))
 
 
-def _number(raw: dict, key: str, default, integral: bool = False):
-    """``raw[key]`` as a JSON number, never a bool or a string: a float, or an
-    int if ``integral`` (``64.0`` counts).  Users check the range."""
-    v = raw.get(key, default)
+def _number(v, name: str, integral: bool = False):
+    """A config value as a JSON number, never a bool or a string: a float, or
+    an int if ``integral`` (``64.0`` counts).  ``name`` labels the error;
+    users check the range."""
     if integral and isinstance(v, float) and v.is_integer():
         v = int(v)
     if type(v) is int or type(v) is float and not integral:
         return v if integral else float(v)
-    raise ValueError(f"{key} must be {'an integer' if integral else 'a number'}"
+    raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}"
                      f", got {v!r}")
 
 
 def _grid_size(raw: dict, key: str, default: int) -> int:
     """``raw[key]`` as a cell count: an integral JSON number in [1, MAX_GRID]."""
-    v = _number(raw, key, default, integral=True)
+    v = _number(raw.get(key, default), key, integral=True)
     if not 1 <= v <= MAX_GRID:
         raise ValueError(
             f"{key} must be an integer in [1, {MAX_GRID}], got {v!r}")
@@ -382,7 +411,7 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
                 f"threshold must be finite and >= 0, got {threshold!r}")
         cfg = load_config(config_path)
         problem = cfg.problem()
-        fd_cfg = refsolve.FdConfig(n=cfg.n, dt=cfg.h)
+        fd_cfg = cfg.reference()
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     out = output_dir(cfg, root)

@@ -9,6 +9,7 @@ plain CDF algebra without interpolation heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,14 @@ from .errors import (
 )
 
 MASS_TOL = 1e-12
+
+
+@lru_cache(maxsize=16)
+def _levels(m: int) -> np.ndarray:
+    """The mass levels ``i/m``, ``i = 0..m``, shared and read-only."""
+    s = np.arange(m + 1) / m
+    s.flags.writeable = False
+    return s
 
 
 @dataclass(frozen=True)
@@ -39,8 +48,12 @@ class Domain:
     def length(self) -> float:
         return self.b - self.a
 
+    @lru_cache(maxsize=16)
     def edges(self, n: int) -> np.ndarray:
-        return np.linspace(self.a, self.b, n + 1)
+        """The ``n + 1`` uniform grid edges, shared and read-only."""
+        e = np.linspace(self.a, self.b, n + 1)
+        e.flags.writeable = False
+        return e
 
     def centers(self, n: int) -> np.ndarray:
         e = self.edges(n)
@@ -59,15 +72,15 @@ class GridDensity:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise InvalidDensityError("density values must form a nonempty vector")
-        if np.any(~np.isfinite(values)) or np.any(values < 0.0):
+        if not np.isfinite(values).all() or (values < 0.0).any():
             raise InvalidDensityError("density values must be finite and nonnegative")
-        mass = float(np.sum(values) * self.dx_for(values.size))
+        mass = float(values.sum() * self.dx_for(values.size))
         if abs(mass - 1.0) > MASS_TOL:
             raise InvalidDensityError(f"density mass is {mass!r}, expected 1")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "strictly_positive", bool(np.all(values > 0.0)))
+        object.__setattr__(self, "strictly_positive", bool((values > 0.0).all()))
 
     def dx_for(self, n: int) -> float:
         return self.domain.length / n
@@ -135,35 +148,30 @@ class QuantileRep:
 
     domain: Domain
     X: np.ndarray
+    strictly_increasing: bool = field(init=False)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 1 or X.size < 2:
             raise InvalidDensityError("quantile vector needs at least two nodes")
-        if np.any(np.diff(X) < 0.0):
+        widths = X[1:] - X[:-1]
+        if (widths < 0.0).any():
             raise InvalidDensityError("quantile vector must be nondecreasing")
         if X[0] < self.domain.a - 1e-12 or X[-1] > self.domain.b + 1e-12:
             raise InvalidDensityError("quantile nodes leave the domain")
         X = X.copy()
         X.flags.writeable = False
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "strictly_increasing",
+                           bool((widths > 0.0).all()))
 
     @property
     def m(self) -> int:
         return self.X.size - 1
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.X)
-
-    @property
-    def strictly_increasing(self) -> bool:
-        return bool(np.all(self.widths > 0.0))
-
     def cdf(self, x) -> np.ndarray:
         """Piecewise-linear CDF of the induced measure."""
-        levels = np.arange(self.m + 1) / self.m
-        return np.interp(np.asarray(x, dtype=float), self.X, levels,
+        return np.interp(np.asarray(x, dtype=float), self.X, _levels(self.m),
                          left=0.0, right=1.0)
 
 
@@ -188,8 +196,7 @@ def to_quantiles(rho: GridDensity, m: int) -> QuantileRep:
     """Exact quantile vector of a strictly positive grid density."""
     if m < 1:
         raise ParameterError(f"need at least one mass cell, got m={m}")
-    s = np.arange(m + 1) / m
-    X = rho.quantile(s)
+    X = rho.quantile(_levels(m))
     return QuantileRep(domain=rho.domain, X=X)
 
 

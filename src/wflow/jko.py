@@ -21,12 +21,22 @@ reads from.  The sweep takes one transcendental per cost or energy term:
 pressure from one ``log`` or ``rho^m``.  The banded curvature is formed from
 an evaluation, and only at iterates Newton steps from.
 
-Warm start: inside a run, step ``k + 1`` starts at the predictor
-``2 X_k - X_{k-1}`` (endpoints clipped to the walls), and that one
-evaluation replaces the one at ``Xprev``.  ``Xprev`` is evaluated only when
-the predictor is not strictly increasing or its objective lies above the
-objective at ``Xprev``.  That objective needs no evaluation: at ``Xprev``
-the displacement is zero and ``c(0) = 0``, so it equals step ``k``'s final
+Warm start: inside a run, step ``k + 1`` starts at a polynomial predictor
+through the last minimizers (endpoints clipped to the walls), and that one
+evaluation replaces the one at ``Xprev``.  The minimizers of successive
+steps lie on a smooth discrete path, so extrapolating the polynomial
+through the last ``p + 1`` of them one step ahead, the predictor of
+predictor-corrector continuation (Allgower & Georg, *Numerical
+Continuation Methods*, 1990, ch. 2), often lands within the tolerance.
+The order ramps up with the history: linear ``2 X_1 - X_0`` at step 2,
+quadratic at steps 3 and 4, cubic from step 5 on, so that the cubic never
+passes through ``rho0``'s nodes, which carry the initial layer.  Higher
+orders amplify the solver tolerance's noise in the history by
+``2^(p+1) - 1`` and save no iterations.  A run holds only the last three
+earlier node vectors.  ``Xprev`` is evaluated only when the predictor is
+not strictly increasing or its objective lies above the objective at
+``Xprev``.  That objective needs no evaluation: at ``Xprev`` the
+displacement is zero and ``c(0) = 0``, so it equals step ``k``'s final
 free energy bit for bit, and the run carries it, with the internal energy,
 into the next step.  A step's ``E_*_before`` are these carried energies and
 the descent guard compares against the carried free energy; everything else
@@ -39,18 +49,18 @@ element for element; never to a tolerance), ``run_scheme`` gives step
 ``k + 1`` step ``k``'s density object and diagnostics with zero
 iterations.  That is what the solver would return: step ``k + 1`` poses
 step ``k``'s problem (same ``P``, same nodes), its predictor is ``X_k``
-itself (``2x - x = x`` exactly; only a zero node can flip the sign of its
-zero, which no evaluated quantity sees), and the carried energies are the
-energies of those nodes, which step ``k`` also reported as its starting
-ones.  Evaluating the predictor reproduces step ``k``'s final evaluation
-bit for bit, so the step would find the same certified residual and return
-``X_k`` after zero iterations.  The repeat then holds for every later
-step.
+itself (at ``X_k == X_{k-1}`` the predictor is ``X_k``, whatever its
+order), and the carried energies are the energies of those nodes, which
+step ``k`` also reported as its starting ones.  Evaluating the predictor
+reproduces step ``k``'s final evaluation bit for bit, so the step would
+find the same certified residual and return ``X_k`` after zero
+iterations.  The repeat then holds for every later step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -405,13 +415,28 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
     )
 
 
-def _predictor(obj: _StepObjective, Xprev: np.ndarray, Xback: np.ndarray,
+def _predictor(obj: _StepObjective, nodes: list[np.ndarray],
                f_prev: float) -> _Evaluation | None:
-    """Evaluated ``2 Xprev - Xback`` with its endpoints on the walls, or None
-    if it is not strictly increasing or its objective exceeds ``f_prev``."""
-    guess = 2.0 * Xprev - np.asarray(Xback, dtype=float)
-    guess[0] = max(guess[0], obj.pb.domain.a)
-    guess[-1] = min(guess[-1], obj.pb.domain.b)
+    """Evaluated polynomial predictor through ``nodes = [X_k, X_{k-1}, ...]``
+    with its endpoints on the walls, or None if it is not strictly increasing
+    or its objective exceeds ``f_prev``.
+
+    Order ``p = len(nodes) - 1`` extrapolates the degree-``p`` polynomial
+    through the nodes one step ahead,
+    ``sum_j (-1)^j C(p + 1, j + 1) X_{k-j}``: ``2 X_k - X_{k-1}`` for
+    ``p = 1``, ``4 X_k - 6 X_{k-1} + 4 X_{k-2} - X_{k-3}`` for ``p = 3``.
+    At a fixed point, ``X_k == X_{k-1}`` exactly, the predictor is ``X_k``.
+    """
+    X = nodes[0]
+    if (X == nodes[1]).all():
+        guess = X.copy()
+    else:
+        p = len(nodes) - 1
+        guess = np.zeros_like(X)
+        for j, Xj in enumerate(nodes):
+            guess += (-1) ** j * math.comb(p + 1, j + 1) * Xj
+        guess[0] = max(guess[0], obj.pb.domain.a)
+        guess[-1] = min(guess[-1], obj.pb.domain.b)
     if not (guess[1:] > guess[:-1]).all():
         return None
     ev = obj.evaluate(guess)
@@ -419,21 +444,22 @@ def _predictor(obj: _StepObjective, Xprev: np.ndarray, Xback: np.ndarray,
 
 
 def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
-                   Xback: np.ndarray | None = None,
+                   Xback: Sequence[np.ndarray] = (),
                    before: tuple[float, float] | None = None
                    ) -> tuple[np.ndarray, StepDiagnostics]:
     """One minimizing-movement step in quantile coordinates.
 
     Called with ``Xprev`` alone, the step starts cold at ``Xprev``.  Inside a
-    run, ``Xback`` holds the nodes one step before ``Xprev`` and ``before``
-    the ``(E_internal, E_free)`` of ``Xprev`` that the previous step
-    reported; the step then starts at the predictor (module docstring).
+    run, ``Xback`` holds the node vectors of the steps before ``Xprev``,
+    newest first, and ``before`` the ``(E_internal, E_free)`` of ``Xprev``
+    that the previous step reported; the step then starts at the predictor
+    of order ``len(Xback)`` through them (module docstring).
     """
     Xprev = np.array(Xprev, dtype=float)
     obj = _StepObjective(problem, Xprev)
     start = None
-    if Xback is not None and before is not None:
-        start = _predictor(obj, Xprev, Xback, before[1])
+    if len(Xback) and before is not None:
+        start = _predictor(obj, [Xprev, *Xback], before[1])
     if start is None:
         start = obj.evaluate(Xprev)
         if before is None:
@@ -479,16 +505,19 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
             "the scheme needs strictly positive initial data; "
             "floor degenerate data first")
     X = to_quantiles(rho0, problem.m).X
-    Xback = before = None
+    back: list[np.ndarray] = []  # the last three earlier nodes, newest first
+    before = None
     times = [0.0]
     densities = [rho0]
     diags: list[StepDiagnostics] = []
     for k in range(1, steps + 1):
-        if Xback is not None and (X == Xback).all():
+        if back and (X == back[0]).all():
             rho, diag = densities[-1], replace(diags[-1], iterations=0)
         else:
+            # step 4's cubic would pass through rho0's nodes
+            order = 2 if k == 4 else 3
             try:
-                Xnext, diag = jko_step_nodes(problem, X, Xback, before)
+                Xnext, diag = jko_step_nodes(problem, X, back[:order], before)
             except (ConvergenceError, DegeneracyError) as exc:
                 raise SchemeAbortError(
                     f"step {k} failed: {exc}",
@@ -496,7 +525,7 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
                                              densities=tuple(densities),
                                              diagnostics=tuple(diags)),
                     cause=exc) from exc
-            Xback, X = X, Xnext
+            back, X = [X, *back[:2]], Xnext
             before = (diag.E_internal_after, diag.E_free_after)
             rho = from_quantiles(QuantileRep(domain=problem.domain, X=X),
                                  rho0.n)

@@ -14,6 +14,7 @@ from wflow.cli import (
     CONFIG_KEYS,
     MAX_GRID,
     MAX_HELD,
+    MAX_WORK,
     cmd_crosscheck,
     cmd_oracle,
     cmd_run,
@@ -141,6 +142,23 @@ REJECTED_CONFIGS = {
     # 4001 to 32001 snapshots of 65536 cells, at every step size tried: a
     # held trajectory over MAX_HELD values
     "held-trajectory-over-cap": {"n": MAX_GRID, "T": 200.0},
+    # 1200 to 9600 steps of 65536 nodes, at every step size tried: solver
+    # work over MAX_WORK
+    "solver-work-over-cap": {"m": MAX_GRID, "T": 60.0},
+    # nested numbers follow the same rule: no bool or string is coerced
+    "potential-kappa-bool": {"potential": {"kind": "quadratic",
+                                           "kappa": True}},
+    "potential-table-string": {"potential": {"kind": "tabulated",
+                                             "x": [0.0, "1.0"],
+                                             "v": [0.0, 1.0]}},
+    "profile-amplitude-string": {"rho0": {"profile": "cosine",
+                                          "amplitude": "0.3"}},
+    "profile-width-bool": {"rho0": {"profile": "gaussian", "width": True}},
+    "cost-terms-strings": {"preset": None, "cost_terms": [["1", "2"]],
+                           "energy_terms": [{"kind": "entropy"}]},
+    "energy-coeff-string": {"preset": None, "cost_terms": [[0.5, 2.0]],
+                            "energy_terms": [{"kind": "entropy",
+                                              "coeff": "1"}]},
 }
 
 
@@ -187,13 +205,39 @@ def test_grid_sizes_accept_integral_numbers_up_to_the_cap(tmp_path):
 
 
 def test_held_trajectory_cap_names_the_numbers(tmp_path):
-    # 2048 snapshots of 65536 cells hold exactly MAX_HELD values
-    cfg = load_config(write_config(tmp_path, n=MAX_GRID, h=0.5, T=1023.5))
+    # 2048 snapshots of 65536 cells hold exactly MAX_HELD values; m stays
+    # small so that the solver work is under its own cap
+    cfg = load_config(write_config(tmp_path, n=MAX_GRID, m=64, h=0.5,
+                                   T=1023.5))
     assert (2047 + 1) * MAX_GRID == MAX_HELD
     cfg.problem()
     with pytest.raises(ParameterError, match=rf"hold {MAX_HELD + MAX_GRID} "
                        rf"trajectory values, over the cap of {MAX_HELD}"):
         cfg.problem(h=1023.5 / 2048)
+
+
+def test_solver_work_cap_names_the_numbers(tmp_path):
+    # 1024 steps of 65536 nodes are exactly MAX_WORK
+    cfg = load_config(write_config(tmp_path, m=MAX_GRID, h=0.5, T=512.0))
+    assert 1024 * MAX_GRID == MAX_WORK
+    cfg.problem()
+    with pytest.raises(ParameterError, match=rf"m = {MAX_GRID} ask for 1025 "
+                       rf"steps of {MAX_GRID} unknowns, {MAX_WORK + MAX_GRID}"
+                       rf" in all, over the solver-work cap of {MAX_WORK}"):
+        cfg.problem(h=512.0 / 1025)
+
+
+def test_crosscheck_reference_work_cap_exits_1_before_writing(
+        tmp_path, outroot, capsys):
+    # the scheme's 5000 steps of 64 nodes pass; the reference's 5000 steps
+    # of 16384 cells do not
+    path = write_config(tmp_path, n=16384, m=64, T=50.0)
+    load_config(path).problem()
+    assert main(["crosscheck", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert (f"n = 16384 ask for 5000 steps of 16384 unknowns, 81920000 in "
+            f"all, over the solver-work cap of {MAX_WORK}") in err
+    assert not outroot.exists()
 
 
 def test_unknown_config_key_is_named(tmp_path):
@@ -474,6 +518,23 @@ def test_trajectory_csv_streams_to_its_file(tmp_path):
     size = path.stat().st_size
     assert size >= 1 << 20
     assert peak < size / 4
+
+
+def test_run_scheme_holds_a_bounded_node_history(tmp_path):
+    # the warm start keeps the last four node vectors, not one per step:
+    # over 100 steps at m = 16384 the traced peak stays near 40 vectors
+    # (one step's own arrays), where keeping every step's nodes reaches 130
+    cfg = load_config(write_config(tmp_path, n=16, m=16384, h=1e-3, T=0.1))
+    problem, rho0 = cfg.problem(), cfg.initial_density()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        traj = run_scheme(problem, rho0, cfg.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.diagnostics) == 100
+    assert peak < 64 * (cfg.m + 1) * 8
 
 
 def test_crosscheck_heat(tmp_path, outroot):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from wflow.convex import EnergySpec, PotentialSpec
+from wflow.convex import CostSpec, EnergySpec, PotentialSpec
 from wflow.density import (
     Domain,
     GridDensity,
     QuantileRep,
+    _levels,
     density_from_csv,
     density_to_csv,
     energy,
@@ -21,6 +22,7 @@ from wflow.errors import (
     NonInvertibleCdfError,
     ParameterError,
 )
+from wflow.jko import JkoProblem, run_scheme
 
 UNIT = Domain(0.0, 1.0)
 
@@ -100,6 +102,59 @@ def test_quantile_rep_validation():
     assert not rep.strictly_increasing
     with pytest.raises(DegenerateCellError):
         from_quantiles(rep, 4)
+
+
+def fresh_raster(X, domain: Domain, n: int) -> np.ndarray:
+    # from_quantiles' arithmetic on freshly built edges and levels
+    m = X.size - 1
+    cum = np.interp(np.linspace(domain.a, domain.b, n + 1), X,
+                    np.arange(m + 1) / m, left=0.0, right=1.0)
+    cum[0], cum[-1] = 0.0, 1.0
+    return np.diff(cum) / (domain.length / n)
+
+
+def test_from_quantiles_matches_a_fresh_rasterization_bit_for_bit():
+    # the repeated grids read the shared edges and levels a second time
+    rng = np.random.default_rng(5)
+    for domain, m, n in [(UNIT, 1024, 128), (Domain(-1.0, 2.0), 37, 5),
+                         (UNIT, 1024, 128), (Domain(-1.0, 2.0), 37, 5)]:
+        X = np.sort(rng.uniform(domain.a, domain.b, m + 1))
+        X[0], X[-1] = domain.a, domain.b
+        rho = from_quantiles(QuantileRep(domain=domain, X=X), n)
+        assert rho.values.tobytes() == fresh_raster(X, domain, n).tobytes()
+
+
+def test_run_snapshots_match_a_fresh_rasterization_bit_for_bit(monkeypatch):
+    from wflow import jko
+
+    nodes, step = [], jko.jko_step_nodes
+
+    def recording(*args):
+        X, d = step(*args)
+        nodes.append(X)
+        return X, d
+
+    monkeypatch.setattr(jko, "jko_step_nodes", recording)
+    pb = JkoProblem(cost=CostSpec.single_power(2.0),
+                    energy=EnergySpec.entropy(),
+                    potential=PotentialSpec.quadratic(1.0, 0.0),
+                    domain=Domain(-1.0, 1.0), h=1e-2, m=128)
+    rho0 = smooth_density(pb.domain, 64, amp=0.3, freq=0.5)
+    traj = run_scheme(pb, rho0, T=0.2)
+    assert len(nodes) == len(traj.densities) - 1 == 20
+    for X, rho in zip(nodes, traj.densities[1:]):
+        assert rho.values.tobytes() == \
+            fresh_raster(X, pb.domain, 64).tobytes()
+
+
+def test_shared_grid_edges_and_levels_are_read_only():
+    edges, levels = UNIT.edges(16), _levels(16)
+    assert edges is UNIT.edges(16) and levels is _levels(16)
+    for shared in (edges, levels):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[1] = 0.5
+    assert edges.tobytes() == np.linspace(0.0, 1.0, 17).tobytes()
+    assert levels.tobytes() == (np.arange(17) / 16).tobytes()
 
 
 def test_from_quantiles_uniform():

@@ -464,9 +464,10 @@ def _fp_problem():
 @pytest.mark.parametrize("make", [_plap_problem, _fp_problem],
                          ids=["p-laplacian", "fokker-planck"])
 def test_warm_started_run_matches_cold_steps(make, monkeypatch):
-    # run_scheme starts each step at the predictor 2 X_k - X_{k-1} with the
-    # previous step's energies carried; the same steps started cold at
-    # X_k give the same nodes to within the step tolerance
+    # run_scheme starts each step at the polynomial predictor through the
+    # last nodes (linear at step 2, quadratic at steps 3-4, cubic from
+    # step 5) with the previous step's energies carried; the same steps
+    # started cold at X_k give the same nodes to within the step tolerance
     from wflow import jko
 
     pb, rho, T = make()
@@ -491,17 +492,21 @@ def test_warm_started_run_matches_cold_steps(make, monkeypatch):
         # cold, every step costs 7-8 Newton iterations at q = 1.5
         assert all(d.iterations >= 7 for d in cold)
         assert all(d.iterations <= 2 for d in traj.diagnostics[3:])
+        # the cubic lands within one iteration from step 11 on; the linear
+        # predictor took 2 per step there, 68 over the run
+        assert all(d.iterations <= 1 for d in traj.diagnostics[10:])
+        assert sum(d.iterations for d in traj.diagnostics) <= 50
 
 
 def _run_every_step(pb, rho0, T):
     # run_scheme's loop before fixed-point steps were repeated: every step
-    # goes through the solver, warm-started as in a run
+    # goes through the solver, warm-started from the same node history
     X = to_quantiles(rho0, pb.m).X
-    Xback = before = None
+    back, before = [], None
     densities, diags = [rho0], []
-    for _ in range(step_count(T, pb.h)):
-        Xnext, d = jko_step_nodes(pb, X, Xback, before)
-        Xback, X = X, Xnext
+    for k in range(1, step_count(T, pb.h) + 1):
+        Xnext, d = jko_step_nodes(pb, X, back[:2 if k == 4 else 3], before)
+        back, X = [X, *back[:2]], Xnext
         before = (d.E_internal_after, d.E_free_after)
         densities.append(from_quantiles(QuantileRep(domain=pb.domain, X=X),
                                         rho0.n))
@@ -542,7 +547,7 @@ def test_fixed_point_steps_report_zero_iterations(monkeypatch):
     # a step that iterates its way back onto its start nodes ends the
     # solving; every step after it reports the zero iterations a re-solve
     # from those nodes would take
-    def back_to_start(pb, Xprev, Xback=None, before=None):
+    def back_to_start(pb, Xprev, Xback=(), before=None):
         _, d = jko_step_nodes(pb, Xprev, Xback, before)
         return Xprev.copy(), dataclasses.replace(d, iterations=3)
 
