@@ -152,13 +152,6 @@ class SchemeTrajectory:
     def final(self) -> GridDensity:
         return self.densities[-1]
 
-    def sample(self, t: float) -> GridDensity:
-        """State at time ``t`` under the previous-value convention."""
-        times = np.asarray(self.times)
-        idx = int(np.searchsorted(times, t - 1e-12 * max(times[-1], 1.0),
-                                  side="left"))
-        return self.densities[min(idx, len(self.densities) - 1)]
-
 
 # ---------------------------------------------------------------------------
 # single-step solver

@@ -56,7 +56,11 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
 
     Face fluxes use the arithmetic-mean density times the conjugate-gradient
     nonlinearity of the discrete slope of ``F'(rho) + V``; fluxes telescope,
-    so each accepted step conserves mass to machine precision.
+    so each accepted step conserves mass to machine precision.  From step 2
+    Newton starts at ``2 rho_k - rho_{k-1}`` when that is strictly positive,
+    else at ``rho_k``.  An accepted line-search trial's residual is the next
+    iterate's, and the finite-difference Jacobian's probes difference against
+    it.  The polishing step after convergence reuses the step's last Jacobian.
     """
     cfg = cfg or FdConfig()
     if rho0.n != cfg.n:
@@ -72,17 +76,18 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
         return rho_new - rho_old - cfg.dt * _flux_divergence(
             rho_new, vpot, dx, cost, energy)
 
-    def jacobian(rho_new, rho_old):
-        # Tridiagonal coupling only; build by three-coloring of FD columns.
+    colors = [np.arange(color, n, 3) for color in range(3)]
+
+    def jacobian(rho_new, rho_old, base):
+        # Tridiagonal coupling only; build by three-coloring of FD columns,
+        # each probe differenced against the iterate's residual ``base``.
         # Consecutive cells always land in distinct colors, so each response
         # row isolates exactly one perturbed column.
-        base = residual(rho_new, rho_old)
         sub, diag, sup = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
         scale = float(np.max(np.abs(rho_new))) + 1e-300
         eps = np.sqrt(np.finfo(float).eps) * (np.abs(rho_new) + scale)
-        for color in range(3):
+        for cols in colors:
             pert = rho_new.copy()
-            cols = np.arange(color, n, 3)
             pert[cols] += eps[cols]
             dres = residual(pert, rho_old) - base
             diag[cols] = dres[cols] / eps[cols]
@@ -90,46 +95,53 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
             sup[up - 1] = dres[up - 1] / eps[up]
             down = cols[cols < n - 1]
             sub[down] = dres[down + 1] / eps[down]
-        return sub, diag, sup, base
+        return sub, diag, sup
+
+    def newton_delta(jac, res):
+        # None for a singular or non-finite system
+        if all(np.isfinite(v).all() for v in (*jac, res)):
+            *_, x, info = dgtsv(*jac, -res)
+            if info == 0:
+                return x
+        return None
 
     rho = rho0.values.copy()
     times = [0.0]
     densities = [rho0]
     for k in range(1, steps + 1):
         rho_old = cur = rho
+        if k > 1:
+            guess = 2.0 * rho - densities[-2].values
+            if np.all(guess > 0.0):
+                cur = guess
+        res = residual(cur, rho_old)
+        norm0 = float(np.max(np.abs(res)))
+        jac = None
         clamped = False
-        converged = False
         for _ in range(NEWTON_MAX_ITER):
-            sub, diag, sup, res = jacobian(cur, rho_old)
-            norm0 = float(np.max(np.abs(res)))
-            # one solve serves the Newton and the polishing step; a singular
-            # or non-finite system leaves delta None
-            delta = None
-            if all(np.isfinite(v).all() for v in (sub, diag, sup, res)):
-                *_, x, info = dgtsv(sub, diag, sup, -res)
-                if info == 0:
-                    delta = x
             if norm0 <= NEWTON_TOL:
-                converged = True
                 # one polishing iteration tightens mass telescoping
+                delta = newton_delta(jac or jacobian(cur, rho_old, res), res)
                 if delta is not None:
                     polish = np.maximum(cur + delta, 0.0)
                     if float(np.max(np.abs(residual(polish, rho_old)))) <= norm0:
                         cur = polish
                 break
+            jac = jacobian(cur, rho_old, res)
+            delta = newton_delta(jac, res)
             if delta is None:
                 raise ConvergenceError(
                     f"singular Newton system at step {k}", best=cur,
                     residual=norm0)
             tau = 1.0
-            cand = cur
             for _ in range(40):
                 trial = cur + tau * delta
                 if np.any(trial < 0.0):
                     clamped = True
                     trial = np.maximum(trial, 0.0)
-                if float(np.max(np.abs(residual(trial, rho_old)))) < norm0:
-                    cand = trial
+                trial_res = residual(trial, rho_old)
+                trial_norm = float(np.max(np.abs(trial_res)))
+                if trial_norm < norm0:
                     break
                 tau *= 0.5
             else:
@@ -137,14 +149,12 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
                     f"Newton stalled at step {k}"
                     + (" (negative iterates clamped)" if clamped else ""),
                     best=cur, residual=norm0)
-            cur = cand
-        if not converged:
-            final = float(np.max(np.abs(residual(cur, rho_old))))
-            if final > NEWTON_TOL:
-                raise ConvergenceError(
-                    f"Newton ran out of iterations at step {k}"
-                    + (" (negative iterates clamped)" if clamped else ""),
-                    best=cur, residual=final)
+            cur, res, norm0 = trial, trial_res, trial_norm
+        if norm0 > NEWTON_TOL:
+            raise ConvergenceError(
+                f"Newton ran out of iterations at step {k}"
+                + (" (negative iterates clamped)" if clamped else ""),
+                best=cur, residual=norm0)
         rho = cur
         times.append(k * cfg.dt)
         densities.append(GridDensity(domain=domain, values=rho))

@@ -1,13 +1,19 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wflow import cli, refsolve
 from wflow.cli import (
@@ -677,3 +683,80 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the front door
+# ---------------------------------------------------------------------------
+
+# small valid configs, one per family the presets and explicit terms reach
+FUZZ_BASES = (
+    {"preset": "fokker-planck", "potential": {"kind": "zero"},
+     "domain_a": 0.0, "domain_b": 1.0, "n": 16, "m": 16, "h": 0.02,
+     "T": 0.04, "rho0": {"profile": "cosine", "amplitude": 0.4}},
+    {"preset": "fokker-planck",
+     "potential": {"kind": "quadratic", "kappa": 1.0, "center": 0.0},
+     "domain_a": -1.0, "domain_b": 1.0, "n": 16, "m": 24, "h": 0.02,
+     "T": 0.04, "rho0": {"profile": "gaussian", "width": 0.5}},
+    {"preset": "porous-medium", "exponent_m": 2.0, "n": 16, "m": 16,
+     "h": 0.02, "T": 0.04, "rho0": {"profile": "cosine", "amplitude": 0.3},
+     "solver_tol": 1e-9, "newton_max_iter": 40},
+    {"preset": "p-laplacian", "exponent_p": 2.5, "n": 16, "m": 16,
+     "h": 0.02, "T": 0.04, "rho0": "uniform"},
+    {"preset": "doubly-degenerate", "exponent_p": 2.0, "exponent_n": 1.5,
+     "n": 16, "m": 16, "h": 0.02, "T": 0.04, "floor_delta": 0.01},
+    {"cost_terms": [[0.5, 2.0]], "energy_terms": [{"kind": "entropy"}],
+     "n": 16, "m": 16, "h": 0.02, "T": 0.04},
+)
+# values no key may turn into a traceback, a hang or a huge run: non-finite,
+# negative, zero, huge and non-numeric JSON values
+FUZZ_VALUES = (
+    float("nan"), float("inf"), float("-inf"), -1.0, -3, 0, 0.0, 10**400,
+    2**63, 10**9, 1e300, 1e-300, "1", "", "cosine", [], [1.0, 2.0],
+    [[1.0, 2.0]], None, True, False, {}, {"kind": "zero"},
+    {"kind": "quadratic", "kappa": float("nan")},
+    {"profile": "cosine", "amplitude": 1e300},
+    {"csv": "no-such-file.csv"},
+)
+_MISSING = object()
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A small valid config with up to three keys replaced or removed."""
+    cfg = dict(draw(st.sampled_from(FUZZ_BASES)))
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), max_size=3,
+                         unique=True))
+    for key in keys:
+        value = draw(st.sampled_from((_MISSING, *FUZZ_VALUES)))
+        if value is _MISSING:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(fuzz_configs())
+def test_fuzzed_configs_exit_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))  # NaN and inf as JSON extensions
+        for command in ("run", "study", "crosscheck"):
+            root = Path(tmp) / command
+            argv = [command, "--config", str(path)]
+            if command == "study":
+                argv += ["--values", "0.02,0.01,0.005,0.0025"]
+            err = io.StringIO()
+            with (mock.patch.dict(os.environ, {"WFLOW_OUT": str(root)}),
+                  contextlib.redirect_stderr(err),
+                  contextlib.redirect_stdout(io.StringIO()),
+                  warnings.catch_warnings()):
+                # as on the command line, a numpy overflow warning is printed,
+                # not raised as under the suite's warnings-as-errors
+                warnings.simplefilter("default")
+                code = main(argv)
+            assert code in (0, 1, 2), (command, code)
+            assert "Traceback" not in err.getvalue()
+            if code == 1:
+                assert not root.exists(), (command, err.getvalue())

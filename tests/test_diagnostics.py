@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wflow.convex import CostSpec, EnergySpec, PotentialSpec
-from wflow.density import Domain, normalize
+from wflow.density import Domain, l1_distance, normalize
 from wflow.diagnostics import (
     compare,
     conjugate_growth_constant,
@@ -190,6 +190,35 @@ def test_compare_previous_value_sampling():
     table = compare(fine, coarse)
     assert len(table.times) == len(fine.times)
     assert table.l1_final <= 0.05
+
+
+def _grid(dt, steps, offset=0.0):
+    return (0.0, *(offset + k * dt for k in range(1, steps + 1)))
+
+
+@pytest.mark.parametrize("times_a, times_b", [
+    (_grid(0.005, 8), _grid(0.01, 4)),
+    (_grid(0.01, 4), _grid(0.005, 8)),
+    (_grid(0.01, 6, offset=-0.003), _grid(0.01, 4)),
+], ids=["a-finer", "a-coarser", "a-offset-and-longer"])
+def test_compare_samples_b_by_previous_value_rule(times_a, times_b):
+    # B's states have distinct amplitudes, so each gap to A's uniform state
+    # names the state of B that compare sampled
+    flat = normalize(np.ones(16), UNIT)[0]
+    traj_a = SchemeTrajectory(times=times_a, densities=(flat,) * len(times_a))
+    traj_b = SchemeTrajectory(times=times_b, densities=tuple(
+        cosine_density(16, 0.01 * (j + 1)) for j in range(len(times_b))))
+    gaps = [l1_distance(flat, rho) for rho in traj_b.densities]
+    assert len(set(gaps)) == len(gaps)
+    tb = np.asarray(times_b)
+
+    def previous_value(t):
+        idx = int(np.searchsorted(tb, t - 1e-12 * max(tb[-1], 1.0),
+                                  side="left"))
+        return min(idx, tb.size - 1)
+
+    table = compare(traj_a, traj_b)
+    assert table.l1_errors == tuple(gaps[previous_value(t)] for t in times_a)
 
 
 def test_compare_jko_vs_fd_heat():

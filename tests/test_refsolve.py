@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wflow.convex import CostSpec, EnergySpec, PotentialSpec
+from wflow import refsolve
+from wflow.convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
 from wflow.density import Domain, l1_distance, normalize
 from wflow.errors import ConvergenceError, ParameterError
 from wflow.refsolve import (
@@ -101,6 +102,49 @@ def test_fd_maximum_principle():
     for r in traj.densities:
         assert r.values.max() <= hi + 1e-8
         assert r.values.min() >= lo - 1e-8
+
+
+SMOOTH, _ = normalize(1.0 + 0.4 * np.cos(np.pi * UNIT.centers(128)), UNIT)
+
+
+def test_fd_warm_steps_cost_few_residual_evaluations(monkeypatch):
+    # the extrapolated start, the reused residual and the reused Jacobian
+    # leave about 6 evaluations per step on smooth positive heat data: the
+    # start, three colour probes, one line-search trial and the polish
+    calls = []
+    flux = refsolve._flux_divergence
+
+    def counted(*args):
+        calls.append(None)
+        return flux(*args)
+
+    monkeypatch.setattr(refsolve, "_flux_divergence", counted)
+    traj = fd_solve(Q2, ENTROPY, PotentialSpec.zero(), UNIT, SMOOTH, T=0.05,
+                    cfg=FdConfig(n=SMOOTH.n, dt=5e-4))
+    steps = len(traj.times) - 1
+    assert steps == 100
+    assert len(calls) / steps <= 7.0
+
+
+BARENBLATT_WINDOW = Domain(-1.5, 1.5)
+
+
+@pytest.mark.parametrize("cost, energy, dom, rho", [
+    (Q2, ENTROPY, UNIT, SMOOTH),
+    (*preset_specs("p-laplacian", p=2.5), UNIT, SMOOTH),
+    # empty cells outside the support: every step starts cold
+    (Q2, EnergySpec.power(2.0), BARENBLATT_WINDOW,
+     barenblatt_density(2.0, 0.05, BARENBLATT_WINDOW, 128)),
+], ids=["heat", "p-laplacian-2.5", "porous-barenblatt"])
+def test_fd_warm_started_run_matches_cold_steps(cost, energy, dom, rho):
+    cfg = FdConfig(n=rho.n, dt=1e-3)
+    traj = fd_solve(cost, energy, PotentialSpec.zero(), dom, rho, T=0.02,
+                    cfg=cfg)
+    cur = rho
+    for warm in traj.densities[1:]:
+        cur = fd_solve(cost, energy, PotentialSpec.zero(), dom, cur,
+                       T=cfg.dt, cfg=cfg).final
+        assert np.max(np.abs(warm.values - cur.values)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
