@@ -45,6 +45,12 @@ MAX_HELD = 1 << 27
 # crosscheck reference: 20 times the most any test or benchmark asks for,
 # 200 * 16384
 MAX_WORK = 1 << 26
+# largest energy power exponent, preset or explicit: 25 times the largest any
+# test or benchmark uses, 4; x^m stays finite for densities x up to 1e3
+MAX_EXPONENT = 100.0
+# largest |domain_a| and |domain_b|: 4e5 times the largest any test or
+# benchmark uses, 2.5; a quadratic potential overflows from about 1e154
+MAX_DOMAIN = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +184,9 @@ def _parse_config(raw) -> RunConfig:
         raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
     preset = raw.get("preset")
     if preset:
-        cost, energy = preset_specs(
-            preset,
-            m=raw.get("exponent_m"),
-            p=raw.get("exponent_p"),
-            n=raw.get("exponent_n"),
-        )
+        cost, energy = preset_specs(preset, **{
+            k: _number(raw[f"exponent_{k}"], f"exponent_{k}") for k in "mpn"
+            if raw.get(f"exponent_{k}") is not None})
     else:
         terms = raw.get("cost_terms")
         if not terms:
@@ -204,9 +207,16 @@ def _parse_config(raw) -> RunConfig:
         if not eterms:
             raise ParameterError("explicit configs need energy_terms")
         energy = EnergySpec(terms=tuple(eterms))
+    top = max((t[2] for t in energy.terms if t[0] == "power"), default=0.0)
+    if top > MAX_EXPONENT:
+        raise ParameterError(f"energy exponent {top!r} is over the cap of "
+                             f"{MAX_EXPONENT!r}")
     potential = _potential_from_config(raw.get("potential"))
     domain = Domain(a=_number(raw.get("domain_a", 0.0), "domain_a"),
                     b=_number(raw.get("domain_b", 1.0), "domain_b"))
+    if max(-domain.a, domain.b) > MAX_DOMAIN:
+        raise ParameterError(f"domain ({domain.a!r}, {domain.b!r}) reaches "
+                             f"beyond the cap of {MAX_DOMAIN!r} in magnitude")
     n = _grid_size(raw, "n", 256)
     m = _grid_size(raw, "m", n)
     rho0 = _rho0_from_config(raw.get("rho0"), domain, n)
@@ -290,9 +300,13 @@ def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
 
 
 def diagnostics_to_jsonl(traj: SchemeTrajectory, fh: TextIO) -> None:
-    """Write one JSON line per step record to ``fh``."""
+    """Write one JSON line per step record to ``fh``; a record equal to the
+    one before (a run at its fixed point) reuses that record's line."""
+    last = line = None
     for d in traj.diagnostics:
-        fh.write(json.dumps(vars(d), sort_keys=True) + "\n")
+        if d != last:
+            line, last = json.dumps(vars(d), sort_keys=True) + "\n", d
+        fh.write(line)
 
 
 def _write_json(path: Path, doc) -> None:

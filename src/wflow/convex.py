@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import iadd
 from typing import Callable
 
 import numpy as np
@@ -73,17 +75,13 @@ class CostSpec:
 
     def value(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        out = np.zeros_like(z)
-        for A, qi in self.terms:
-            out += A * z**qi
+        out = reduce(iadd, (A * z**qi for A, qi in self.terms))
         return out if out.ndim else float(out)
 
     def derivative(self, z):
         z = np.asarray(z, dtype=float)
         az = np.abs(z)
-        out = np.zeros_like(az)
-        for A, qi in self.terms:
-            out += A * qi * az ** (qi - 1.0)
+        out = reduce(iadd, (A * qi * az ** (qi - 1.0) for A, qi in self.terms))
         out *= np.sign(z)
         return out if out.ndim else float(out)
 
@@ -111,9 +109,8 @@ class CostSpec:
     def second_derivative(self, z, floor: float = 1e-12):
         """Radial curvature ``c''``; |z| is floored to keep it finite."""
         az = np.maximum(np.abs(np.asarray(z, dtype=float)), floor)
-        out = np.zeros_like(az)
-        for A, qi in self.terms:
-            out += A * qi * (qi - 1.0) * az ** (qi - 2.0)
+        out = reduce(iadd, (A * qi * (qi - 1.0) * az ** (qi - 2.0)
+                            for A, qi in self.terms))
         return out if out.ndim else float(out)
 
     def _is_normalized_power(self) -> bool:
@@ -253,24 +250,17 @@ class EnergySpec:
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for t in self.terms:
-            if t[0] == "entropy":
-                out += t[1] * (np.log(x) + 1.0)
-            else:
-                _, A, m = t
-                out += A * m * x ** (m - 1.0) / (m - 1.0)
+        out = reduce(iadd, (
+            t[1] * (np.log(x) + 1.0) if t[0] == "entropy"
+            else t[1] * t[2] * x ** (t[2] - 1.0) / (t[2] - 1.0)
+            for t in self.terms))
         return out if out.ndim else float(out)
 
     def second_derivative(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for t in self.terms:
-            if t[0] == "entropy":
-                out += t[1] / x
-            else:
-                _, A, m = t
-                out += A * m * x ** (m - 2.0)
+        out = reduce(iadd, (t[1] / x if t[0] == "entropy"
+                            else t[1] * t[2] * x ** (t[2] - 2.0)
+                            for t in self.terms))
         return out if out.ndim else float(out)
 
     def value_and_pressure(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -72,7 +72,8 @@ class GridDensity:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise InvalidDensityError("density values must form a nonempty vector")
-        if not np.isfinite(values).all() or (values < 0.0).any():
+        lo, hi = values.min(), values.max()  # NaN if any value is NaN
+        if not (0.0 <= lo and hi < np.inf):
             raise InvalidDensityError("density values must be finite and nonnegative")
         mass = float(values.sum() * self.dx_for(values.size))
         if abs(mass - 1.0) > MASS_TOL:
@@ -80,7 +81,7 @@ class GridDensity:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "strictly_positive", bool((values > 0.0).all()))
+        object.__setattr__(self, "strictly_positive", bool(lo > 0.0))
 
     def dx_for(self, n: int) -> float:
         return self.domain.length / n
@@ -154,8 +155,8 @@ class QuantileRep:
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 1 or X.size < 2:
             raise InvalidDensityError("quantile vector needs at least two nodes")
-        widths = X[1:] - X[:-1]
-        if (widths < 0.0).any():
+        narrowest = (X[1:] - X[:-1]).min()
+        if narrowest < 0.0:
             raise InvalidDensityError("quantile vector must be nondecreasing")
         if X[0] < self.domain.a - 1e-12 or X[-1] > self.domain.b + 1e-12:
             raise InvalidDensityError("quantile nodes leave the domain")
@@ -163,7 +164,7 @@ class QuantileRep:
         X.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "strictly_increasing",
-                           bool((widths > 0.0).all()))
+                           bool(narrowest > 0.0))
 
     @property
     def m(self) -> int:
@@ -213,7 +214,7 @@ def from_quantiles(q: QuantileRep, n: int) -> GridDensity:
     edges = q.domain.edges(n)
     cum = q.cdf(edges)
     cum[0], cum[-1] = 0.0, 1.0
-    mass = np.diff(cum)
+    mass = cum[1:] - cum[:-1]
     dx = q.domain.length / n
     return GridDensity(domain=q.domain, values=mass / dx)
 

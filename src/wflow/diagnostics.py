@@ -108,7 +108,8 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory
     check_lower = problem.potential.is_zero
     worst_hi = -np.inf
     worst_lo = np.inf
-    for rho in trajectory.densities[1:]:
+    # each snapshot object once: a run at its fixed point repeats the last one
+    for rho in {id(r): r for r in trajectory.densities[1:]}.values():
         worst_hi = max(worst_hi, float(np.max(rho.values)))
         worst_lo = min(worst_lo, float(np.min(rho.values)))
     if len(trajectory.densities) > 1:

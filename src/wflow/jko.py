@@ -13,13 +13,13 @@ it, and a wall-clip bound on the projected-gradient residual certifies the
 result.  A step Newton cannot certify fails at once with the reason it stopped.
 
 Evaluation contract: every iterate is evaluated once, in one sweep that
-yields the objective, its gradient, both energies and the per-cell
-quantities (midpoints, widths, displacement, cell density) everything else
-reads from.  The sweep takes one transcendental per cost or energy term:
-``CostSpec.value_and_derivative`` forms ``c`` and ``c'`` from one
-``|v|^(q-1)``, and ``EnergySpec.value_and_pressure`` forms ``F`` and the
-pressure from one ``log`` or ``rho^m``.  The banded curvature is formed from
-an evaluation, and only at iterates Newton steps from.
+yields the objective, its gradient, both energies, the transport sum
+``sum_i c(v_i)`` and the per-cell quantities (midpoints, widths, displacement,
+cell density) everything else reads from.  The sweep takes one transcendental
+per cost or energy term: ``CostSpec.value_and_derivative`` forms ``c`` and
+``c'`` from one ``|v|^(q-1)``, and ``EnergySpec.value_and_pressure`` forms
+``F`` and the pressure from one ``log`` or ``rho^m``.  The banded curvature
+is formed from an evaluation, and only at iterates Newton steps from.
 
 Warm start: inside a run, step ``k + 1`` starts at a polynomial predictor
 through the last minimizers (endpoints clipped to the walls), and that one
@@ -85,6 +85,7 @@ from .errors import (
 
 VACUUM_FLOOR_FACTOR = 1e-14
 MAX_STEPS = 10**6
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class _Evaluation:
 
     ``w`` is the node spacing clamped at the vacuum floor.  ``Fw`` holds the
     cell terms of the internal energy, and ``V`` the potential at the
-    midpoints, or None without a potential.
+    midpoints, or None without a potential.  ``csum`` is ``sum_i c(v_i)``.
     """
 
     X: np.ndarray
@@ -172,7 +173,7 @@ class _Evaluation:
     disp: np.ndarray
     v: np.ndarray
     rho: np.ndarray
-    c: np.ndarray
+    csum: float
     Fw: np.ndarray
     V: np.ndarray | None
     e_int: float
@@ -207,7 +208,8 @@ class _StepObjective:
         Fw, pres = pb.energy.value_and_pressure(rho)
         Fw *= w
         e_int = float(Fw.sum())
-        f = self.h * mu * float(c.sum())
+        csum = float(c.sum())
+        f = self.h * mu * csum
         f += e_int
         e_free = e_int
         cell *= -0.5 * mu
@@ -218,14 +220,15 @@ class _StepObjective:
             f += e_pot
             e_free += e_pot
             cell += 0.5 * mu * pb.potential.derivative(M)
-        # cell i adds cell + pres to node i and cell - pres to node i + 1
+        # cell i adds cell + pres to node i and cell - pres to node i + 1; the
+        # ends add 0.0 as a zero-started sum would (``pres`` is never -0.0)
         right = cell - pres
         pres += cell
-        g = np.zeros_like(X)
-        g[:-1] += pres
-        g[1:] += right
-        return _Evaluation(X=X, M=M, w=w, disp=disp, v=v, rho=rho, c=c, Fw=Fw,
-                           V=V, e_int=e_int, e_free=e_free, f=f, g=g)
+        g = np.empty_like(X)
+        np.add(pres[1:], right[:-1], out=g[1:-1])
+        g[0], g[-1] = pres[0] + 0.0, right[-1] + 0.0
+        return _Evaluation(X=X, M=M, w=w, disp=disp, v=v, rho=rho, csum=csum,
+                           Fw=Fw, V=V, e_int=e_int, e_free=e_free, f=f, g=g)
 
     def hessian(self, ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Hessian at an evaluated iterate: (diagonal, off-diagonal).
@@ -238,9 +241,9 @@ class _StepObjective:
         if self.has_potential:
             ct = ct + 0.25 * self.mu * self.pb.potential.second_derivative(ev.M)
         cell = ct + ge
-        diag = np.zeros(self.m + 1)
-        diag[1:] += cell
-        diag[:-1] += cell
+        diag = np.empty(self.m + 1)
+        np.add(cell[:-1], cell[1:], out=diag[1:-1])
+        diag[0], diag[-1] = cell[0] + 0.0, cell[-1] + 0.0
         return diag, ct - ge
 
     def rounding_error(self, ev: _Evaluation) -> float:
@@ -251,10 +254,10 @@ class _StepObjective:
         Stability of Numerical Algorithms*, 2nd ed., section 4.2).  The
         transport terms are nonnegative.
         """
-        s = self.h * self.mu * float(ev.c.sum()) + float(np.abs(ev.Fw).sum())
+        s = self.h * self.mu * ev.csum + float(np.abs(ev.Fw).sum())
         if ev.V is not None:
             s += self.mu * float(np.abs(ev.V).sum())
-        return self.m * np.finfo(float).eps * s
+        return self.m * _EPS * s
 
     def kkt_residual(self, X: np.ndarray, g: np.ndarray) -> float:
         """``D = sup|X - clip(X - g, a, b)|``, the step's certificate.
@@ -277,18 +280,18 @@ class _StepObjective:
         return float(np.abs(X - z).max())
 
 
-def _newton_solve(obj: _StepObjective, start: _Evaluation
-                  ) -> tuple[_Evaluation, int, float]:
+def _newton_solve(obj: _StepObjective, start: _Evaluation,
+                  increasing: bool = False) -> tuple[_Evaluation, int, float]:
     """Damped Newton on the banded system: ``(final, iterations, residual)``.
 
-    Starts from the evaluated start point and keeps each accepted trial's
-    evaluation for the next iteration.  The wall bounds on the two endpoint
-    nodes are handled by an active-set rule (pinned while the gradient
-    presses outward, free otherwise).  A step Newton cannot certify raises
-    ``ConvergenceError`` with the last accepted nodes, their residual and
-    the reason it stopped: an interior node on a wall, a non-finite or
-    singular system, no descent direction, a line search that failed or
-    reached the current nodes, or the ``newton_max_iter`` cap.
+    Starts from the evaluated start point, clipped to the walls unless it is
+    ``increasing`` with both endpoints within them, and keeps each accepted
+    trial's evaluation for the next iteration.  The endpoint walls are an
+    active set (pinned while the gradient presses outward).  A step Newton
+    cannot certify raises ``ConvergenceError`` with the last accepted nodes,
+    their residual and the reason it stopped: an interior node on a wall, a
+    non-finite or singular system, no descent direction, a line search that
+    failed or reached the current nodes, or the ``newton_max_iter`` cap.
 
     The backtracking test is Armijo's with the rounding error of ``f``
     (``_StepObjective.rounding_error``) as slack.  Near the solution the
@@ -300,8 +303,10 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation
     pb = obj.pb
     a, b = pb.domain.a, pb.domain.b
     edge = 1e-12 * pb.domain.length
-    X = start.X.clip(a, b)
-    ev = start if (X == start.X).all() else obj.evaluate(X)
+    X, ev = start.X, start
+    if not (increasing and a <= X[0] and X[-1] <= b):
+        X = X.clip(a, b)
+        ev = start if (X == start.X).all() else obj.evaluate(X)
     m = obj.m
 
     def stopped(reason: str) -> ConvergenceError:
@@ -396,7 +401,7 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
         wv += final.V
     dw = _gradient(wv, final.M)
     return StepDiagnostics(
-        W_value=float(final.c.sum()) / k,
+        W_value=final.csum / k,
         E_internal_before=before[0],
         E_internal_after=final.e_int,
         E_free_before=before[1],
@@ -419,15 +424,18 @@ def _predictor(obj: _StepObjective, nodes: list[np.ndarray],
     ``sum_j (-1)^j C(p + 1, j + 1) X_{k-j}``: ``2 X_k - X_{k-1}`` for
     ``p = 1``, ``4 X_k - 6 X_{k-1} + 4 X_{k-2} - X_{k-3}`` for ``p = 3``.
     At a fixed point, ``X_k == X_{k-1}`` exactly, the predictor is ``X_k``.
+    Summed from the first term, it is the zero-started sum bit for bit.
     """
     X = nodes[0]
     if (X == nodes[1]).all():
         guess = X.copy()
     else:
         p = len(nodes) - 1
-        guess = np.zeros_like(X)
-        for j, Xj in enumerate(nodes):
-            guess += (-1) ** j * math.comb(p + 1, j + 1) * Xj
+        guess = (p + 1) * X
+        term = np.empty_like(X)
+        for j in range(1, p + 1):
+            np.multiply(nodes[j], math.comb(p + 1, j + 1), out=term)
+            (np.subtract if j % 2 else np.add)(guess, term, out=guess)
         guess[0] = max(guess[0], obj.pb.domain.a)
         guess[-1] = min(guess[-1], obj.pb.domain.b)
     if not (guess[1:] > guess[:-1]).all():
@@ -450,20 +458,20 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
     """
     Xprev = np.array(Xprev, dtype=float)
     obj = _StepObjective(problem, Xprev)
-    start = None
+    start = cold = None
     if len(Xback) and before is not None:
         start = _predictor(obj, [Xprev, *Xback], before[1])
     if start is None:
-        start = obj.evaluate(Xprev)
+        start = cold = obj.evaluate(Xprev)
         if before is None:
             before = (start.e_int, start.e_free)
-    final, nit, r = _newton_solve(obj, start)
-    gaps = final.X[1:] - final.X[:-1]
-    if (gaps <= obj.wmin).any():
+    final, nit, r = _newton_solve(obj, start, increasing=start is not cold)
+    if (final.w <= obj.wmin).any():  # ``w``: the gaps clamped at ``wmin``
+        gaps = final.X[1:] - final.X[:-1]
         raise DegeneracyError(
             f"mass cell collapsed to width {float(gaps.min()):.3e}; "
             "the evolution left the positive-density regime")
-    if final.f > before[1] + obj.rounding_error(final):
+    if final.f > before[1] and final.f > before[1] + obj.rounding_error(final):
         raise ConvergenceError("step increased the objective", best=final.X,
                                residual=r)
     return final.X, _step_diagnostics(problem, before, final, r, nit)

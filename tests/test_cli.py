@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wflow import cli, refsolve
+from wflow import cli, diagnostics, refsolve
 from wflow.cli import (
     CONFIG_KEYS,
+    MAX_DOMAIN,
+    MAX_EXPONENT,
     MAX_GRID,
     MAX_HELD,
     MAX_WORK,
@@ -27,6 +29,7 @@ from wflow.cli import (
     cmd_study,
     config_hash,
     load_config,
+    diagnostics_to_jsonl,
     main,
     trajectory_to_csv,
 )
@@ -165,6 +168,25 @@ REJECTED_CONFIGS = {
     "energy-coeff-string": {"preset": None, "cost_terms": [[0.5, 2.0]],
                             "energy_terms": [{"kind": "entropy",
                                               "coeff": "1"}]},
+    "exponent-bool": {"preset": "doubly-degenerate", "exponent_p": 3.0,
+                      "exponent_n": True},
+    # energy exponents over MAX_EXPONENT: x^m overflows, and the solver
+    # used to exit 2 (porous medium) or 0 with overflow warnings (doubly
+    # degenerate, in the reference's flux)
+    "preset-exponent-over-cap": {"preset": "porous-medium",
+                                 "exponent_m": 1e300, "n": 16, "m": 16,
+                                 "h": 0.02, "T": 0.04},
+    "preset-derived-exponent-over-cap": {"preset": "doubly-degenerate",
+                                         "exponent_p": 3.0,
+                                         "exponent_n": 2**63,
+                                         "rho0": "uniform"},
+    "energy-terms-exponent-over-cap": {
+        "preset": None, "cost_terms": [[0.5, 2.0]],
+        "energy_terms": [{"kind": "power", "exponent": 1e300}]},
+    # a domain beyond MAX_DOMAIN: the profile, the potential and the step
+    # Hessian overflow, and the solver used to exit 2
+    "domain-over-cap": {"domain_b": 1e300, "rho0": {"profile": "gaussian"},
+                        "potential": {"kind": "quadratic"}},
 }
 
 
@@ -202,6 +224,19 @@ def test_grid_size_error_names_key_and_range(tmp_path, key):
     with pytest.raises(ParameterError,
                        match=rf"{key} must be an integer in \[1, {MAX_GRID}\]"):
         load_config(path)
+
+
+def test_exponent_and_domain_caps_accept_their_bounds(tmp_path):
+    cfg = load_config(write_config(tmp_path, preset="porous-medium",
+                                   exponent_m=MAX_EXPONENT,
+                                   domain_a=-MAX_DOMAIN, domain_b=MAX_DOMAIN))
+    assert cfg.energy.terms[0][2] == MAX_EXPONENT
+    assert (cfg.domain.a, cfg.domain.b) == (-MAX_DOMAIN, MAX_DOMAIN)
+    with pytest.raises(ParameterError, match="energy exponent .* over the cap"):
+        load_config(write_config(tmp_path, preset="porous-medium",
+                                 exponent_m=2.0 * MAX_EXPONENT))
+    with pytest.raises(ParameterError, match="beyond the cap"):
+        load_config(write_config(tmp_path, domain_a=-2.0 * MAX_DOMAIN))
 
 
 def test_grid_sizes_accept_integral_numbers_up_to_the_cap(tmp_path):
@@ -501,6 +536,40 @@ def test_trajectory_csv_bytes_match_parent_writer():
         traj = SchemeTrajectory(times=times, densities=densities)
         assert csv_text(traj).encode() == \
             parent_trajectory_to_csv(traj).encode()
+
+
+def test_fixed_point_run_formats_and_audits_repeats_once(tmp_path):
+    # a run that reaches its fixed point repeats its last snapshot object
+    # and an equal diagnostics record; both are formatted and audited once,
+    # with the bytes and the ledger of formatting and auditing each step
+    cfg = load_config(write_config(
+        tmp_path, potential={"kind": "quadratic"}, domain_a=-1.0, n=32, m=32,
+        h=0.05, T=10.0, rho0={"profile": "cosine", "amplitude": 0.3}))
+    pb = cfg.problem()
+    traj = run_scheme(pb, cfg.rho0, cfg.T)
+    dens = traj.densities
+    repeats = sum(b is a for a, b in zip(dens, dens[1:]))
+    assert repeats >= 10
+    buf = io.StringIO()
+    diagnostics_to_jsonl(traj, buf)
+    per_record = "".join(json.dumps(vars(d), sort_keys=True) + "\n"
+                         for d in traj.diagnostics)
+    same_bytes = buf.getvalue() == per_record  # no slow text diff on failure
+    assert same_bytes
+    hi0 = float(np.max(dens[0].values)) + diagnostics.BOUND_SLACK_CELLS / pb.m
+    backwards = SchemeTrajectory(times=traj.times, diagnostics=traj.diagnostics,
+                                 densities=(dens[0], *dens[:0:-1]))
+    for tr in (traj, backwards):
+        flag = diagnostics.ledger(pb, tr).flags[2]
+        assert flag.name == "comparison-principle"
+        assert flag.slack == hi0 - max(float(np.max(rho.values))
+                                       for rho in dens[1:])
+    led = diagnostics.ledger(pb, traj)
+    copies = SchemeTrajectory(
+        times=traj.times, diagnostics=traj.diagnostics,
+        densities=tuple(GridDensity(domain=rho.domain, values=rho.values)
+                        for rho in dens))
+    assert diagnostics.ledger(pb, copies) == led
 
 
 def test_trajectory_csv_streams_to_its_file(tmp_path):

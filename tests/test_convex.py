@@ -194,6 +194,43 @@ def test_energy_derivatives_match_finite_differences(F):
     assert np.allclose(P, xs * F.derivative(xs) - Fx, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("terms", [
+    ((1.0 / 3.0, 3.0), (1.0, 1.5)),
+    ((0.3, 1.5), (0.5, 2.0), (0.2, 3.0)),
+], ids=["two-term", "three-term"])
+def test_cost_curvature_matches_zero_started_sum(terms):
+    cost = CostSpec(terms=terms)
+    z = np.random.default_rng(5).uniform(-3.0, 3.0, 257)
+    az = np.maximum(np.abs(z), 1e-12)
+    want = np.zeros_like(az)
+    for A, qi in cost.terms:
+        want += A * qi * (qi - 1.0) * az ** (qi - 2.0)
+    assert cost.second_derivative(z).tobytes() == want.tobytes()
+    assert type(cost.second_derivative(0.7)) is float
+
+
+@pytest.mark.parametrize("terms", [
+    (("entropy", 0.5), ("power", 1.0, 3.0)),
+    (("power", 0.7, 1.5), ("entropy", 0.4), ("power", 0.2, 0.6)),
+], ids=["two-term", "three-term"])
+def test_energy_slope_and_curvature_match_zero_started_sums(terms):
+    F = EnergySpec(terms=terms)
+    x = np.random.default_rng(6).uniform(0.05, 8.0, 257)
+    slope, curv = np.zeros_like(x), np.zeros_like(x)
+    for t in F.terms:
+        if t[0] == "entropy":
+            slope += t[1] * (np.log(x) + 1.0)
+            curv += t[1] / x
+        else:
+            _, A, m = t
+            slope += A * m * x ** (m - 1.0) / (m - 1.0)
+            curv += A * m * x ** (m - 2.0)
+    assert F.derivative(x).tobytes() == slope.tobytes()
+    assert F.second_derivative(x).tobytes() == curv.tobytes()
+    assert type(F.derivative(2.0)) is float
+    assert type(F.second_derivative(2.0)) is float
+
+
 @pytest.mark.parametrize("F,s", [
     (EnergySpec.entropy(), 2.0),
     (EnergySpec.entropy(), 0.5),

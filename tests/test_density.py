@@ -44,6 +44,20 @@ def test_domain_validation():
         Domain(np.inf, 2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_grid_density_rejects_nonfinite_or_negative_values(bad):
+    values = np.full(4, 1.0)
+    values[2] = bad
+    with pytest.raises(InvalidDensityError, match="finite and nonnegative"):
+        GridDensity(domain=UNIT, values=values)
+
+
+@pytest.mark.parametrize("values,positive", [
+    ([0.5, 1.5], True), ([0.0, 2.0], False), ([-0.0, 2.0], False)])
+def test_grid_density_strict_positivity(values, positive):
+    assert GridDensity(domain=UNIT, values=values).strictly_positive is positive
+
+
 def test_normalize_constant():
     rho, change = normalize(np.full(8, 2.0), UNIT)
     assert np.allclose(rho.values, 1.0)

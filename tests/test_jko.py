@@ -687,3 +687,138 @@ def test_floored_density_properties():
     assert abs(np.sum(flo.values) * flo.dx - 1.0) <= 1e-12
     with pytest.raises(ParameterError):
         floored_density(rho0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the step's arithmetic, pinned bit for bit against zero-started sums
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _pinned_problems():
+    plap_cost, plap_energy = preset_specs("p-laplacian", p=3.0)
+    return [
+        heat_problem(h=2e-3, m=64),
+        JkoProblem(cost=Q2, energy=ENTROPY,
+                   potential=PotentialSpec.quadratic(1.0, 0.2), domain=SYM,
+                   h=1e-2, m=48),
+        JkoProblem(cost=plap_cost, energy=plap_energy, potential=NOPOT,
+                   domain=UNIT, h=2e-3, m=40),
+        JkoProblem(cost=CostSpec(terms=((0.3, 1.5), (0.5, 2.0), (0.2, 3.0))),
+                   energy=EnergySpec(terms=(("entropy", 0.4),
+                                            ("power", 0.5, 2.0),
+                                            ("power", 0.1, 3.5))),
+                   potential=PotentialSpec.quadratic(2.0, 0.7), domain=UNIT,
+                   h=5e-3, m=32),
+    ]
+
+
+def _moved_nodes(pb, seed):
+    """``pb``'s cosine quantiles, and nodes across the domain whose gaps are
+    those of the quantiles randomly rescaled."""
+    Xprev = to_quantiles(cosine_density(pb.m, domain=pb.domain), pb.m).X
+    gaps = np.diff(Xprev) * np.random.default_rng(seed).uniform(0.8, 1.2, pb.m)
+    cum = np.concatenate(([0.0], np.cumsum(gaps)))
+    X = pb.domain.a + pb.domain.length * (cum / cum[-1])
+    return Xprev, np.clip(X, pb.domain.a, pb.domain.b)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_gradient_and_curvature_match_zero_started_assembly(case):
+    from wflow.jko import _StepObjective
+    pb = _pinned_problems()[case]
+    Xprev, X = _moved_nodes(pb, case)
+    obj = _StepObjective(pb, Xprev)
+    ev = obj.evaluate(X)
+    mu = 1.0 / pb.m
+    # the sweep's gradient, assembled into zeros as cell sums used to be
+    _, cell = pb.cost.value_and_derivative(ev.v)
+    _, pres = pb.energy.value_and_pressure(ev.rho)
+    cell *= -0.5 * mu
+    if not pb.potential.is_zero:
+        cell += 0.5 * mu * pb.potential.derivative(ev.M)
+    right = cell - pres
+    pres += cell
+    g = np.zeros_like(X)
+    g[:-1] += pres
+    g[1:] += right
+    assert _same_bits(ev.g, g)
+    assert ev.csum == float(pb.cost.value_and_derivative(ev.v)[0].sum())
+    diag, off = obj.hessian(ev)
+    ct = (mu / (4.0 * pb.h)) * pb.cost.second_derivative(ev.v)
+    ge = mu**2 * pb.energy.second_derivative(ev.rho) / ev.w**3
+    if not pb.potential.is_zero:
+        ct = ct + 0.25 * mu * pb.potential.second_derivative(ev.M)
+    want = np.zeros(pb.m + 1)
+    want[1:] += ct + ge
+    want[:-1] += ct + ge
+    assert _same_bits(diag, want)
+    assert _same_bits(off, ct - ge)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_predictor_matches_zero_started_extrapolation(p):
+    from wflow.jko import _predictor, _StepObjective
+    pb = _pinned_problems()[2]
+    Xprev, _ = _moved_nodes(pb, 0)
+    rng = np.random.default_rng(p)
+    # a smooth node path with generic round-off in every entry
+    nodes = [Xprev + 1e-4 * j * np.sin(np.pi * Xprev)
+             * (1.0 + 1e-3 * rng.standard_normal(Xprev.size))
+             for j in range(p + 1)]
+    nodes = [np.clip(X, pb.domain.a, pb.domain.b) for X in nodes]
+    obj = _StepObjective(pb, nodes[0])
+    ev = _predictor(obj, nodes, math.inf)
+    want = np.zeros_like(nodes[0])
+    for j, Xj in enumerate(nodes):
+        want += (-1) ** j * math.comb(p + 1, j + 1) * Xj
+    want[0] = max(want[0], pb.domain.a)
+    want[-1] = min(want[-1], pb.domain.b)
+    assert ev is not None
+    assert _same_bits(ev.X, want)
+    assert not _same_bits(want, nodes[0])
+
+
+def test_step_records_the_transport_sum_it_evaluated():
+    from wflow.jko import _StepObjective
+    pb = _pinned_problems()[1]
+    Xprev, _ = _moved_nodes(pb, 3)
+    X, diag = jko_step_nodes(pb, Xprev)
+    ev = _StepObjective(pb, Xprev).evaluate(X)
+    c = pb.cost.value_and_derivative(ev.v)[0]
+    assert ev.csum == float(c.sum())
+    assert diag.W_value == float(c.sum()) / pb.m
+
+
+@pytest.mark.parametrize("where", ["left-node-outside", "interior-outside"])
+def test_cold_start_off_the_walls_is_clipped(where):
+    # a cold start is clipped to the walls exactly as before; a start the
+    # caller claims increasing is kept only with both endpoints inside them
+    from wflow.jko import _newton_solve, _StepObjective
+    pb = heat_problem(h=2e-3, m=64)
+    Xprev = to_quantiles(cosine_density(64), 64).X.copy()
+    if where == "left-node-outside":
+        Xprev[0] -= 0.25 * (Xprev[1] - Xprev[0])
+    else:
+        Xprev[40] = pb.domain.b + 0.01
+    obj = _StepObjective(pb, Xprev)
+
+    def outcome(solve):
+        try:
+            X = solve()
+        except ConvergenceError as exc:
+            return "stopped", exc.best.tobytes(), exc.residual
+        return "certified", X.tobytes()
+
+    clipped = np.clip(Xprev, pb.domain.a, pb.domain.b)
+    want = outcome(lambda: _newton_solve(obj, obj.evaluate(clipped))[0].X)
+    assert want[0] == ("certified" if where == "left-node-outside"
+                       else "stopped")
+    assert outcome(lambda: _newton_solve(obj, obj.evaluate(Xprev))[0].X) == want
+    if where == "left-node-outside":
+        assert outcome(lambda: _newton_solve(obj, obj.evaluate(Xprev),
+                                             increasing=True)[0].X) == want
+    assert outcome(lambda: jko_step_nodes(pb, Xprev)[0]) == want
