@@ -51,6 +51,9 @@ MAX_EXPONENT = 100.0
 # largest |domain_a| and |domain_b|: 4e5 times the largest any test or
 # benchmark uses, 2.5; a quadratic potential overflows from about 1e154
 MAX_DOMAIN = 1e6
+# largest value of the potential on the domain: about 2e4 times the largest
+# any test or benchmark uses, 45,300.5 (kappa 1 centred at -300 on [0, 1])
+MAX_POTENTIAL = 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +220,12 @@ def _parse_config(raw) -> RunConfig:
     if max(-domain.a, domain.b) > MAX_DOMAIN:
         raise ParameterError(f"domain ({domain.a!r}, {domain.b!r}) reaches "
                              f"beyond the cap of {MAX_DOMAIN!r} in magnitude")
+    d = max(abs(domain.a - potential.center), abs(domain.b - potential.center))
+    peak = (float(np.max(potential.vs)) if potential.kind == "tabulated"
+            else 0.5 * potential.kappa * d * d)
+    if not peak <= MAX_POTENTIAL:
+        raise ParameterError(f"potential reaches {peak!r} on the domain, over "
+                             f"the cap of {MAX_POTENTIAL!r}")
     n = _grid_size(raw, "n", 256)
     m = _grid_size(raw, "m", n)
     rho0 = _rho0_from_config(raw.get("rho0"), domain, n)

@@ -14,12 +14,14 @@ result.  A step Newton cannot certify fails at once with the reason it stopped.
 
 Evaluation contract: every iterate is evaluated once, in one sweep that
 yields the objective, its gradient, both energies, the transport sum
-``sum_i c(v_i)`` and the per-cell quantities (midpoints, widths, displacement,
-cell density) everything else reads from.  The sweep takes one transcendental
-per cost or energy term: ``CostSpec.value_and_derivative`` forms ``c`` and
-``c'`` from one ``|v|^(q-1)``, and ``EnergySpec.value_and_pressure`` forms
-``F`` and the pressure from one ``log`` or ``rho^m``.  The banded curvature
-is formed from an evaluation, and only at iterates Newton steps from.
+``sum_i c(v_i)`` and the per-cell quantities (midpoints, widths, velocity,
+cell density, pressure) everything else reads from; the ledger's dissipation
+is ``|c'(v)|^{q*}`` by the optimality law ``c'(v) = d(F'(rho) + V)/dx``.  The
+sweep takes one transcendental per cost or energy term:
+``CostSpec.value_and_derivative`` forms ``c`` and ``c'`` from one
+``|v|^(q-1)``, and ``EnergySpec.value_and_pressure`` forms ``F`` and the
+pressure from one ``log`` or ``rho^m``.  The banded curvature is formed from
+an evaluation, and only at iterates Newton steps from.
 
 Warm start: inside a run, step ``k + 1`` starts at a polynomial predictor
 through the last minimizers (endpoints clipped to the walls), and that one
@@ -162,9 +164,9 @@ class SchemeTrajectory:
 class _Evaluation:
     """Everything one step iterate determines, computed in one cell sweep.
 
-    ``w`` is the node spacing clamped at the vacuum floor.  ``Fw`` holds the
-    cell terms of the internal energy, and ``V`` the potential at the
-    midpoints, or None without a potential.  ``csum`` is ``sum_i c(v_i)``.
+    ``w`` is the node spacing clamped at the vacuum floor.  ``Fw`` and ``pres``
+    hold the internal energy's cell terms and pressures, ``V`` the potential
+    at the midpoints, or None without a potential.  ``csum`` is ``sum c(v)``.
     """
 
     X: np.ndarray
@@ -175,6 +177,7 @@ class _Evaluation:
     rho: np.ndarray
     csum: float
     Fw: np.ndarray
+    pres: np.ndarray
     V: np.ndarray | None
     e_int: float
     e_free: float
@@ -223,12 +226,13 @@ class _StepObjective:
         # cell i adds cell + pres to node i and cell - pres to node i + 1; the
         # ends add 0.0 as a zero-started sum would (``pres`` is never -0.0)
         right = cell - pres
-        pres += cell
+        cell += pres
         g = np.empty_like(X)
-        np.add(pres[1:], right[:-1], out=g[1:-1])
-        g[0], g[-1] = pres[0] + 0.0, right[-1] + 0.0
+        np.add(cell[1:], right[:-1], out=g[1:-1])
+        g[0], g[-1] = cell[0] + 0.0, right[-1] + 0.0
         return _Evaluation(X=X, M=M, w=w, disp=disp, v=v, rho=rho, csum=csum,
-                           Fw=Fw, V=V, e_int=e_int, e_free=e_free, f=f, g=g)
+                           Fw=Fw, pres=pres, V=V, e_int=e_int, e_free=e_free,
+                           f=f, g=g)
 
     def hessian(self, ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Hessian at an evaluated iterate: (diagonal, off-diagonal).
@@ -246,17 +250,29 @@ class _StepObjective:
         diag[0], diag[-1] = cell[0] + 0.0, cell[-1] + 0.0
         return diag, ct - ge
 
-    def rounding_error(self, ev: _Evaluation) -> float:
+    def rounding_error(self, ev: _Evaluation, arguments: bool = True) -> float:
         """A priori bound on the rounding error of ``ev.f``.
 
-        ``f`` sums ``m`` cell terms; recursive summation of ``m`` terms errs
-        by at most about ``m * eps * sum|term|`` (Higham, *Accuracy and
-        Stability of Numerical Algorithms*, 2nd ed., section 4.2).  The
-        transport terms are nonnegative.
+        Recursive summation of ``m`` terms errs by at most about
+        ``m * eps * sum|term|`` (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., section 4.2).  The terms are also evaluated at
+        rounded arguments (``rho`` to a relative ``eps``, ``M`` to ``eps/2``),
+        which moves them by ``mu |F'(rho)| eps`` and ``mu |M V'(M)| eps/2`` to
+        first order (the transport terms' share vanishes with ``v``).  These
+        dominate where the terms vanish, as the entropy's near ``rho = 1``,
+        and add ``m * eps * (sum w |F + P| + mu sum|M V'(M)|)``, as
+        ``mu F' = w (F + P)``.  A wider bound only turns a reject into an
+        accept, so the line search adds them (``arguments``) only for a trial
+        that fails without.
         """
         s = self.h * self.mu * ev.csum + float(np.abs(ev.Fw).sum())
         if ev.V is not None:
             s += self.mu * float(np.abs(ev.V).sum())
+        if arguments:
+            s += float(np.abs(ev.Fw + ev.pres * ev.w).sum())
+            if ev.V is not None:
+                dV = self.pb.potential.derivative(ev.M)
+                s += self.mu * float(np.abs(ev.M * dV).sum())
         return self.m * _EPS * s
 
     def kkt_residual(self, X: np.ndarray, g: np.ndarray) -> float:
@@ -337,7 +353,8 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
         gdot = float(g[i0:i1 + 1] @ dX)
         if not np.isfinite(gdot) or gdot >= 0.0:
             raise stopped("the Newton direction is not a descent direction")
-        slack = obj.rounding_error(ev)
+        slack = obj.rounding_error(ev, arguments=False)
+        wide = None
         step = 1.0
         for _ in range(60):
             Xn = X.copy()
@@ -350,7 +367,10 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
                 # an overflowing trial has f = inf and is rejected
                 with np.errstate(over="ignore"):
                     evn = obj.evaluate(Xn)
-                if evn.f <= ev.f + 1e-4 * step * gdot + slack:
+                bound = ev.f + 1e-4 * step * gdot
+                if wide is None and evn.f > bound + slack:
+                    wide = obj.rounding_error(ev)
+                if evn.f <= bound + (slack if wide is None else wide):
                     break
             step *= 0.5
         else:
@@ -359,47 +379,17 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
         it += 1
 
 
-def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.gradient(f, x)`` with the same arithmetic, by direct slicing.
-
-    Second-order differences inside, first-order ones at the ends; numpy
-    switches to the uniform-spacing formula when every spacing is equal,
-    and so does this.
-    """
-    dx = x[1:] - x[:-1]
-    out = np.empty_like(f)
-    if (dx == dx[0]).all():
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx[0])
-    else:
-        dx1, dx2 = dx[:-1], dx[1:]
-        span = dx1 + dx2
-        a = -dx2 / (dx1 * span)
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * span)
-        a *= f[:-2]
-        b *= f[1:-1]
-        a += b
-        c *= f[2:]
-        np.add(a, c, out=out[1:-1])
-    out[0] = (f[1] - f[0]) / dx[0]
-    out[-1] = (f[-1] - f[-2]) / dx[-1]
-    return out
-
-
 def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
                       final: _Evaluation, r: float, iterations: int
                       ) -> StepDiagnostics:
     """Ledger entries of one step: ``before = (E_internal, E_free)`` at
     ``Xprev``, everything else read off the final evaluation.
 
-    The dissipation integrand is taken on mass cells.  Means are sums over
-    the ``m`` cells divided by ``m``, as ``np.mean`` forms them.
+    The dissipation is ``|c'(v)|^{q*}`` by the optimality law.  Means are
+    sums over the ``m`` cells divided by ``m``, as ``np.mean`` forms them.
     """
     k = problem.m
-    wv = problem.energy.derivative(final.rho)
-    if final.V is not None:
-        wv += final.V
-    dw = _gradient(wv, final.M)
+    dv = problem.cost.derivative(final.v)
     return StepDiagnostics(
         W_value=final.csum / k,
         E_internal_before=before[0],
@@ -407,7 +397,7 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
         E_free_before=before[1],
         E_free_after=final.e_free,
         second_moment=float((final.disp**2).sum()) / k,
-        dissipation=float((np.abs(dw) ** problem.cost.qstar).sum()) / k,
+        dissipation=float((np.abs(dv) ** problem.cost.qstar).sum()) / k,
         kkt_residual=r,
         iterations=iterations,
     )
@@ -569,7 +559,7 @@ def euler_lagrange_residual(problem: JkoProblem, rho_prev: GridDensity,
     wv = problem.energy.derivative(rho_next.values)
     if not problem.potential.is_zero:
         wv = wv + problem.potential.value(rho_next.centers)
-    dw = _gradient(_binomial_smooth(wv), rho_next.centers)
+    dw = np.gradient(_binomial_smooth(wv), rho_next.centers)
     rhs = problem.cost.conjugate_gradient(np.interp(y, rho_next.centers, dw))
     weights = np.full(y.size, 1.0 / y.size)
     num = float(np.sum(np.abs(lhs - rhs) * weights))

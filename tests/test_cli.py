@@ -22,6 +22,7 @@ from wflow.cli import (
     MAX_EXPONENT,
     MAX_GRID,
     MAX_HELD,
+    MAX_POTENTIAL,
     MAX_WORK,
     cmd_crosscheck,
     cmd_oracle,
@@ -187,6 +188,21 @@ REJECTED_CONFIGS = {
     # Hessian overflow, and the solver used to exit 2
     "domain-over-cap": {"domain_b": 1e300, "rho0": {"profile": "gaussian"},
                         "potential": {"kind": "quadratic"}},
+    # a potential over MAX_POTENTIAL on the domain: the run used to write
+    # every artifact and exit 2 from the ledger (kappa), or exit 2 with "not
+    # a descent direction" (center)
+    "potential-kappa-over-cap": {"potential": {"kind": "quadratic",
+                                               "kappa": 1e300},
+                                 "n": 16, "m": 16, "h": 0.02, "T": 0.04},
+    "potential-center-over-cap": {"potential": {"kind": "quadratic",
+                                                "kappa": 1.0,
+                                                "center": 1e200},
+                                  "n": 16, "m": 16, "h": 0.02, "T": 0.04},
+    "potential-table-over-cap": {"potential": {"kind": "tabulated",
+                                               "x": [0.0, 1.0],
+                                               "v": [0.0, 1e300]}},
+    "potential-kappa-nan": {"potential": {"kind": "quadratic",
+                                          "kappa": float("nan")}},
 }
 
 
@@ -237,6 +253,24 @@ def test_exponent_and_domain_caps_accept_their_bounds(tmp_path):
                                  exponent_m=2.0 * MAX_EXPONENT))
     with pytest.raises(ParameterError, match="beyond the cap"):
         load_config(write_config(tmp_path, domain_a=-2.0 * MAX_DOMAIN))
+
+
+def test_potential_cap_accepts_its_bound(tmp_path):
+    # kappa (x - c)^2 / 2 peaks at the wall farthest from c; a table at its
+    # largest value
+    for potential in ({"kind": "quadratic", "kappa": 2.0 * MAX_POTENTIAL,
+                       "center": 0.0},
+                      {"kind": "tabulated", "x": [0.0, 1.0],
+                       "v": [0.0, MAX_POTENTIAL]}):
+        load_config(write_config(tmp_path, potential=potential))
+        over = dict(potential)
+        if "kappa" in over:
+            over["center"] = -1e-9
+        else:
+            over["v"] = [0.0, 2.0 * MAX_POTENTIAL]
+        with pytest.raises(ParameterError, match="potential reaches .* over "
+                                                 "the cap"):
+            load_config(write_config(tmp_path, potential=over))
 
 
 def test_grid_sizes_accept_integral_numbers_up_to_the_cap(tmp_path):
@@ -493,6 +527,21 @@ def csv_text(traj):
     return buf.getvalue()
 
 
+def first_line_difference(got: str, want: str) -> str | None:
+    """None for equal texts, else where they first differ.
+
+    A failing comparison of two long strings makes pytest build a difflib
+    diff, which takes minutes on a trajectory; this message takes no time.
+    """
+    if got == want:
+        return None
+    g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (x, y) in enumerate(zip(g, w)):
+        if x != y:
+            return f"line {i + 1}: {x!r} != {y!r}"
+    return f"{len(g)} lines != {len(w)} lines"
+
+
 def test_trajectory_csv_matches_per_row_reference(tmp_path):
     cfg = load_config(write_config(tmp_path, potential={
         "kind": "quadratic", "kappa": 1.0, "center": 0.3}))
@@ -505,7 +554,8 @@ def test_trajectory_csv_matches_per_row_reference(tmp_path):
     mixed = SchemeTrajectory(times=(0.0, 0.1, 0.2, 0.3, 0.4),
                              densities=(cfg.rho0, wide, fd.final, coarse, wide))
     for tr in (traj, fd, mixed):
-        assert csv_text(tr) == per_row_trajectory_csv(tr)
+        diff = first_line_difference(csv_text(tr), per_row_trajectory_csv(tr))
+        assert diff is None, diff
 
 
 def parent_trajectory_to_csv(traj: SchemeTrajectory) -> str:
@@ -534,8 +584,9 @@ def test_trajectory_csv_bytes_match_parent_writer():
     two_grids = (a, coarse, coarse, b, coarse, a, a)
     for densities in (same_object, equal_copies, two_grids):
         traj = SchemeTrajectory(times=times, densities=densities)
-        assert csv_text(traj).encode() == \
-            parent_trajectory_to_csv(traj).encode()
+        diff = first_line_difference(csv_text(traj),
+                                     parent_trajectory_to_csv(traj))
+        assert diff is None, diff
 
 
 def test_fixed_point_run_formats_and_audits_repeats_once(tmp_path):

@@ -3,9 +3,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from wflow.convex import CostSpec, EnergySpec, PotentialSpec
+from wflow.convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
 from wflow.density import Domain, l1_distance, normalize
 from wflow.diagnostics import (
+    DISSIPATION_TOL,
     compare,
     conjugate_growth_constant,
     fit_rate,
@@ -129,6 +130,51 @@ def test_ledger_dissipation_cap_from_run_data():
     led = ledger(pb, traj)
     assert led.dissipation_sum <= led.dissipation_cap
     assert led.dissipation_cap > 0.0
+
+
+@pytest.mark.parametrize("kappa", [1e3, 1e4])
+def test_ledger_stiff_potential_dissipation_under_cap(kappa):
+    # p = 3 with V = kappa (x + 1)^2 / 2 crowds the midpoints against the
+    # wall at 0; the dissipation read off each step's optimality law stays
+    # far under the cap, and only the comparison principle fails (the
+    # maximum rises toward the Gibbs state's)
+    cost, energy = preset_specs("p-laplacian", p=3.0)
+    pb = JkoProblem(cost=cost, energy=energy,
+                    potential=PotentialSpec.quadratic(kappa, -1.0),
+                    domain=UNIT, h=1e-2, m=64)
+    traj = run_scheme(pb, cosine_density(64), T=0.2)
+    led = ledger(pb, traj)
+    failed = [f.name for f in led.flags if not f.passed]
+    assert failed == ["comparison-principle"]
+    assert led.dissipation_sum <= 1e-2 * led.dissipation_cap
+
+
+def test_ledger_dissipation_flag_fails_over_the_cap():
+    pb = heat_problem(h=1e-2, m=64)
+    traj = run_scheme(pb, cosine_density(64), T=0.1)
+    cap = ledger(pb, traj).dissipation_cap
+    steps = len(traj.diagnostics)
+    for share, passes in ((0.5, True), (2.0, False)):
+        # records whose summed h * dissipation is share * cap
+        level = share * cap / (pb.h * steps)
+        forged = replace(traj, diagnostics=tuple(
+            replace(d, dissipation=level) for d in traj.diagnostics))
+        flag = {f.name: f for f in ledger(pb, forged).flags}["dissipation-bound"]
+        assert flag.passed is passes
+        assert flag.slack == pytest.approx((1.0 - share) * cap
+                                           + DISSIPATION_TOL, rel=1e-9)
+
+
+@pytest.mark.parametrize("m,h", [(256, 2.5e-3), (512, 1.25e-3)])
+def test_heat_run_reaches_equilibrium_and_passes_ledger(m, h):
+    # plain heat flow on [0, 1]: near its equilibrium rho = 1 the entropy's
+    # cell terms vanish, and Newton's line search needs the rounding error
+    # of F at rounded arguments to accept the steps it takes there
+    pb = heat_problem(h=h, m=m)
+    traj = run_scheme(pb, cosine_density(256), T=1.0)
+    assert len(traj.diagnostics) == round(1.0 / h)
+    led = ledger(pb, traj)
+    assert led.all_pass, [asdict(f) for f in led.flags if not f.passed]
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,64 @@ def test_el_residual_direction_sensitive():
     assert bwd > 10.0 * fwd
 
 
+def test_el_residual_values_on_criterion_5_cases():
+    # criterion 5's residuals bit for bit: the flux side's differences are
+    # np.gradient's (second order inside, first order at the ends)
+    expected = {
+        "heat": (UNIT, NOPOT, 1.0, (0.009865172052424265,
+                                    0.0053343026595879675,
+                                    0.00481273466452679)),
+        "fokker-planck": (SYM, PotentialSpec.quadratic(1.0, 0.0), 0.5,
+                          (0.020272051250481943, 0.010612456093135816,
+                           0.0059684225876946145)),
+    }
+    for dom, pot, freq, values in expected.values():
+        for (n, h), value in zip(((128, 4e-3), (256, 2e-3), (512, 1e-3)),
+                                 values):
+            pb = JkoProblem(cost=Q2, energy=ENTROPY, potential=pot,
+                            domain=dom, h=h, m=n)
+            rho = cosine_density(n, amp=0.5, freq=freq, domain=dom)
+            nxt = run_scheme(pb, rho, pb.h).final
+            assert euler_lagrange_residual(pb, rho, nxt) == value
+
+
+@pytest.mark.parametrize("preset,kw,potential,domain,freq", [
+    ("fokker-planck", {}, NOPOT, UNIT, 1.0),
+    ("p-laplacian", {"p": 3.0}, NOPOT, UNIT, 1.0),
+    ("fokker-planck", {}, PotentialSpec.quadratic(1.0, 0.0), SYM, 0.5),
+], ids=["heat", "p-laplacian", "fokker-planck"])
+def test_dissipation_matches_flux_side_reference(monkeypatch, preset, kw,
+                                                 potential, domain, freq):
+    # the step reads the dissipation off its optimality law,
+    # c'(v) = d(F'(rho) + V)/dx per mass cell; on a smooth run that agrees
+    # with second-order differences of F'(rho) + V over the midpoints
+    from wflow import jko
+
+    steps = []
+
+    def recording(*args):
+        out = jko_step_nodes(*args)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(jko, "jko_step_nodes", recording)
+    cost, energy = preset_specs(preset, **kw)
+    pb = JkoProblem(cost=cost, energy=energy, potential=potential,
+                    domain=domain, h=1e-2, m=256)
+    run_scheme(pb, cosine_density(256, freq=freq, domain=domain), T=1.0)
+    checked = 0
+    for X, d in steps:
+        if d.dissipation <= 1e-6:
+            continue
+        M = 0.5 * (X[:-1] + X[1:])
+        rho = (1.0 / pb.m) / np.diff(X)
+        dw = np.gradient(energy.derivative(rho) + potential.value(M), M)
+        flux = float(np.mean(np.abs(dw) ** cost.qstar))
+        assert d.dissipation == pytest.approx(flux, rel=1e-3)
+        checked += 1
+    assert checked >= 20
+
+
 # ---------------------------------------------------------------------------
 # multi-step runs
 # ---------------------------------------------------------------------------

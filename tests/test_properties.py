@@ -16,7 +16,7 @@ from wflow.convex import (CostSpec, EnergySpec, PotentialSpec, preset_specs,
                           validate_assumptions)
 from wflow.density import Domain, normalize
 from wflow.errors import InvalidSpecError, SchemeAbortError
-from wflow.jko import JkoProblem, _gradient, _StepObjective, run_scheme
+from wflow.jko import JkoProblem, _StepObjective, run_scheme
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -127,26 +127,6 @@ def test_kkt_shortcut_matches_pava(Xg):
     tol = obj.pb.tol
     if np.diff(X).min() > 2.0 * tol:
         assert (r <= tol) == (exact <= tol)
-
-
-@st.composite
-def samples_on_grid(draw):
-    k = draw(st.integers(2, 200))
-    f = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k)))
-    if draw(st.booleans()):
-        x = 3.0 * np.arange(k) - 7.0         # exactly equal spacing
-    else:
-        gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=k - 1,
-                             max_size=k - 1))
-        x = np.concatenate(([0.0], np.cumsum(gaps)))
-    return f, x
-
-
-@PROPERTY
-@given(samples_on_grid())
-def test_sliced_gradient_matches_numpy(fx):
-    f, x = fx
-    assert bits(_gradient(f, x)) == bits(np.gradient(f, x))
 
 
 # ---------------------------------------------------------------------------
