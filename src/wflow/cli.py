@@ -483,7 +483,7 @@ def cmd_oracle(k: int, seed: int, q: float = 2.0) -> int:
             mono = transport.monotone_atom_cost(x, y, cost, h=1.0)
             dev = math.inf
             if math.isfinite(mono):  # then the exact assignment is finite too
-                exact, _ = transport.lp_oracle(x, y, cost, h=1.0)
+                exact = transport.lp_oracle(x, y, cost, h=1.0)
                 if exact > 0.0:  # an underflowed cost compares nothing
                     dev = abs(mono - exact) / exact
             if not math.isfinite(dev):

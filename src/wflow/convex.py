@@ -362,14 +362,17 @@ class PotentialSpec:
         if self.kind == "zero":
             return
         if self.kind == "quadratic":
-            if self.kappa < 0.0:
-                raise InvalidSpecError("quadratic potential needs kappa >= 0")
+            if not (0.0 <= self.kappa < np.inf and abs(self.center) < np.inf):
+                raise InvalidSpecError(
+                    "quadratic potential needs finite kappa >= 0 and center")
             return
         if self.kind == "tabulated":
             xs = np.asarray(self.xs, dtype=float)
             vs = np.asarray(self.vs, dtype=float)
             if xs.size < 2 or xs.size != vs.size:
                 raise InvalidSpecError("tabulated potential needs matching x/v samples")
+            if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
+                raise InvalidSpecError("tabulated potential samples must be finite")
             if np.any(np.diff(xs) <= 0):
                 raise InvalidSpecError("tabulated potential nodes must increase")
             if np.any(vs < 0):
@@ -451,8 +454,8 @@ def validate_assumptions(cost: CostSpec, energy: EnergySpec,
       convex (``m >= 1 - 1/d`` in dimension ``d = 1``), and ``F`` is
       superlinear (an entropy term or some ``m > 1``) or else decreasing
       (every ``m < 1``);
-    - ``PotentialSpec`` takes ``kappa >= 0`` and convex tables of values
-      ``>= 0`` only.
+    - ``PotentialSpec`` takes a finite ``kappa >= 0`` and center, and convex
+      tables of finite values ``>= 0`` at finite nodes only.
 
     The two checked here raise ``InvalidSpecError`` naming the check and its
     witness:

@@ -14,13 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .convex import EnergySpec, PotentialSpec
-from .errors import (
-    DegenerateCellError,
-    DomainMismatchError,
-    InvalidDensityError,
-    NonInvertibleCdfError,
-    ParameterError,
-)
+from .errors import InvalidDensityError, ParameterError
 
 MASS_TOL = 1e-12
 
@@ -117,7 +111,7 @@ class GridDensity:
         """
         pos = np.nonzero(self.values > 0.0)[0]
         if pos[-1] - pos[0] + 1 != pos.size:
-            raise NonInvertibleCdfError(
+            raise InvalidDensityError(
                 "density has interior zero cells; its CDF is not invertible")
         edges = self.edges
         return float(edges[pos[0]]), float(edges[pos[-1] + 1])
@@ -210,7 +204,7 @@ def from_quantiles(q: QuantileRep, n: int) -> GridDensity:
     if n < 1:
         raise ParameterError(f"need at least one grid cell, got n={n}")
     if not q.strictly_increasing:
-        raise DegenerateCellError("repeated quantile nodes")
+        raise InvalidDensityError("repeated quantile nodes")
     edges = q.domain.edges(n)
     cum = q.cdf(edges)
     cum[0], cum[-1] = 0.0, 1.0
@@ -241,7 +235,7 @@ def quantile_internal_energy(X: np.ndarray, F: EnergySpec) -> float:
     """
     w = np.diff(X)
     if np.any(w <= 0.0):
-        raise DegenerateCellError("repeated quantile nodes")
+        raise InvalidDensityError("repeated quantile nodes")
     mu = 1.0 / w.size
     return float(np.sum(F.value(mu / w) * w))
 
@@ -252,7 +246,7 @@ def l1_distance(rho_a: GridDensity, rho_b: GridDensity) -> float:
     Handles different resolutions by merging both edge sets.
     """
     if rho_a.domain != rho_b.domain:
-        raise DomainMismatchError("densities live on different domains")
+        raise ParameterError("densities live on different domains")
     if rho_a.n == rho_b.n:
         return float(np.sum(np.abs(rho_a.values - rho_b.values)) * rho_a.dx)
     edges = np.union1d(rho_a.edges, rho_b.edges)

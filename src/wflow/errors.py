@@ -8,7 +8,7 @@ class WflowError(Exception):
 
 
 class ParameterError(WflowError):
-    """A scalar argument is outside its admissible range."""
+    """An argument is outside its admissible range or does not fit the others."""
 
 
 class InvalidSpecError(WflowError):
@@ -16,27 +16,13 @@ class InvalidSpecError(WflowError):
 
 
 class InvalidDensityError(WflowError):
-    """Raw density data cannot represent a probability density."""
-
-
-class NonInvertibleCdfError(WflowError):
-    """The density has interior zero cells, so its CDF cannot be inverted."""
-
-
-class DegenerateCellError(WflowError):
-    """A quantile representation has repeated nodes (zero-width mass cell)."""
-
-
-class OracleLimitError(WflowError):
-    """The exact transport oracle was asked for more atoms than it certifies."""
-
-
-class DegeneracyError(WflowError):
-    """A minimization step collapsed a mass cell below the vacuum floor."""
+    """Density data cannot represent a probability density, or cannot be
+    converted between its grid and quantile views."""
 
 
 class ConvergenceError(WflowError):
-    """An iterative solver failed to reach its tolerance.
+    """An iterative solver failed to reach its tolerance, or its result left
+    the positive-density regime.
 
     Carries the best iterate found and the residual at that iterate so
     callers can inspect partial results.
@@ -51,22 +37,10 @@ class ConvergenceError(WflowError):
 class SchemeAbortError(WflowError):
     """A multi-step run failed mid-way.
 
-    Carries the partial trajectory computed before the failing step.
+    Carries the partial trajectory computed before the failing step; its
+    ``__cause__`` is the step's ``ConvergenceError``.
     """
 
-    def __init__(self, message, partial=None, cause=None):
+    def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-        self.cause = cause
-
-
-class DomainMismatchError(WflowError):
-    """Two objects that must share a spatial domain do not."""
-
-
-class IncompleteLedgerError(WflowError):
-    """A trajectory was submitted for audit without full per-step diagnostics."""
-
-
-class FitInvalidError(WflowError):
-    """Measured data is unusable for a log-log rate fit."""

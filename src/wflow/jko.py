@@ -79,7 +79,6 @@ from .density import (
 )
 from .errors import (
     ConvergenceError,
-    DegeneracyError,
     InvalidDensityError,
     ParameterError,
     SchemeAbortError,
@@ -458,9 +457,10 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
     final, nit, r = _newton_solve(obj, start, increasing=start is not cold)
     if (final.w <= obj.wmin).any():  # ``w``: the gaps clamped at ``wmin``
         gaps = final.X[1:] - final.X[:-1]
-        raise DegeneracyError(
+        raise ConvergenceError(
             f"mass cell collapsed to width {float(gaps.min()):.3e}; "
-            "the evolution left the positive-density regime")
+            "the evolution left the positive-density regime",
+            best=final.X, residual=r)
     if final.f > before[1] and final.f > before[1] + obj.rounding_error(final):
         raise ConvergenceError("step increased the objective", best=final.X,
                                residual=r)
@@ -509,13 +509,12 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
             order = 2 if k == 4 else 3
             try:
                 Xnext, diag = jko_step_nodes(problem, X, back[:order], before)
-            except (ConvergenceError, DegeneracyError) as exc:
-                raise SchemeAbortError(
-                    f"step {k} failed: {exc}",
-                    partial=SchemeTrajectory(times=tuple(times),
-                                             densities=tuple(densities),
-                                             diagnostics=tuple(diags)),
-                    cause=exc) from exc
+            except ConvergenceError as exc:
+                partial = SchemeTrajectory(times=tuple(times),
+                                           densities=tuple(densities),
+                                           diagnostics=tuple(diags))
+                raise SchemeAbortError(f"step {k} failed: {exc}",
+                                       partial=partial) from exc
             back, X = [X, *back[:2]], Xnext
             before = (diag.E_internal_after, diag.E_free_after)
             rho = from_quantiles(QuantileRep(domain=problem.domain, X=X),

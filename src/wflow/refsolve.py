@@ -70,7 +70,7 @@ def fd_solve(cost: CostSpec, energy: EnergySpec, potential: PotentialSpec,
     steps = step_count(T, cfg.dt)
     n = cfg.n
     dx = rho0.dx
-    vpot = np.zeros(n) if potential.is_zero else potential.value(rho0.centers)
+    vpot = potential.value(rho0.centers)
 
     def residual(rho_new, rho_old):
         return rho_new - rho_old - cfg.dt * _flux_divergence(
@@ -169,9 +169,8 @@ def gibbs_state(energy: EnergySpec, potential: PotentialSpec, domain: Domain,
     where ``lam - V`` falls below the range of ``F'`` the density clamps
     at zero.
     """
-    xc = Domain(domain.a, domain.b).centers(n)
     dx = domain.length / n
-    vx = potential.value(xc) if not potential.is_zero else np.zeros(n)
+    vx = potential.value(domain.centers(n))
 
     def mass(lam: float) -> float:
         vals = energy.derivative_inverse(lam - vx)

@@ -8,31 +8,22 @@ brute-force oracle certifies that optimality on small discrete instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import CostSpec
-from .errors import OracleLimitError, ParameterError
+from .errors import ParameterError
 
 EXHAUSTIVE_LIMIT = 8
 ORACLE_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Discrete coupling: atoms ``(x, y, mass)`` with equal-weight marginals."""
-
-    atoms: tuple[tuple[float, float, float], ...]
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle on equal-weight atoms
 # ---------------------------------------------------------------------------
 
-def lp_oracle(atoms0, atoms1, cost: CostSpec, h: float
-              ) -> tuple[float, TransportPlan]:
-    """Exact optimal assignment between equal-weight atom lists.
+def lp_oracle(atoms0, atoms1, cost: CostSpec, h: float) -> float:
+    """Cost of the exact optimal assignment between equal-weight atom lists.
 
     Up to 8 atoms every permutation is enumerated; up to 64 atoms an exact
     assignment solve is used.  Exists to certify the monotone solver, not
@@ -44,7 +35,7 @@ def lp_oracle(atoms0, atoms1, cost: CostSpec, h: float
         raise ParameterError("atom lists must be nonempty 1-D of equal length")
     k = x.size
     if k > ORACLE_LIMIT:
-        raise OracleLimitError(f"oracle certifies at most {ORACLE_LIMIT} atoms, got {k}")
+        raise ParameterError(f"oracle certifies at most {ORACLE_LIMIT} atoms, got {k}")
     if not (h > 0.0):
         raise ParameterError(f"scaling h must be positive, got {h}")
     C = cost.value((x[:, None] - y[None, :]) / h)
@@ -55,11 +46,7 @@ def lp_oracle(atoms0, atoms1, cost: CostSpec, h: float
     else:
         from scipy.optimize import linear_sum_assignment
         _, best = linear_sum_assignment(C)
-    w = 1.0 / k
-    plan = TransportPlan(atoms=tuple(
-        (float(x[i]), float(y[best[i]]), w) for i in range(k)))
-    total = float(C[np.arange(k), best].mean())
-    return total, plan
+    return float(C[np.arange(k), best].mean())
 
 
 def monotone_atom_cost(atoms0, atoms1, cost: CostSpec, h: float) -> float:

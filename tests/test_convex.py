@@ -277,6 +277,17 @@ def test_tabulated_potential_requires_convexity():
     assert V.value(0.25) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PotentialSpec.quadratic(np.nan),
+    lambda: PotentialSpec.quadratic(1.0, np.inf),
+    lambda: PotentialSpec.tabulated([0.0, 1.0], [0.0, np.nan]),
+    lambda: PotentialSpec.tabulated([0.0, np.nan], [0.0, 1.0]),
+], ids=["kappa-nan", "center-inf", "table-v-nan", "table-x-nan"])
+def test_potential_rejects_non_finite_parameters(build):
+    with pytest.raises(InvalidSpecError, match="finite"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # assumption validation
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from wflow import jko
 from wflow.convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
 from wflow.density import (
     Domain,
@@ -17,7 +18,6 @@ from wflow.density import (
 )
 from wflow.errors import (
     ConvergenceError,
-    DegeneracyError,
     InvalidDensityError,
     InvalidSpecError,
     ParameterError,
@@ -154,13 +154,28 @@ def test_strict_positivity_required():
         run_scheme(pb, rho, pb.h)
 
 
-def test_degeneracy_guard_fires():
-    # a sub-floor cell pinned by a tiny time step keeps the collapse
+def test_degeneracy_guard_fires(monkeypatch):
+    # a sub-floor cell pinned by a tiny time step fails the step
     pb = heat_problem(h=1e-8, m=8)
     X = np.linspace(0.0, 1.0, 9)
     X[4] = X[3] + 1e-16
-    with pytest.raises((DegeneracyError, ConvergenceError)):
+    with pytest.raises(ConvergenceError):
         jko_step_nodes(pb, X)
+    # a vacuum floor above every gap of the uniform start: the certified
+    # step has collapsed cells, and the run aborts with the step's nodes
+    monkeypatch.setattr(jko, "VACUUM_FLOOR_FACTOR", 0.2)
+    pb = heat_problem(h=1e-2, m=8)
+    X = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ConvergenceError, match="mass cell collapsed") as info:
+        jko_step_nodes(pb, X)
+    assert info.value.best.shape == X.shape
+    assert np.isfinite(info.value.residual)
+    rho = from_quantiles(QuantileRep(domain=UNIT, X=X), 8)
+    with pytest.raises(SchemeAbortError, match="step 1 failed: mass cell") as info:
+        run_scheme(pb, rho, pb.h)
+    assert info.value.partial.times == (0.0,)
+    cause = info.value.__cause__
+    assert isinstance(cause, ConvergenceError) and cause.best.shape == X.shape
 
 
 def test_descent_guard_allows_rounding_error():

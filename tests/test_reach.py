@@ -14,7 +14,8 @@ References are AST names, attribute names and imported names, never string
 contents: a config key spelled like a function does not keep the function.
 
 The same walk checks that no module of ``src/wflow`` or ``tests`` imports a
-name at top level that it never refers to.
+name at top level that it never refers to, and that every error class but
+the base ``WflowError`` is raised by name somewhere in ``src/wflow``.
 """
 
 from __future__ import annotations
@@ -108,3 +109,18 @@ def test_every_top_level_import_is_used():
                 if bound not in used:
                     unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+def test_every_error_class_is_raised():
+    # WflowError is the base that callers catch; each other class must be
+    # raised by name, so an error type that nothing raises cannot linger
+    classes = {stmt.name for stmt in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(stmt, ast.ClassDef)} - {"WflowError"}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes <= raised, f"never raised: {', '.join(sorted(classes - raised))}"
