@@ -1,4 +1,8 @@
-"""LAPACK's ``dgtsv``, loaded from scipy's compiled extension alone.
+"""LAPACK's tridiagonal routines, loaded from scipy's compiled extension alone.
+
+``dgtsv`` solves a general tridiagonal system; ``dpttrf`` factors a
+symmetric positive definite one as ``L D L^T`` and ``dpttrs`` solves with
+that factor.
 
 ``import scipy.linalg`` also loads scipy's array-API layer, which doubles
 a command's start-up time; the extension itself needs only numpy.  It is
@@ -26,4 +30,5 @@ def _load_flapack():
     return sys.modules[_FLAPACK]
 
 
-dgtsv = _load_flapack().dgtsv
+_flapack = _load_flapack()
+dgtsv, dpttrf, dpttrs = _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs

@@ -138,8 +138,8 @@ def test_run_snapshots_match_a_fresh_rasterization_bit_for_bit(monkeypatch):
 
     nodes, step = [], jko.jko_step_nodes
 
-    def recording(*args):
-        X, d = step(*args)
+    def recording(*args, **kw):
+        X, d = step(*args, **kw)
         nodes.append(X)
         return X, d
 

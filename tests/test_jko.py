@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import random
 
@@ -397,8 +398,8 @@ def test_dissipation_matches_flux_side_reference(monkeypatch, preset, kw,
 
     steps = []
 
-    def recording(*args):
-        out = jko_step_nodes(*args)
+    def recording(*args, **kw):
+        out = jko_step_nodes(*args, **kw)
         steps.append(out)
         return out
 
@@ -518,6 +519,42 @@ def test_step_energies_chain_exactly():
         assert nxt.E_free_before == prev.E_free_after
 
 
+@pytest.mark.parametrize("cost,energy", [
+    (Q2, ENTROPY),
+    preset_specs("p-laplacian", p=3.0),
+    (CostSpec(terms=((1.0, 2.0), (0.5, 1.8), (0.25, 3.0))), ENTROPY),
+], ids=["q2", "q1.5", "three-term"])
+def test_dissipation_records_match_the_derivative_reference(cost, energy,
+                                                            monkeypatch):
+    # the dissipation reads the c'(v) the step's evaluation formed; its
+    # diagnostics.jsonl bytes are those of |cost.derivative(v)|^q* over the
+    # final velocities
+    from wflow import cli, jko
+    from wflow.jko import _StepObjective
+
+    records, step = [], jko.jko_step_nodes
+
+    def recording(pb, Xprev, *args, **kw):
+        X, d = step(pb, Xprev, *args, **kw)
+        v = _StepObjective(pb, Xprev).evaluate(X).v
+        dv = pb.cost.derivative(v)
+        ref = float((np.abs(dv) ** pb.cost.qstar).sum()) / pb.m
+        records.append(dataclasses.replace(d, dissipation=ref))
+        return X, d
+
+    monkeypatch.setattr(jko, "jko_step_nodes", recording)
+    pb = JkoProblem(cost=cost, energy=energy, potential=NOPOT, domain=UNIT,
+                    h=1e-2, m=128)
+    traj = run_scheme(pb, cosine_density(64), T=0.3)
+    assert len(records) == len(traj.diagnostics) == 30
+    got, want = io.StringIO(), io.StringIO()
+    cli.diagnostics_to_jsonl(traj, got)
+    cli.diagnostics_to_jsonl(
+        dataclasses.replace(traj, diagnostics=tuple(records)), want)
+    same_bytes = got.getvalue().encode() == want.getvalue().encode()
+    assert same_bytes
+
+
 def _plap_problem():
     from wflow.convex import preset_specs
 
@@ -546,8 +583,8 @@ def test_warm_started_run_matches_cold_steps(make, monkeypatch):
     pb, rho, T = make()
     warm_nodes = []
 
-    def recording(*args):
-        X, d = jko_step_nodes(*args)
+    def recording(*args, **kw):
+        X, d = jko_step_nodes(*args, **kw)
         warm_nodes.append(X)
         return X, d
 
@@ -573,12 +610,16 @@ def test_warm_started_run_matches_cold_steps(make, monkeypatch):
 
 def _run_every_step(pb, rho0, T):
     # run_scheme's loop before fixed-point steps were repeated: every step
-    # goes through the solver, warm-started from the same node history
+    # goes through the solver, warm-started from the same node history and
+    # sharing one last Hessian
+    from wflow.jko import _LastHessian
+
     X = to_quantiles(rho0, pb.m).X
-    back, before = [], None
+    back, before, last = [], None, _LastHessian()
     densities, diags = [rho0], []
     for k in range(1, step_count(T, pb.h) + 1):
-        Xnext, d = jko_step_nodes(pb, X, back[:2 if k == 4 else 3], before)
+        Xnext, d = jko_step_nodes(pb, X, back[:2 if k == 4 else 3], before,
+                                  last_hessian=last)
         back, X = [X, *back[:2]], Xnext
         before = (d.E_internal_after, d.E_free_after)
         densities.append(from_quantiles(QuantileRep(domain=pb.domain, X=X),
@@ -592,9 +633,9 @@ def _counting_step_nodes(monkeypatch, step=jko_step_nodes):
 
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kw):
         calls.append(args)
-        return step(*args)
+        return step(*args, **kw)
 
     monkeypatch.setattr(jko, "jko_step_nodes", counting)
     return calls
@@ -620,8 +661,8 @@ def test_fixed_point_steps_report_zero_iterations(monkeypatch):
     # a step that iterates its way back onto its start nodes ends the
     # solving; every step after it reports the zero iterations a re-solve
     # from those nodes would take
-    def back_to_start(pb, Xprev, Xback=(), before=None):
-        _, d = jko_step_nodes(pb, Xprev, Xback, before)
+    def back_to_start(pb, Xprev, Xback=(), before=None, **kw):
+        _, d = jko_step_nodes(pb, Xprev, Xback, before, **kw)
         return Xprev.copy(), dataclasses.replace(d, iterations=3)
 
     pb = heat_problem(h=1e-2, m=32)
@@ -630,6 +671,140 @@ def test_fixed_point_steps_report_zero_iterations(monkeypatch):
     assert len(calls) == 1
     assert [d.iterations for d in traj.diagnostics] == [3, 0, 0, 0, 0]
     assert all(r is traj.densities[1] for r in traj.densities[2:])
+
+
+def _steps_without_last_hessian(monkeypatch):
+    # the solver as it was before warm steps reused a run's last Hessian:
+    # jko_step_nodes without the keyword makes no reuse trial
+    from wflow import jko
+
+    step = jko.jko_step_nodes
+    monkeypatch.setattr(jko, "jko_step_nodes",
+                        lambda *args, last_hessian=None: step(*args))
+
+
+def _assert_same_run(traj, ref):
+    assert traj.times == ref.times
+    assert [r.values.tobytes() for r in traj.densities] == \
+        [r.values.tobytes() for r in ref.densities]
+    assert traj.diagnostics == ref.diagnostics
+
+
+def _counting(monkeypatch, module, name):
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [_plap_problem, _fp_problem],
+                         ids=["p-laplacian", "fokker-planck"])
+def test_uncertified_reuse_trials_leave_the_run_bit_for_bit(make, monkeypatch):
+    # a wrong positive definite Hessian in the store: every reuse trial is a
+    # millionth of a Newton step and never certifies, and each warm step then
+    # runs Newton from its predictor as if no trial had been made
+    from wflow import jko
+
+    pb, rho, T = make()
+    with monkeypatch.context() as mp:
+        _steps_without_last_hessian(mp)
+        ref = run_scheme(pb, rho, T)
+    keep = jko._LastHessian.keep
+    monkeypatch.setattr(jko._LastHessian, "keep",
+                        lambda self, key, d, e: keep(self, key, 1e6 * d,
+                                                     1e6 * e))
+    trials = _counting(monkeypatch, jko, "dpttrs")
+    _assert_same_run(run_scheme(pb, rho, T), ref)
+    assert len(trials) >= 10
+
+
+@pytest.mark.parametrize("poison", ["active set", "indefinite"])
+def test_no_reuse_trial_without_a_factor_for_the_active_set(poison,
+                                                            monkeypatch):
+    # a stored Hessian of another wall active set, or one that dpttrf cannot
+    # factor, makes no reuse trial: every step builds its own Hessian
+    from wflow import jko
+
+    pb, rho, T = _fp_problem()
+    with monkeypatch.context() as mp:
+        _steps_without_last_hessian(mp)
+        ref = run_scheme(pb, rho, T)
+    with monkeypatch.context() as mp:
+        trials = _counting(mp, jko, "dpttrs")
+        run_scheme(pb, rho, T)
+    assert len(trials) >= 10  # the unpoisoned run does try
+    keep = jko._LastHessian.keep
+    if poison == "active set":
+        def poisoned(self, key, d, e):
+            keep(self, (key[0], key[1] + 1), d, e)
+    else:
+        def poisoned(self, key, d, e):
+            keep(self, key, -d, e)
+    monkeypatch.setattr(jko._LastHessian, "keep", poisoned)
+    factors = _counting(monkeypatch, jko, "dpttrf")
+    trials = _counting(monkeypatch, jko, "dpttrs")
+    _assert_same_run(run_scheme(pb, rho, T), ref)
+    assert bool(factors) == (poison == "indefinite")
+    assert not trials
+
+
+def test_reuse_trial_that_raises_the_objective_is_discarded(monkeypatch):
+    # along the softest curvature mode the gradient is small and the
+    # objective excess large, so a chord step can land where the certificate
+    # passes but the objective is above the predictor's; Newton then runs
+    # from the predictor as if no trial had been made
+    from wflow.jko import _LastHessian, _newton_solve, _StepObjective
+
+    pb = heat_problem(h=1e-2, m=32, tol=1e-13)
+    Xprev = to_quantiles(cosine_density(32), pb.m).X
+    obj = _StepObjective(pb, Xprev)
+    best = _newton_solve(obj, obj.evaluate(Xprev))[0].X
+    diag, off = obj.hessian(obj.evaluate(best))
+    H = np.diag(diag[1:-1]) + np.diag(off[1:-1], 1) + np.diag(off[1:-1], -1)
+    lam, modes = np.linalg.eigh(H)
+    start, trial = best.copy(), best.copy()
+    start[1:-1] += 1e-6 * modes[:, -1]
+    trial[1:-1] += 1.5e-6 * math.sqrt(lam[-1] / lam[0]) * modes[:, 0]
+    chord = (trial - start)[1:-1]
+    trial = start.copy()
+    trial[1:-1] += chord  # as _newton_solve forms it
+    r = [obj.kkt_residual(X, obj.evaluate(X).g) for X in (start, trial)]
+    obj = _StepObjective(dataclasses.replace(pb, tol=math.sqrt(r[0] * r[1])),
+                         Xprev)
+    ev = obj.evaluate(start)
+    assert r[1] < obj.pb.tol < r[0] and obj.evaluate(trial).f > ev.f
+
+    monkeypatch.setattr(_LastHessian, "solve", lambda self, key, rhs: chord)
+    got = _newton_solve(obj, ev, increasing=True, last_hessian=_LastHessian())
+    want = _newton_solve(obj, ev, increasing=True)
+    assert got[0].X.tobytes() == want[0].X.tobytes() != trial.tobytes()
+    assert got[1:] == want[1:]
+
+
+def test_warm_heat_steps_reuse_the_factored_hessian(monkeypatch):
+    # a chord step with the run's last factored Hessian certifies most warm
+    # heat steps: 15 Hessians over these 200 steps, 166 when every step
+    # builds its own
+    from wflow import jko
+
+    calls = []
+    hessian = jko._StepObjective.hessian
+
+    def counted(self, ev):
+        calls.append(None)
+        return hessian(self, ev)
+
+    monkeypatch.setattr(jko._StepObjective, "hessian", counted)
+    pb = heat_problem(h=5e-4, m=2048, tol=1e-8)
+    traj = run_scheme(pb, cosine_density(256), T=0.1)
+    steps = len(traj.diagnostics)
+    assert steps == 200
+    assert all(d.kkt_residual <= pb.tol for d in traj.diagnostics)
+    assert len(calls) / steps <= 0.2
 
 
 def _benchmark_profile(n, amp, freq, seed):

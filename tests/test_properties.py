@@ -358,8 +358,8 @@ def _recorded_run(pb, rho0, T):
     nodes = []
     step = jko.jko_step_nodes
 
-    def record(*args):
-        X, diag = step(*args)
+    def record(*args, **kw):
+        X, diag = step(*args, **kw)
         nodes.append(X.copy())
         return X, diag
 
