@@ -54,6 +54,10 @@ MAX_DOMAIN = 1e6
 # largest value of the potential on the domain: about 2e4 times the largest
 # any test or benchmark uses, 45,300.5 (kappa 1 centred at -300 on [0, 1])
 MAX_POTENTIAL = 1e9
+# largest newton_max_iter: 12.5 times the default of 80, 8 times the 123
+# iterations of the stiffest step seen to certify (kappa = 1e5); a run stopped
+# by 1,000 at m = 16384 took 1.4 s on a 2-core x86_64 host
+MAX_NEWTON_ITER = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +241,18 @@ def _parse_config(raw) -> RunConfig:
     elif not rho0.strictly_positive:
         raise ParameterError(
             "initial density has zero cells; set floor_delta to floor it")
+    iters = _number(raw.get("newton_max_iter", JkoProblem.newton_max_iter),
+                    "newton_max_iter", integral=True)
+    if iters > MAX_NEWTON_ITER:
+        raise ParameterError(f"newton_max_iter {iters!r} is over the cap of "
+                             f"{MAX_NEWTON_ITER}")
     return RunConfig(
         raw=raw, cost=cost, energy=energy, potential=potential, domain=domain,
         n=n, m=m, h=_number(raw.get("h", 1e-2), "h"),
         T=_number(raw.get("T", 1.0), "T"),
         rho0=rho0, floor_delta=floor_delta, label=preset or "custom",
         tol=_number(raw.get("solver_tol", JkoProblem.tol), "solver_tol"),
-        newton_max_iter=_number(
-            raw.get("newton_max_iter", JkoProblem.newton_max_iter),
-            "newton_max_iter", integral=True))
+        newton_max_iter=iters)
 
 
 def _number(v, name: str, integral: bool = False):

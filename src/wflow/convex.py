@@ -26,6 +26,7 @@ from .errors import InvalidSpecError, ParameterError
 _CONJ_TOL = 1e-12
 _CONJ_MAX_ITER = 100
 _CONVEXITY_SLACK = -1e-10
+_CURVATURE_FLOOR = 1e-12  # |z| floor of the cost's curvature
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +107,9 @@ class CostSpec:
                 cp += pw
         return c, np.copysign(cp, v, out=cp)
 
-    def second_derivative(self, z, floor: float = 1e-12):
+    def second_derivative(self, z):
         """Radial curvature ``c''``; |z| is floored to keep it finite."""
-        az = np.maximum(np.abs(np.asarray(z, dtype=float)), floor)
+        az = np.maximum(np.abs(np.asarray(z, dtype=float)), _CURVATURE_FLOOR)
         out = reduce(iadd, (A * qi * (qi - 1.0) * az ** (qi - 2.0)
                             for A, qi in self.terms))
         return out if out.ndim else float(out)

@@ -53,19 +53,30 @@ def conjugate_growth_constant(alpha: float, q: float) -> float:
     return 1.0 / (qstar * (alpha * q) ** (qstar - 1.0))
 
 
+def _flag(name: str, value: float, bound: float, detail: str) -> LedgerFlag:
+    """A flag that passes when ``value <= bound``; its slack is the gap."""
+    return LedgerFlag(name=name, passed=value <= bound, slack=bound - value,
+                      detail=detail)
+
+
 def ledger(problem: JkoProblem, trajectory: SchemeTrajectory
            ) -> InequalityLedger:
     """Audit one run against every per-step and cumulative inequality.
 
-    Flags: (a) free energy never increases; (b) accumulated work is covered
-    by the initial energy excess; (c) essential bounds obey the comparison
-    principle (lower bound only without a potential gradient); (d) the summed
-    dissipation stays under the growth-derived cap.
+    Each flag tests one value against one bound (``_flag``): (a) the largest
+    rise of the free energy between steps; (b) the summed work against the
+    initial energy excess; (c) the largest excess of any distinct later
+    snapshot over the initial essential bounds widened by
+    ``BOUND_SLACK_CELLS / m`` (the lower one only without a potential),
+    against 0; (d) the summed dissipation against the growth-derived cap.
+    A trajectory with no step raises ``ParameterError``.
     """
     diags = trajectory.diagnostics
     if len(diags) != len(trajectory.times) - 1:
         raise ParameterError(
             "trajectory lacks one diagnostics record per step")
+    if not diags:
+        raise ParameterError("trajectory has no step to audit")
     h = problem.h
     omega = problem.domain.length
     # left to right, as np.cumsum adds (builtin sum compensates from 3.12)
@@ -74,66 +85,43 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory
         total_work += h * d.W_value
         total_sec += d.second_moment
         total_dis += h * d.dissipation
-
-    flags = []
-
-    e_free = np.array([diags[0].E_free_before] + [d.E_free_after for d in diags]) \
-        if diags else np.array([0.0])
-    rises = np.diff(e_free)
-    worst = float(np.max(rises)) if rises.size else 0.0
-    flags.append(LedgerFlag(
-        name="energy-monotone", passed=worst <= ENERGY_MONOTONE_TOL,
-        slack=ENERGY_MONOTONE_TOL - worst,
-        detail="free energy nonincreasing across steps"))
-
-    e0_free = diags[0].E_free_before if diags else 0.0
+    rise = float(np.max(np.diff(
+        [diags[0].E_free_before] + [d.E_free_after for d in diags])))
     floor_energy = omega * float(problem.energy.value(1.0 / omega))
-    budget = e0_free - floor_energy
-    flags.append(LedgerFlag(
-        name="cumulative-work-bound",
-        passed=total_work <= budget + CUMULATIVE_WORK_TOL,
-        slack=budget + CUMULATIVE_WORK_TOL - total_work,
-        detail="sum of h*W covered by initial energy excess"))
+    budget = diags[0].E_free_before - floor_energy
 
     rho0 = trajectory.densities[0]
     slack_cells = BOUND_SLACK_CELLS / problem.m
     lo0 = float(np.min(rho0.values)) - slack_cells
     hi0 = float(np.max(rho0.values)) + slack_cells
-    check_lower = problem.potential.is_zero
-    worst_hi = -np.inf
-    worst_lo = np.inf
+    excess = -np.inf
     # each snapshot object once: a run at its fixed point repeats the last one
     for rho in {id(r): r for r in trajectory.densities[1:]}.values():
-        worst_hi = max(worst_hi, float(np.max(rho.values)))
-        worst_lo = min(worst_lo, float(np.min(rho.values)))
-    if len(trajectory.densities) > 1:
-        upper_ok = worst_hi <= hi0
-        lower_ok = (not check_lower) or worst_lo >= lo0
-        slack = min(hi0 - worst_hi, (worst_lo - lo0) if check_lower else np.inf)
-    else:
-        upper_ok = lower_ok = True
-        slack = 0.0
-    flags.append(LedgerFlag(
-        name="comparison-principle", passed=bool(upper_ok and lower_ok),
-        slack=float(slack),
-        detail="essential bounds inherited from initial data"))
+        excess = max(excess, float(np.max(rho.values)) - hi0)
+        if problem.potential.is_zero:
+            excess = max(excess, lo0 - float(np.min(rho.values)))
 
     T = trajectory.times[-1]
     rho0_sup = float(np.max(rho0.values))
     mconst = conjugate_growth_constant(problem.cost.alpha, problem.cost.q)
     cap = (budget + problem.cost.alpha * T * omega * rho0_sup) / mconst
-    flags.append(LedgerFlag(
-        name="dissipation-bound",
-        passed=total_dis <= cap + DISSIPATION_TOL,
-        slack=cap + DISSIPATION_TOL - total_dis,
-        detail="summed h * int rho |d(F'(rho)+V)|^{q*} under the growth cap"))
-
     return InequalityLedger(
         cumulative_work=total_work,
         cumulative_second_moment=total_sec,
         dissipation_sum=total_dis,
         dissipation_cap=float(cap),
-        flags=tuple(flags),
+        flags=(
+            _flag("energy-monotone", rise, ENERGY_MONOTONE_TOL,
+                  "free energy nonincreasing across steps"),
+            _flag("cumulative-work-bound", total_work,
+                  budget + CUMULATIVE_WORK_TOL,
+                  "sum of h*W covered by initial energy excess"),
+            _flag("comparison-principle", excess, 0.0,
+                  "essential bounds inherited from initial data"),
+            _flag("dissipation-bound", total_dis, cap + DISSIPATION_TOL,
+                  "summed h * int rho |d(F'(rho)+V)|^{q*} under the growth "
+                  "cap"),
+        ),
     )
 
 

@@ -102,6 +102,7 @@ from .errors import (
 VACUUM_FLOOR_FACTOR = 1e-14
 MAX_STEPS = 10**6
 _EPS = np.finfo(float).eps
+_SMOOTH_PASSES = 4  # binomial passes of the Euler-Lagrange residual
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,9 @@ class _Evaluation:
     """Everything one step iterate determines, computed in one cell sweep.
 
     ``w`` is the node spacing clamped at the vacuum floor.  ``Fw`` and ``pres``
-    hold the internal energy's cell terms and pressures, ``V`` the potential
-    at the midpoints, or None without a potential.  ``csum`` is ``sum c(v)``
-    and ``cp`` the signed ``c'(v)``.
+    hold the internal energy's cell terms and pressures, ``V`` and ``dV`` the
+    potential and ``V'`` at the midpoints (None without a potential).
+    ``csum`` is ``sum c(v)`` and ``cp`` the signed ``c'(v)``.
     """
 
     X: np.ndarray
@@ -195,6 +196,7 @@ class _Evaluation:
     Fw: np.ndarray
     pres: np.ndarray
     V: np.ndarray | None
+    dV: np.ndarray | None
     e_int: float
     e_free: float
     f: float
@@ -232,13 +234,14 @@ class _StepObjective:
         f += e_int
         e_free = e_int
         cell = cp * (-0.5 * mu)
-        V = None
+        V = dV = None
         if self.has_potential:
             V = pb.potential.value(M)
             e_pot = mu * float(V.sum())
             f += e_pot
             e_free += e_pot
-            cell += 0.5 * mu * pb.potential.derivative(M)
+            dV = pb.potential.derivative(M)
+            cell += 0.5 * mu * dV
         # cell i adds cell + pres to node i and cell - pres to node i + 1; the
         # ends add 0.0 as a zero-started sum would (``pres`` is never -0.0)
         right = cell - pres
@@ -247,7 +250,7 @@ class _StepObjective:
         np.add(cell[1:], right[:-1], out=g[1:-1])
         g[0], g[-1] = cell[0] + 0.0, right[-1] + 0.0
         return _Evaluation(X=X, M=M, w=w, disp=disp, v=v, rho=rho, csum=csum,
-                           cp=cp, Fw=Fw, pres=pres, V=V, e_int=e_int,
+                           cp=cp, Fw=Fw, pres=pres, V=V, dV=dV, e_int=e_int,
                            e_free=e_free, f=f, g=g)
 
     def hessian(self, ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +269,7 @@ class _StepObjective:
         diag[0], diag[-1] = cell[0] + 0.0, cell[-1] + 0.0
         return diag, ct - ge
 
-    def rounding_error(self, ev: _Evaluation, arguments: bool = True) -> float:
+    def rounding_error(self, ev: _Evaluation) -> float:
         """A priori bound on the rounding error of ``ev.f``.
 
         Recursive summation of ``m`` terms errs by at most about
@@ -277,18 +280,15 @@ class _StepObjective:
         first order (the transport terms' share vanishes with ``v``).  These
         dominate where the terms vanish, as the entropy's near ``rho = 1``,
         and add ``m * eps * (sum w |F + P| + mu sum|M V'(M)|)``, as
-        ``mu F' = w (F + P)``.  A wider bound only turns a reject into an
-        accept, so the line search adds them (``arguments``) only for a trial
-        that fails without.
+        ``mu F' = w (F + P)``.  The line search forms this bound once per
+        Newton iteration and tests every trial against it.
         """
         s = self.h * self.mu * ev.csum + float(np.abs(ev.Fw).sum())
         if ev.V is not None:
             s += self.mu * float(np.abs(ev.V).sum())
-        if arguments:
-            s += float(np.abs(ev.Fw + ev.pres * ev.w).sum())
-            if ev.V is not None:
-                dV = self.pb.potential.derivative(ev.M)
-                s += self.mu * float(np.abs(ev.M * dV).sum())
+        s += float(np.abs(ev.Fw + ev.pres * ev.w).sum())
+        if ev.V is not None:
+            s += self.mu * float(np.abs(ev.M * ev.dV).sum())
         return self.m * _EPS * s
 
     def kkt_residual(self, X: np.ndarray, g: np.ndarray) -> float:
@@ -359,12 +359,14 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
     non-finite or singular system, no descent direction, a line search that
     failed or reached the current nodes, or the ``newton_max_iter`` cap.
 
-    The backtracking test is Armijo's with the rounding error of ``f``
-    (``_StepObjective.rounding_error``) as slack.  Near the solution the
-    predicted decrease ``-g.dX`` falls below that error, and the plain test
-    then compares noise with noise; with the slack the full Newton step is
-    taken there unless it raises ``f`` beyond its rounding error.  A trial
-    that equals the current nodes bit for bit is never accepted.
+    The backtracking test is Armijo's with one slack per iteration, the
+    rounding error of ``f`` (``_StepObjective.rounding_error``): a trial is
+    accepted iff ``f(trial) <= f + 1e-4 step g.dX + slack``.  Near the
+    solution the predicted decrease ``-g.dX`` falls below that error, and
+    the plain test then compares noise with noise; with the slack the full
+    Newton step is taken there unless it raises ``f`` beyond its rounding
+    error.  A trial that equals the current nodes bit for bit is never
+    accepted.
 
     ``last_hessian`` holds a run's last Hessian, and each Hessian built here
     replaces it.  From an ``increasing`` start (a warm step's predictor)
@@ -433,8 +435,7 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
         gdot = float(np.multiply(g[i0:i1 + 1], dX).sum())
         if not np.isfinite(gdot) or gdot >= 0.0:
             raise stopped("the Newton direction is not a descent direction")
-        slack = obj.rounding_error(ev, arguments=False)
-        wide = None
+        slack = obj.rounding_error(ev)
         step = 1.0
         for _ in range(60):
             Xn = trial(step, dX)
@@ -444,10 +445,7 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
                 # an overflowing trial has f = inf and is rejected
                 with np.errstate(over="ignore"):
                     evn = obj.evaluate(Xn)
-                bound = ev.f + 1e-4 * step * gdot
-                if wide is None and evn.f > bound + slack:
-                    wide = obj.rounding_error(ev)
-                if evn.f <= bound + (slack if wide is None else wide):
+                if evn.f <= ev.f + 1e-4 * step * gdot + slack:
                     break
             step *= 0.5
         else:
@@ -612,10 +610,10 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
 # Euler-Lagrange residual on grid densities
 # ---------------------------------------------------------------------------
 
-def _binomial_smooth(w: np.ndarray, passes: int = 4) -> np.ndarray:
+def _binomial_smooth(w: np.ndarray) -> np.ndarray:
     # damps the cell-scale sawtooth that exact-mass rasterization leaves in
     # neighboring-cell increments; bias is O(dx^2) per pass
-    for _ in range(passes):
+    for _ in range(_SMOOTH_PASSES):
         w = np.concatenate(([w[0]], 0.25 * w[:-2] + 0.5 * w[1:-1] + 0.25 * w[2:],
                             [w[-1]]))
     return w

@@ -22,6 +22,7 @@ from wflow.cli import (
     MAX_EXPONENT,
     MAX_GRID,
     MAX_HELD,
+    MAX_NEWTON_ITER,
     MAX_POTENTIAL,
     MAX_WORK,
     cmd_crosscheck,
@@ -126,6 +127,9 @@ REJECTED_CONFIGS = {
     # a negative cap never stops Newton; a NaN or negative tolerance made
     # every step fail as a solver error
     "newton-max-iter-negative": {"newton_max_iter": -1},
+    # Newton that cycles on round-off runs to the cap, so a cap over
+    # MAX_NEWTON_ITER let one config grind for days
+    "newton-max-iter-over-cap": {"newton_max_iter": 10**9},
     "solver-tol-nan": {"solver_tol": float("nan")},
     "solver-tol-negative": {"solver_tol": -1.0},
     # grid sizes are integral JSON numbers in [1, MAX_GRID]: a bool, string
@@ -253,6 +257,14 @@ def test_exponent_and_domain_caps_accept_their_bounds(tmp_path):
                                  exponent_m=2.0 * MAX_EXPONENT))
     with pytest.raises(ParameterError, match="beyond the cap"):
         load_config(write_config(tmp_path, domain_a=-2.0 * MAX_DOMAIN))
+
+
+def test_newton_cap_accepts_its_bound(tmp_path):
+    cfg = load_config(write_config(tmp_path, newton_max_iter=MAX_NEWTON_ITER))
+    assert cfg.newton_max_iter == MAX_NEWTON_ITER
+    assert cfg.problem().newton_max_iter == MAX_NEWTON_ITER
+    with pytest.raises(ParameterError, match="newton_max_iter .* over the cap"):
+        load_config(write_config(tmp_path, newton_max_iter=MAX_NEWTON_ITER + 1))
 
 
 def test_potential_cap_accepts_its_bound(tmp_path):

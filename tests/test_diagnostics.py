@@ -6,6 +6,7 @@ import pytest
 from wflow.convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
 from wflow.density import Domain, l1_distance, normalize
 from wflow.diagnostics import (
+    BOUND_SLACK_CELLS,
     DISSIPATION_TOL,
     compare,
     conjugate_growth_constant,
@@ -117,6 +118,65 @@ def test_ledger_requires_diagnostics():
                               diagnostics=traj.diagnostics[:-1])
     with pytest.raises(ParameterError, match="one diagnostics record per step"):
         ledger(pb, broken)
+
+
+def test_ledger_rejects_trajectory_without_steps():
+    # with no step the ledger once read the initial free energy as 0.0 and
+    # failed the work and dissipation flags of a run that never moved
+    cost, energy = preset_specs("porous-medium", m=2.0)
+    pb = JkoProblem(cost=cost, energy=energy, potential=NOPOT, domain=UNIT,
+                    h=1e-2, m=64)
+    traj = SchemeTrajectory(times=(0.0,), densities=(cosine_density(64),))
+    with pytest.raises(ParameterError, match="no step to audit"):
+        ledger(pb, traj)
+
+
+def test_ledger_values_of_a_run_failing_the_comparison_principle():
+    # fokker-planck with V = (x + 1)^2 / 2: the maximum rises toward the
+    # Gibbs state's, so only the comparison principle fails; every flag and
+    # sum is pinned bit for bit
+    pb = JkoProblem(cost=Q2, energy=ENTROPY,
+                    potential=PotentialSpec.quadratic(1.0, -1.0), domain=UNIT,
+                    h=1e-2, m=64)
+    xc = UNIT.centers(64)
+    rho0 = normalize(1.0 + 0.5 * np.cos(np.pi * xc), UNIT)[0]
+    led = ledger(pb, run_scheme(pb, rho0, T=0.2))
+    assert [(f.name, f.passed, f.slack) for f in led.flags] == [
+        ("energy-monotone", True, 4.640098659886542e-06),
+        ("cumulative-work-bound", True, 1.0783378850694163),
+        ("comparison-principle", False, -0.19186091410756378),
+        ("dissipation-bound", True, 2.456645642008453),
+    ]
+    assert (led.cumulative_work, led.cumulative_second_moment,
+            led.dissipation_sum, led.dissipation_cap) == (
+        0.0010002018522640732, 2.0004037045281468e-05,
+        0.0020004037045281463, 2.4586460357129813)
+
+
+@pytest.mark.parametrize("potential", [NOPOT, PotentialSpec.quadratic(1.0, -1.0)],
+                         ids=["no-potential", "potential"])
+def test_ledger_checks_the_lower_bound_only_without_potential(potential):
+    # a later snapshot whose minimum sinks 0.2 below the initial one, while
+    # its maximum stays put
+    pb = JkoProblem(cost=Q2, energy=ENTROPY, potential=potential, domain=UNIT,
+                    h=1e-2, m=64)
+    rho0 = cosine_density(64)
+    traj = run_scheme(pb, rho0, T=pb.h)
+    values = rho0.values.copy()
+    values[np.argmin(values)] -= 0.2
+    values[16] += 0.2  # x = 0.26, where rho0 is about 1
+    rho1 = normalize(values, UNIT)[0]
+    forged = replace(traj, densities=(rho0, rho1))
+    flag = {f.name: f for f in ledger(pb, forged).flags}["comparison-principle"]
+    widen = BOUND_SLACK_CELLS / pb.m
+    lo0 = float(np.min(rho0.values)) - widen
+    hi0 = float(np.max(rho0.values)) + widen
+    if potential.is_zero:
+        assert flag.passed is False
+        assert flag.slack == float(np.min(rho1.values)) - lo0
+    else:
+        assert flag.passed is True
+        assert flag.slack == hi0 - float(np.max(rho1.values))
 
 
 def test_ledger_dissipation_cap_from_run_data():

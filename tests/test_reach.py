@@ -14,8 +14,10 @@ References are AST names, attribute names and imported names, never string
 contents: a config key spelled like a function does not keep the function.
 
 The same walk checks that no module of ``src/wflow`` or ``tests`` imports a
-name at top level that it never refers to, and that every error class but
-the base ``WflowError`` is raised by name somewhere in ``src/wflow``.
+name at top level that it never refers to, that every error class but the
+base ``WflowError`` is raised by name somewhere in ``src/wflow``, and that
+every defaulted parameter of a private function, or of a method of a private
+class, is passed by some call in ``src/wflow``.
 """
 
 from __future__ import annotations
@@ -124,3 +126,49 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert classes <= raised, f"never raised: {', '.join(sorted(classes - raised))}"
+
+
+def _passes(call: ast.Call, index: int | None, arg: str, shift: int) -> bool:
+    """Whether ``call`` passes parameter ``arg``, at ``index`` among the
+    positional parameters (None: keyword-only), ``shift`` of which are
+    bound before the call (``self``)."""
+    if any(kw.arg in (arg, None) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index - shift
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_private_default_is_passed():
+    # a default that no call in the library overrides is a constant in
+    # disguise, or an internal switch nothing throws
+    defs, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"):
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name, stmt, 0))
+            elif isinstance(stmt, ast.ClassDef) and stmt.name.startswith("_"):
+                for meth in stmt.body:
+                    if isinstance(meth, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in meth.decorator_list)
+                        called = stmt.name if meth.name == "__init__" else meth.name
+                        defs.append((f"{path.stem}.{stmt.name}.{meth.name}",
+                                     called, meth, 0 if static else 1))
+    unpassed = []
+    for label, called, fn, shift in defs:
+        positional = [*fn.args.posonlyargs, *fn.args.args]
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                    fn.args.kw_defaults)
+                      if d is not None]
+        sites = [call for call in calls
+                 if getattr(call.func, "id", getattr(call.func, "attr", None))
+                 == called]
+        unpassed += [f"{label}({arg})" for index, arg in defaulted
+                     if not any(_passes(call, index, arg, shift)
+                                for call in sites)]
+    assert not unpassed, f"defaults no call passes: {', '.join(unpassed)}"
