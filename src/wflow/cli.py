@@ -8,10 +8,12 @@ byte-identical files.  ``WFLOW_OUT`` overrides the output root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -151,6 +153,9 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
                          "center")
         width = _number(params.get("width", 0.2 * domain.length), "width")
         floor = _number(params.get("floor", 1e-3), "floor")
+        if not (0.0 < width < math.inf):
+            raise ParameterError(
+                f"gaussian profile needs a finite width > 0, got {width!r}")
         return np.exp(-0.5 * ((xc - center) / width) ** 2) + floor
     raise ParameterError(f"unknown initial profile {name!r}")
 
@@ -433,8 +438,86 @@ def cmd_study(config_path: str, values: list[float],
     return EXIT_OK if passes else EXIT_SOLVER
 
 
+@contextlib.contextmanager
+def _in_child(task):
+    """Run ``task()`` in a forked child while the ``with`` block runs.
+
+    Yields a function that waits for the child and returns what ``task()``
+    returned, or raises what it raised.  Either comes back pickled through
+    a pipe, so an error keeps its type, message and attributes.  Leaving
+    the block kills and reaps the child on every path; by then it has ended
+    unless its result was never asked for.  Where ``os.fork`` is missing or
+    fails, or the child dies without a result, the yielded function calls
+    ``task()`` in this process instead.
+
+    The child ends in ``os._exit`` on every path: it never returns into the
+    caller, runs no exit handler and flushes no buffer it inherited.  A
+    fork copies only the calling thread, so ``task`` must take no lock that
+    another thread may hold.
+    """
+    import signal  # loaded only by the command that forks
+
+    pid = None
+    if hasattr(os, "fork"):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        yield task
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                try:
+                    outcome = True, task()
+                except BaseException as exc:
+                    outcome = False, exc
+                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    with open(r, "rb") as fh:
+        def result():
+            try:
+                ok, value = pickle.load(fh)
+            except Exception:  # the child died, or its outcome cannot load
+                return task()
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield result
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
                    root: str | None = None) -> int:
+    """Run the scheme and the finite-difference reference from one initial
+    density and compare them.
+
+    The two solves share nothing but that density, so they run in two
+    processes: a forked child solves the reference and streams
+    ``reference.csv`` while this process runs the scheme (``_in_child``).
+    Every file is the one a serial run writes.  Either solve failing exits
+    2; the scheme's error is reported first, as in a serial run, and the
+    reference's is prefixed ``finite-difference reference:``.  Any exit
+    before ``trajectory.csv`` is written removes ``reference.csv``.
+
+    The child is safe to fork from a process with OpenBLAS's thread pool
+    (Python 3.12 and later warn of any native thread): it runs only numpy
+    elementwise code, LAPACK's ``dgtsv`` and the CSV writer, none of which
+    uses the pool, and OpenBLAS resets its pool in the child through its
+    own fork handlers.
+    """
     try:
         if not 0.0 <= threshold < math.inf:
             raise ParameterError(
@@ -445,17 +528,30 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     out = output_dir(cfg, root)
-    try:
-        rho0 = cfg.initial_density()
-        traj = run_scheme(problem, rho0, cfg.T)
+    ref_path = out / "reference.csv"
+
+    def reference() -> SchemeTrajectory:
         fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
                                rho0, cfg.T, fd_cfg)
+        _stream(ref_path, trajectory_to_csv, fd)
+        return fd
+
+    try:
+        rho0 = cfg.initial_density()
+        with _in_child(reference) as reference_result:
+            traj = run_scheme(problem, rho0, cfg.T)
+            try:
+                fd = reference_result()
+            except WflowError as exc:
+                raise WflowError(f"finite-difference reference: {exc}") from exc
         table = diagnostics.compare(traj, fd)
-    except WflowError as exc:
+        _stream(out / "trajectory.csv", trajectory_to_csv, traj)
+    except BaseException as exc:
+        ref_path.unlink(missing_ok=True)  # the child is reaped by now
+        if not isinstance(exc, WflowError):
+            raise
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _stream(out / "trajectory.csv", trajectory_to_csv, traj)
-    _stream(out / "reference.csv", trajectory_to_csv, fd)
     passes = table.l1_final <= threshold
     report = _report_document(cfg, comparisons=[{
         "against": "finite-difference reference",

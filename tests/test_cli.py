@@ -2,11 +2,14 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -37,8 +40,16 @@ from wflow.cli import (
 )
 from wflow.density import (Domain, GridDensity, csv_rows, density_to_csv,
                            float_cells, normalize)
-from wflow.errors import ParameterError
+from wflow.errors import ConvergenceError, ParameterError, SchemeAbortError
 from wflow.jko import SchemeTrajectory, run_scheme
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps the processes it starts: crosscheck forks one."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -168,6 +179,19 @@ REJECTED_CONFIGS = {
     "profile-amplitude-string": {"rho0": {"profile": "cosine",
                                           "amplitude": "0.3"}},
     "profile-width-bool": {"rho0": {"profile": "gaussian", "width": True}},
+    # a gaussian width <= 0 or not finite: width 0 ran as a uniform start
+    # when no cell centre sat on the centre and exited 1 on a NaN when one
+    # did, and a negative width ran as its absolute value
+    "profile-width-zero": {"rho0": {"profile": "gaussian", "width": 0.0,
+                                    "center": 0.02}},
+    "profile-width-zero-on-a-cell-centre": {
+        "rho0": {"profile": "gaussian", "width": 0.0, "center": 0.5 / 64}},
+    "profile-width-negative": {"rho0": {"profile": "gaussian",
+                                        "width": -0.1}},
+    "profile-width-nan": {"rho0": {"profile": "gaussian",
+                                   "width": float("nan")}},
+    "profile-width-inf": {"rho0": {"profile": "gaussian",
+                                   "width": float("inf")}},
     "cost-terms-strings": {"preset": None, "cost_terms": [["1", "2"]],
                            "energy_terms": [{"kind": "entropy"}]},
     "energy-coeff-string": {"preset": None, "cost_terms": [[0.5, 2.0]],
@@ -697,6 +721,159 @@ def test_crosscheck_porous_medium_preset_with_floor(tmp_path, outroot):
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(cfg))
     assert cmd_crosscheck(str(path), threshold=5e-2) == 0
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference reference, solved in a forked child
+# ---------------------------------------------------------------------------
+
+def crosscheck_files(root):
+    rundir, = root.iterdir()
+    return {p.name: p.read_bytes() for p in sorted(rundir.iterdir())}
+
+
+def test_crosscheck_reference_from_the_child_matches_in_process(tmp_path,
+                                                                 outroot):
+    path = write_config(tmp_path, h=1e-3)
+    assert cmd_crosscheck(str(path)) == 0
+    files = crosscheck_files(outroot)
+    cfg = load_config(path)
+    rho0 = cfg.initial_density()
+    fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
+                           rho0, cfg.T, cfg.reference())
+    assert files["reference.csv"].decode() == csv_text(fd)
+    table = diagnostics.compare(run_scheme(cfg.problem(), rho0, cfg.T), fd)
+    report = json.loads(files["comparison.json"])
+    report["comparisons"][0]["table"] = asdict(table)
+    assert files["comparison.json"].decode() == json.dumps(
+        report, sort_keys=True, indent=2) + "\n"
+
+
+def test_in_child_runs_the_task_in_another_process():
+    with cli._in_child(os.getpid) as result:
+        assert result() != os.getpid()
+
+
+def test_in_child_returns_the_childs_error_with_its_attributes(monkeypatch):
+    def stalled(*args):
+        raise ConvergenceError("stalled in the child", best=np.arange(3.0),
+                               residual=0.25)
+
+    monkeypatch.setattr(refsolve, "fd_solve", stalled)
+    with cli._in_child(lambda: refsolve.fd_solve()) as result:
+        with pytest.raises(ConvergenceError) as info:
+            result()
+    assert str(info.value) == "stalled in the child"
+    np.testing.assert_array_equal(info.value.best, np.arange(3.0))
+    assert info.value.residual == 0.25
+
+
+def test_in_child_runs_the_task_here_when_the_child_dies():
+    parent = os.getpid()
+
+    def task():
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return os.getpid()
+
+    with cli._in_child(task) as result:
+        assert result() == parent
+
+
+def fork_fails():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("no_fork", ["raises", "missing"])
+def test_crosscheck_without_fork_writes_the_same_bytes(tmp_path, monkeypatch,
+                                                       no_fork):
+    path = write_config(tmp_path, h=1e-3)
+    assert cmd_crosscheck(str(path), root=str(tmp_path / "forked")) == 0
+    if no_fork == "raises":
+        monkeypatch.setattr(os, "fork", fork_fails)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert cmd_crosscheck(str(path), root=str(tmp_path / "serial")) == 0
+    assert (crosscheck_files(tmp_path / "serial")
+            == crosscheck_files(tmp_path / "forked"))
+
+
+def wait_for_reference(root):
+    deadline = time.monotonic() + 60.0
+    while not list(root.glob("*/reference.csv")):
+        assert time.monotonic() < deadline, "the child wrote no reference.csv"
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("child", ["written", "still-solving"])
+def test_crosscheck_scheme_failure_wins_and_removes_the_reference(
+        tmp_path, outroot, capsys, monkeypatch, child):
+    def failed_scheme(*args):
+        if child == "written":
+            wait_for_reference(outroot)
+        raise SchemeAbortError("scheme failed at step 3")
+
+    monkeypatch.setattr(cli, "run_scheme", failed_scheme)
+    if child == "still-solving":  # killed, not waited for
+        monkeypatch.setattr(refsolve, "fd_solve", lambda *a: time.sleep(60))
+    path = write_config(tmp_path, h=1e-3)
+    t0 = time.monotonic()
+    assert cmd_crosscheck(str(path)) == 2
+    assert time.monotonic() - t0 < 30.0
+    assert capsys.readouterr().err == "solver error: scheme failed at step 3\n"
+    assert crosscheck_files(outroot) == {}
+
+
+def test_crosscheck_reference_failure_is_named(tmp_path, outroot, capsys):
+    # run exits 0 on this config with the ledger passing; the reference's
+    # Newton clamps a negative iterate at step 1 and stalls
+    path = write_config(tmp_path, preset="porous-medium", exponent_m=4,
+                        T=0.2, rho0={"profile": "gaussian", "width": 0.1,
+                                     "floor": 0.01})
+    assert cmd_crosscheck(str(path)) == 2
+    assert capsys.readouterr().err == (
+        "solver error: finite-difference reference: Newton stalled at step 1 "
+        "(negative iterates clamped)\n")
+    assert crosscheck_files(outroot) == {}
+
+
+def test_crosscheck_reference_error_of_another_type_is_raised(
+        tmp_path, outroot, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("reference divided by zero")
+
+    monkeypatch.setattr(refsolve, "fd_solve", broken)
+    path = write_config(tmp_path, h=1e-3)
+    with pytest.raises(ZeroDivisionError, match="reference divided by zero"):
+        cmd_crosscheck(str(path))
+    assert crosscheck_files(outroot) == {}
+
+
+def test_crosscheck_comparison_failure_removes_the_reference(
+        tmp_path, outroot, capsys, monkeypatch):
+    def mismatched(traj, fd):
+        rundir, = outroot.iterdir()
+        assert (rundir / "reference.csv").exists()
+        raise ParameterError("trajectories live on different domains")
+
+    monkeypatch.setattr(diagnostics, "compare", mismatched)
+    path = write_config(tmp_path, h=1e-3)
+    assert cmd_crosscheck(str(path)) == 2
+    assert "different domains" in capsys.readouterr().err
+    assert crosscheck_files(outroot) == {}
+
+
+def test_crosscheck_interrupted_removes_the_reference(tmp_path, outroot,
+                                                      monkeypatch):
+    def interrupted(*args):
+        wait_for_reference(outroot)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_scheme", interrupted)
+    path = write_config(tmp_path, h=1e-3)
+    with pytest.raises(KeyboardInterrupt):
+        cmd_crosscheck(str(path))
+    assert crosscheck_files(outroot) == {}
 
 
 def test_oracle_command():
