@@ -1,8 +1,8 @@
 """Batch front door: configs in, CSV/JSON artifacts out.
 
 One JSON config file describes one reproducible run.  Artifacts land in
-``<output_root>/<preset>_<hash(config)>/``; identical configs produce
-byte-identical files.  ``WFLOW_OUT`` overrides the output root.
+``<out>/<preset>_<hash(config)>/``, where ``out`` is the ``--out`` option
+(default ``out``); identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,16 +36,14 @@ EXIT_SOLVER = 2
 CONFIG_KEYS = frozenset({
     "preset", "exponent_m", "exponent_p", "exponent_n", "cost_terms",
     "energy_terms", "potential", "domain_a", "domain_b", "n", "m", "h", "T",
-    "rho0", "floor_delta", "solver_tol", "newton_max_iter", "output_dir",
+    "rho0", "floor_delta", "solver_tol", "newton_max_iter",
 })
 # largest n or m: four times the finest grid any test or benchmark uses
 MAX_GRID = 1 << 16
-# largest held trajectory, (steps + 1) * n values (1 GiB of float64): over
-# 500 times the most any test or benchmark holds, 1001 * 256
-MAX_HELD = 1 << 27
-# largest solver work, steps * m for the scheme and steps * n for the
-# crosscheck reference: 20 times the most any test or benchmark asks for,
-# 200 * 16384
+# largest work, steps * cells on both grids (m for the scheme, n for the held
+# trajectory and the crosscheck reference): 20 times the most any test or
+# benchmark asks for, 200 * 16384.  It keeps the held trajectory, (steps + 1)
+# * n values, under 2^26 + 2^16 < 2^27 (1 GiB of float64)
 MAX_WORK = 1 << 26
 # largest energy power exponent, preset or explicit: 25 times the largest any
 # test or benchmark uses, 4; x^m stays finite for densities x up to 1e3
@@ -85,33 +83,19 @@ class RunConfig:
 
     def problem(self, h: float | None = None) -> JkoProblem:
         """The step problem at step size ``h`` (default: the config's), with
-        its step count to ``T``, the trajectory it holds and its solver work
-        checked."""
+        its step count to ``T`` checked against the work cap on both grids."""
         pb = JkoProblem(cost=self.cost, energy=self.energy,
                         potential=self.potential, domain=self.domain,
                         h=self.h if h is None else h, m=self.m,
                         tol=self.tol, newton_max_iter=self.newton_max_iter)
-        held = (step_count(self.T, pb.h) + 1) * self.n
-        if held > MAX_HELD:
-            raise ParameterError(
-                f"T = {self.T!r}, h = {pb.h!r} and n = {self.n} hold {held} "
-                f"trajectory values, over the cap of {MAX_HELD}")
-        self._check_work(pb.h, "m", self.m)
+        steps = step_count(self.T, pb.h)
+        for key, cells in (("m", self.m), ("n", self.n)):
+            if steps * cells > MAX_WORK:
+                raise ParameterError(
+                    f"T = {self.T!r}, h = {pb.h!r} and {key} = {cells} ask "
+                    f"for {steps} steps of {cells} cells, {steps * cells} in "
+                    f"all, over the work cap of {MAX_WORK}")
         return pb
-
-    def reference(self) -> refsolve.FdConfig:
-        """The crosscheck's finite-difference grid and step, with its solver
-        work checked."""
-        self._check_work(self.h, "n", self.n)
-        return refsolve.FdConfig(n=self.n, dt=self.h)
-
-    def _check_work(self, h: float, key: str, cells: int) -> None:
-        steps = step_count(self.T, h)
-        if steps * cells > MAX_WORK:
-            raise ParameterError(
-                f"T = {self.T!r}, h = {h!r} and {key} = {cells} ask for "
-                f"{steps} steps of {cells} unknowns, {steps * cells} in all, "
-                f"over the solver-work cap of {MAX_WORK}")
 
     def initial_density(self) -> GridDensity:
         if self.floor_delta is not None:
@@ -153,9 +137,10 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
                          "center")
         width = _number(params.get("width", 0.2 * domain.length), "width")
         floor = _number(params.get("floor", 1e-3), "floor")
-        if not (0.0 < width < math.inf):
+        if not (0.0 < width < math.inf and abs(center) < math.inf):
             raise ParameterError(
-                f"gaussian profile needs a finite width > 0, got {width!r}")
+                f"gaussian profile needs a finite width > 0 and a finite "
+                f"center, got width {width!r} and center {center!r}")
         return np.exp(-0.5 * ((xc - center) / width) ** 2) + floor
     raise ParameterError(f"unknown initial profile {name!r}")
 
@@ -190,7 +175,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _parse_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
-        raise ParameterError("config must be a JSON object")
+        raise TypeError("config must be a JSON object")
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
@@ -229,9 +214,8 @@ def _parse_config(raw) -> RunConfig:
     if max(-domain.a, domain.b) > MAX_DOMAIN:
         raise ParameterError(f"domain ({domain.a!r}, {domain.b!r}) reaches "
                              f"beyond the cap of {MAX_DOMAIN!r} in magnitude")
-    d = max(abs(domain.a - potential.center), abs(domain.b - potential.center))
-    peak = (float(np.max(potential.vs)) if potential.kind == "tabulated"
-            else 0.5 * potential.kappa * d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # V convex: max at a wall
+        peak = float(np.max(potential.value((domain.a, domain.b))))
     if not peak <= MAX_POTENTIAL:
         raise ParameterError(f"potential reaches {peak!r} on the domain, over "
                              f"the cap of {MAX_POTENTIAL!r}")
@@ -286,10 +270,14 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def output_dir(cfg: RunConfig, root: str | None) -> Path:
-    base = os.environ.get("WFLOW_OUT") or root or cfg.raw.get("output_dir") or "out"
-    d = Path(base) / f"{cfg.label}_{config_hash(cfg.raw)}"
+def output_dir(cfg: RunConfig, root: str | Path, verdicts: list[str]) -> Path:
+    """The config's run directory under ``root``, created if missing.  The
+    files named in ``verdicts`` are removed, so that a rerun that fails does
+    not leave the verdict of the run before it."""
+    d = Path(root) / f"{cfg.label}_{config_hash(cfg.raw)}"
     d.mkdir(parents=True, exist_ok=True)
+    for name in verdicts:
+        (d / name).unlink(missing_ok=True)
     return d
 
 
@@ -368,13 +356,13 @@ def _config_error(exc: Exception) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_run(config_path: str, root: str | None = None) -> int:
+def cmd_run(config_path: str, root: str | Path = "out") -> int:
     try:
         cfg = load_config(config_path)
         problem = cfg.problem()
     except (WflowError, OSError) as exc:
         return _config_error(exc)
-    out = output_dir(cfg, root)
+    out = output_dir(cfg, root, ["report.json"])
     _write_json(out / "config.json", cfg.raw)
     try:
         traj = run_scheme(problem, cfg.initial_density(), cfg.T)
@@ -392,7 +380,7 @@ def cmd_run(config_path: str, root: str | None = None) -> int:
 
 
 def cmd_study(config_path: str, values: list[float],
-              root: str | None = None) -> int:
+              root: str | Path = "out") -> int:
     try:
         cfg = load_config(config_path)
         diagnostics.check_step_sizes(values)
@@ -400,6 +388,7 @@ def cmd_study(config_path: str, values: list[float],
         rho0 = cfg.initial_density()
     except (WflowError, OSError) as exc:
         return _config_error(exc)
+    out = output_dir(cfg, root, ["rate.json", "rate.csv"])
     results, failures = [], []
     for pb in problems:
         try:
@@ -409,7 +398,6 @@ def cmd_study(config_path: str, values: list[float],
             continue
         results.append((pb.h, sum(d.second_moment for d in traj.diagnostics)))
     results.sort()
-    out = output_dir(cfg, root)
     if failures:
         _write_json(out / "rate.json", {
             **_report_document(cfg), "partial": True, "failures": failures,
@@ -500,7 +488,7 @@ def _in_child(task):
 
 
 def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
-                   root: str | None = None) -> int:
+                   root: str | Path = "out") -> int:
     """Run the scheme and the finite-difference reference from one initial
     density and compare them.
 
@@ -524,10 +512,11 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
                 f"threshold must be finite and >= 0, got {threshold!r}")
         cfg = load_config(config_path)
         problem = cfg.problem()
-        fd_cfg = cfg.reference()
+        fd_cfg = refsolve.FdConfig(n=cfg.n, dt=cfg.h)
     except (WflowError, OSError) as exc:
         return _config_error(exc)
-    out = output_dir(cfg, root)
+    out = output_dir(cfg, root, ["trajectory.csv", "comparison.json",
+                                 "comparison.csv"])
     ref_path = out / "reference.csv"
 
     def reference() -> SchemeTrajectory:
@@ -568,10 +557,10 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
 
 
 def cmd_oracle(k: int, seed: int, q: float = 2.0) -> int:
-    if k < 1 or k > transport.ORACLE_LIMIT:
-        print(f"oracle needs 1 <= k <= {transport.ORACLE_LIMIT}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if not 1 <= k <= transport.ORACLE_LIMIT:
+            raise ParameterError(
+                f"oracle needs 1 <= k <= {transport.ORACLE_LIMIT}, got {k}")
         if seed < 0:
             raise ParameterError(f"seed must be >= 0, got {seed}")
         cost = CostSpec.single_power(q)
@@ -598,6 +587,11 @@ def cmd_oracle(k: int, seed: int, q: float = 2.0) -> int:
     return EXIT_OK if worst <= 1e-9 else EXIT_SOLVER
 
 
+def _step_sizes(text: str) -> list[float]:
+    """The ``--values`` option: comma-separated step sizes."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit as config errors (1); exit 2
     stays reserved for a failed solve."""
@@ -613,21 +607,21 @@ def main(argv: list[str] | None = None) -> int:
         description="variational solver for 1-D degenerate diffusion")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one configuration end to end")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", required=True)
+    files.add_argument("--out", default="out", help="output root")
 
-    p_study = sub.add_parser("study", help="step-size sweep with a rate fit")
-    p_study.add_argument("--config", required=True)
-    p_study.add_argument("--values", required=True,
+    sub.add_parser("run", parents=[files],
+                   help="run one configuration end to end")
+
+    p_study = sub.add_parser("study", parents=[files],
+                             help="step-size sweep with a rate fit")
+    p_study.add_argument("--values", type=_step_sizes, required=True,
                          help="comma-separated step sizes")
-    p_study.add_argument("--out", default=None)
 
-    p_cross = sub.add_parser("crosscheck",
+    p_cross = sub.add_parser("crosscheck", parents=[files],
                              help="variational vs finite-difference run")
-    p_cross.add_argument("--config", required=True)
     p_cross.add_argument("--threshold", type=float, default=1e-2)
-    p_cross.add_argument("--out", default=None)
 
     p_oracle = sub.add_parser("oracle",
                               help="monotone matching vs exact assignment")
@@ -639,18 +633,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return cmd_run(args.config, root=args.out)
     if args.command == "study":
-        try:
-            values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-        except ValueError:
-            print("could not parse --values", file=sys.stderr)
-            return EXIT_CONFIG
-        return cmd_study(args.config, values, root=args.out)
+        return cmd_study(args.config, args.values, root=args.out)
     if args.command == "crosscheck":
         return cmd_crosscheck(args.config, threshold=args.threshold,
                               root=args.out)
-    if args.command == "oracle":
-        return cmd_oracle(args.k, args.seed, q=args.q)
-    return EXIT_CONFIG
+    return cmd_oracle(args.k, args.seed, q=args.q)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 
 Costs are positive sums of powers ``c(z) = sum_i A_i |z|^{q_i}`` with
 ``A_i > 0`` and ``q_i > 1``; energies are positive combinations of ``x ln x``
-and ``x^m / (m - 1)`` terms; potentials are zero, quadratic or tabulated.
-For these families every standing assumption of the existence theory is a
-condition on the parameters.  Each constructor enforces the hypotheses on
-its own spec; ``validate_assumptions`` checks the two that couple a spec to
-another input: the energy's exponents to the cost's, and a tabulated
-potential to the domain.  Everything is immutable after construction and
+and ``x^m / (m - 1)`` terms; potentials are quadratic (zero at kappa = 0)
+or tabulated.  For these families every standing assumption of the
+existence theory is a condition on the parameters.  Each constructor
+enforces the hypotheses on its own spec; ``validate_assumptions`` checks the
+two that couple a spec to another input: the energy's exponents to the
+cost's, and a tabulated potential to the domain.  Everything is immutable after construction and
 safe for concurrent reads.
 """
 
@@ -349,8 +349,8 @@ def _invert_increasing(fp: Callable, s: np.ndarray) -> np.ndarray:
 class PotentialSpec:
     """Nonnegative convex potential on the closed domain.
 
-    ``kind`` is one of ``zero``, ``quadratic`` (``kappa (x - x0)^2 / 2``) or
-    ``tabulated`` (piecewise-linear through convex samples).
+    ``kind`` is ``quadratic`` (``kappa (x - x0)^2 / 2``; ``kappa = 0`` is the
+    zero potential) or ``tabulated`` (piecewise-linear through convex samples).
     """
 
     kind: str
@@ -360,8 +360,6 @@ class PotentialSpec:
     vs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "zero":
-            return
         if self.kind == "quadratic":
             if not (0.0 <= self.kappa < np.inf and abs(self.center) < np.inf):
                 raise InvalidSpecError(
@@ -388,7 +386,7 @@ class PotentialSpec:
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls(kind="zero")
+        return cls.quadratic(kappa=0.0)
 
     @classmethod
     def quadratic(cls, kappa: float = 1.0, center: float = 0.0) -> "PotentialSpec":
@@ -400,13 +398,11 @@ class PotentialSpec:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "quadratic" and self.kappa == 0.0)
+        return self.kind == "quadratic" and self.kappa == 0.0
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(x)
-        elif self.kind == "quadratic":
+        if self.kind == "quadratic":
             out = 0.5 * self.kappa * (x - self.center) ** 2
         else:
             out = np.interp(x, self.xs, self.vs)
@@ -414,9 +410,7 @@ class PotentialSpec:
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(x)
-        elif self.kind == "quadratic":
+        if self.kind == "quadratic":
             out = self.kappa * (x - self.center)
         else:
             xs = np.asarray(self.xs)

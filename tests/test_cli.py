@@ -11,7 +11,6 @@ import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from wflow.cli import (
     MAX_DOMAIN,
     MAX_EXPONENT,
     MAX_GRID,
-    MAX_HELD,
     MAX_NEWTON_ITER,
     MAX_POTENTIAL,
     MAX_WORK,
@@ -38,6 +36,7 @@ from wflow.cli import (
     main,
     trajectory_to_csv,
 )
+from wflow.convex import PotentialSpec
 from wflow.density import (Domain, GridDensity, csv_rows, density_to_csv,
                            float_cells, normalize)
 from wflow.errors import ConvergenceError, ParameterError, SchemeAbortError
@@ -54,9 +53,9 @@ def no_child_left():
 
 @pytest.fixture
 def outroot(tmp_path, monkeypatch):
-    root = tmp_path / "artifacts"
-    monkeypatch.setenv("WFLOW_OUT", str(root))
-    return root
+    """The default output root, ``out`` in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path / "out"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -94,6 +93,7 @@ MALFORMED_CONFIGS = {
     "energy-term-not-an-object": json.dumps(
         {"cost_terms": [[1.0, 2.0]], "energy_terms": [1]}),
     "not-json": "{\"preset\": ",
+    "not-an-object": json.dumps(["preset", "fokker-planck"]),
 }
 
 
@@ -122,115 +122,202 @@ def test_malformed_config_exits_1(tmp_path, outroot, capsys, text, command):
 
 
 # valid JSON whose values the config check must reject: preset parameters on
-# the boundary of their window, and initial data the scheme cannot start from
+# the boundary of their window, and initial data the scheme cannot start from.
+# Each case names a fragment of the message it must fail with, so that no
+# earlier, unrelated check can reject it in its place.
 REJECTED_CONFIGS = {
-    "p-laplacian-p-3/2": {"preset": "p-laplacian", "exponent_p": 1.5},
-    "doubly-degenerate-p-1": {"preset": "doubly-degenerate",
-                              "exponent_p": 1.0, "exponent_n": 1.0},
-    "doubly-degenerate-m-0": {"preset": "doubly-degenerate",
-                              "exponent_p": 3.0, "exponent_n": -0.5},
-    "zero-cell-without-floor": {"rho0": "zero-cell.csv"},
-    "floor-delta-0": {"floor_delta": 0},
+    "p-laplacian-p-3/2": ({"preset": "p-laplacian", "exponent_p": 1.5},
+                          "p = 1.5 gives m = 0.0 < 1/q"),
+    "p-laplacian-p-1": ({"preset": "p-laplacian", "exponent_p": 1.0},
+                        "p-laplacian preset needs p >= (1 + sqrt 5)/2"),
+    "porous-medium-m-1": ({"preset": "porous-medium", "exponent_m": 1.0},
+                          "porous-medium preset needs m > 1"),
+    "porous-medium-without-m": ({"preset": "porous-medium"},
+                                "porous-medium preset needs m > 1"),
+    "doubly-degenerate-p-1": ({"preset": "doubly-degenerate",
+                               "exponent_p": 1.0, "exponent_n": 1.0},
+                              "doubly-degenerate preset needs p > 1"),
+    "doubly-degenerate-m-0": ({"preset": "doubly-degenerate",
+                               "exponent_p": 3.0, "exponent_n": -0.5},
+                              "doubly-degenerate preset needs n >= 1/(p(p-1))"),
+    "doubly-degenerate-without-n": ({"preset": "doubly-degenerate",
+                                     "exponent_p": 3.0},
+                                    "doubly-degenerate preset needs n and p"),
+    "zero-cell-without-floor": ({"rho0": "zero-cell.csv"},
+                                "initial density has zero cells"),
+    "floor-delta-0": ({"floor_delta": 0}, "floor_delta must be positive"),
     # T = 0.001 is under half of h = 0.01 and of every step size study tries
-    "horizon-under-half-step": {"T": 0.001},
-    "unknown-key": {"bogus_key": 1},
-    "retired-solver-key": {"fista_max_iter": 100000},
+    "horizon-under-half-step": ({"T": 0.001}, "horizon T = 0.001 with step"),
+    "unknown-key": ({"bogus_key": 1}, "unknown config key(s): bogus_key"),
+    "retired-solver-key": ({"fista_max_iter": 100000},
+                           "unknown config key(s): fista_max_iter"),
+    # the output root is the --out option alone
+    "retired-output-dir-key": ({"output_dir": "elsewhere"},
+                               "unknown config key(s): output_dir"),
     # a negative cap never stops Newton; a NaN or negative tolerance made
     # every step fail as a solver error
-    "newton-max-iter-negative": {"newton_max_iter": -1},
+    "newton-max-iter-negative": ({"newton_max_iter": -1},
+                                 "newton_max_iter must be >= 0"),
     # Newton that cycles on round-off runs to the cap, so a cap over
     # MAX_NEWTON_ITER let one config grind for days
-    "newton-max-iter-over-cap": {"newton_max_iter": 10**9},
-    "solver-tol-nan": {"solver_tol": float("nan")},
-    "solver-tol-negative": {"solver_tol": -1.0},
+    "newton-max-iter-over-cap": ({"newton_max_iter": 10**9},
+                                 "newton_max_iter 1000000000 is over the cap"),
+    "solver-tol-nan": ({"solver_tol": float("nan")},
+                       "solver tolerance must be finite and > 0, got nan"),
+    "solver-tol-negative": ({"solver_tol": -1.0},
+                            "solver tolerance must be finite and > 0, got -1"),
     # grid sizes are integral JSON numbers in [1, MAX_GRID]: a bool, string
     # or fraction must not be coerced, nor a size numpy cannot allocate tried
-    "n-bool": {"n": True},
-    "n-string": {"n": "64"},
-    "n-fraction": {"n": 64.9},
-    "n-zero": {"n": 0},
-    "n-over-cap": {"n": MAX_GRID + 1},
-    "m-bool": {"m": True},
-    "m-fraction": {"m": 64.9},
-    "m-huge": {"m": 1e11},
+    "n-bool": ({"n": True}, "n must be an integer, got True"),
+    "n-string": ({"n": "64"}, "n must be an integer, got '64'"),
+    "n-fraction": ({"n": 64.9}, "n must be an integer, got 64.9"),
+    "n-zero": ({"n": 0}, "n must be an integer in [1, 65536], got 0"),
+    "n-over-cap": ({"n": MAX_GRID + 1},
+                   "n must be an integer in [1, 65536], got 65537"),
+    "m-bool": ({"m": True}, "m must be an integer, got True"),
+    "m-fraction": ({"m": 64.9}, "m must be an integer, got 64.9"),
+    "m-huge": ({"m": 1e11}, "m must be an integer in [1, 65536]"),
     # the other numeric keys are JSON numbers too, and newton_max_iter an
     # integral one: no bool, string or fraction is coerced
-    "newton-max-iter-fraction": {"newton_max_iter": 2.7},
-    "newton-max-iter-bool": {"newton_max_iter": True},
-    "newton-max-iter-string": {"newton_max_iter": "40"},
-    "T-string": {"T": "0.02"},
-    "h-bool": {"h": True},
-    "solver-tol-string": {"solver_tol": "1e-9"},
-    "domain-b-bool": {"domain_b": True},
+    "newton-max-iter-fraction": ({"newton_max_iter": 2.7},
+                                 "newton_max_iter must be an integer, got 2.7"),
+    "newton-max-iter-bool": ({"newton_max_iter": True},
+                             "newton_max_iter must be an integer, got True"),
+    "newton-max-iter-string": ({"newton_max_iter": "40"},
+                               "newton_max_iter must be an integer, got '40'"),
+    "T-string": ({"T": "0.02"}, "T must be a number, got '0.02'"),
+    "h-bool": ({"h": True}, "h must be a number, got True"),
+    "solver-tol-string": ({"solver_tol": "1e-9"},
+                          "solver_tol must be a number, got '1e-9'"),
+    "domain-b-bool": ({"domain_b": True},
+                      "domain_b must be a number, got True"),
     # an integer literal too large for a float
-    "T-int-over-float-range": {"T": 10**400},
+    "T-int-over-float-range": ({"T": 10**400},
+                               "OverflowError: int too large to convert"),
     # 4001 to 32001 snapshots of 65536 cells, at every step size tried: a
-    # held trajectory over MAX_HELD values
-    "held-trajectory-over-cap": {"n": MAX_GRID, "T": 200.0},
+    # held trajectory of (steps + 1) * n values, over MAX_WORK + MAX_GRID
+    "held-trajectory-over-cap": ({"n": MAX_GRID, "T": 200.0},
+                                 "n = 65536 ask for"),
     # 1200 to 9600 steps of 65536 nodes, at every step size tried: solver
     # work over MAX_WORK
-    "solver-work-over-cap": {"m": MAX_GRID, "T": 60.0},
+    "solver-work-over-cap": ({"m": MAX_GRID, "T": 60.0}, "m = 65536 ask for"),
     # nested numbers follow the same rule: no bool or string is coerced
-    "potential-kappa-bool": {"potential": {"kind": "quadratic",
-                                           "kappa": True}},
-    "potential-table-string": {"potential": {"kind": "tabulated",
-                                             "x": [0.0, "1.0"],
-                                             "v": [0.0, 1.0]}},
-    "profile-amplitude-string": {"rho0": {"profile": "cosine",
-                                          "amplitude": "0.3"}},
-    "profile-width-bool": {"rho0": {"profile": "gaussian", "width": True}},
+    "potential-kappa-bool": ({"potential": {"kind": "quadratic",
+                                            "kappa": True}},
+                             "potential kappa must be a number, got True"),
+    "potential-table-string": ({"potential": {"kind": "tabulated",
+                                              "x": [0.0, "1.0"],
+                                              "v": [0.0, 1.0]}},
+                               "potential x must be a number, got '1.0'"),
+    "potential-table-lengths-differ": (
+        {"potential": {"kind": "tabulated", "x": [0.0, 0.5, 1.0],
+                       "v": [0.0, 1.0]}},
+        "tabulated potential needs matching x/v samples"),
+    "potential-table-nodes-not-increasing": (
+        {"potential": {"kind": "tabulated", "x": [0.0, 0.5, 0.5],
+                       "v": [0.0, 0.0, 1.0]}},
+        "tabulated potential nodes must increase"),
+    "profile-amplitude-string": ({"rho0": {"profile": "cosine",
+                                           "amplitude": "0.3"}},
+                                 "amplitude must be a number, got '0.3'"),
+    # an amplitude of 1 or more starts from a density with a zero or a
+    # negative cell
+    "profile-amplitude-one": ({"rho0": {"profile": "cosine",
+                                        "amplitude": 1.0}},
+                              "cosine profile needs amplitude in [0, 1)"),
+    "profile-unknown": ({"rho0": {"profile": "triangle"}},
+                        "unknown initial profile 'triangle'"),
+    "profile-width-bool": ({"rho0": {"profile": "gaussian", "width": True}},
+                           "width must be a number, got True"),
     # a gaussian width <= 0 or not finite: width 0 ran as a uniform start
     # when no cell centre sat on the centre and exited 1 on a NaN when one
     # did, and a negative width ran as its absolute value
-    "profile-width-zero": {"rho0": {"profile": "gaussian", "width": 0.0,
-                                    "center": 0.02}},
-    "profile-width-zero-on-a-cell-centre": {
-        "rho0": {"profile": "gaussian", "width": 0.0, "center": 0.5 / 64}},
-    "profile-width-negative": {"rho0": {"profile": "gaussian",
-                                        "width": -0.1}},
-    "profile-width-nan": {"rho0": {"profile": "gaussian",
-                                   "width": float("nan")}},
-    "profile-width-inf": {"rho0": {"profile": "gaussian",
-                                   "width": float("inf")}},
-    "cost-terms-strings": {"preset": None, "cost_terms": [["1", "2"]],
-                           "energy_terms": [{"kind": "entropy"}]},
-    "energy-coeff-string": {"preset": None, "cost_terms": [[0.5, 2.0]],
-                            "energy_terms": [{"kind": "entropy",
-                                              "coeff": "1"}]},
-    "exponent-bool": {"preset": "doubly-degenerate", "exponent_p": 3.0,
-                      "exponent_n": True},
+    "profile-width-zero": ({"rho0": {"profile": "gaussian", "width": 0.0,
+                                     "center": 0.02}},
+                           "got width 0.0 and center 0.02"),
+    "profile-width-zero-on-a-cell-centre": (
+        {"rho0": {"profile": "gaussian", "width": 0.0, "center": 0.5 / 64}},
+        "got width 0.0 and center 0.0078125"),
+    "profile-width-negative": ({"rho0": {"profile": "gaussian",
+                                         "width": -0.1}},
+                               "got width -0.1 and center 0.5"),
+    "profile-width-nan": ({"rho0": {"profile": "gaussian",
+                                    "width": float("nan")}},
+                          "got width nan and center 0.5"),
+    "profile-width-inf": ({"rho0": {"profile": "gaussian",
+                                    "width": float("inf")}},
+                          "got width inf and center 0.5"),
+    # a gaussian centre that is not finite: every exponential was 0, and the
+    # run started from the uniform floor without a word
+    "profile-center-inf": ({"rho0": {"profile": "gaussian", "width": 0.1,
+                                     "center": float("inf")}},
+                           "got width 0.1 and center inf"),
+    "profile-center-nan": ({"rho0": {"profile": "gaussian", "width": 0.1,
+                                     "center": float("nan")}},
+                           "got width 0.1 and center nan"),
+    "cost-terms-strings": ({"preset": None, "cost_terms": [["1", "2"]],
+                            "energy_terms": [{"kind": "entropy"}]},
+                           "cost_terms coefficient must be a number"),
+    "energy-coeff-string": ({"preset": None, "cost_terms": [[0.5, 2.0]],
+                             "energy_terms": [{"kind": "entropy",
+                                               "coeff": "1"}]},
+                            "energy_terms coeff must be a number, got '1'"),
+    "energy-entropy-coeff-zero": ({"preset": None, "cost_terms": [[0.5, 2.0]],
+                                   "energy_terms": [{"kind": "entropy",
+                                                     "coeff": 0.0}]},
+                                  "entropy coefficient must be > 0"),
+    "energy-power-coeff-negative": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": "power", "coeff": -1.0, "exponent": 2.0}]},
+        "power coefficient must be > 0"),
+    "energy-term-unknown-kind": ({"preset": None, "cost_terms": [[0.5, 2.0]],
+                                  "energy_terms": [{"kind": "logarithm"}]},
+                                 "unknown energy term"),
+    "explicit-without-energy-terms": ({"preset": None,
+                                       "cost_terms": [[0.5, 2.0]]},
+                                      "explicit configs need energy_terms"),
+    "exponent-bool": ({"preset": "doubly-degenerate", "exponent_p": 3.0,
+                       "exponent_n": True},
+                      "exponent_n must be a number, got True"),
     # energy exponents over MAX_EXPONENT: x^m overflows, and the solver
     # used to exit 2 (porous medium) or 0 with overflow warnings (doubly
     # degenerate, in the reference's flux)
-    "preset-exponent-over-cap": {"preset": "porous-medium",
-                                 "exponent_m": 1e300, "n": 16, "m": 16,
-                                 "h": 0.02, "T": 0.04},
-    "preset-derived-exponent-over-cap": {"preset": "doubly-degenerate",
-                                         "exponent_p": 3.0,
-                                         "exponent_n": 2**63,
-                                         "rho0": "uniform"},
-    "energy-terms-exponent-over-cap": {
-        "preset": None, "cost_terms": [[0.5, 2.0]],
-        "energy_terms": [{"kind": "power", "exponent": 1e300}]},
+    "preset-exponent-over-cap": ({"preset": "porous-medium",
+                                  "exponent_m": 1e300, "n": 16, "m": 16,
+                                  "h": 0.02, "T": 0.04},
+                                 "energy exponent 1e+300 is over the cap"),
+    "preset-derived-exponent-over-cap": (
+        {"preset": "doubly-degenerate", "exponent_p": 3.0,
+         "exponent_n": 2**63, "rho0": "uniform"},
+        "energy exponent 9.223372036854776e+18 is over the cap"),
+    "energy-terms-exponent-over-cap": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": "power", "exponent": 1e300}]},
+        "energy exponent 1e+300 is over the cap"),
     # a domain beyond MAX_DOMAIN: the profile, the potential and the step
     # Hessian overflow, and the solver used to exit 2
-    "domain-over-cap": {"domain_b": 1e300, "rho0": {"profile": "gaussian"},
-                        "potential": {"kind": "quadratic"}},
+    "domain-over-cap": ({"domain_b": 1e300, "rho0": {"profile": "gaussian"},
+                         "potential": {"kind": "quadratic"}},
+                        "reaches beyond the cap of 1000000.0"),
     # a potential over MAX_POTENTIAL on the domain: the run used to write
     # every artifact and exit 2 from the ledger (kappa), or exit 2 with "not
     # a descent direction" (center)
-    "potential-kappa-over-cap": {"potential": {"kind": "quadratic",
-                                               "kappa": 1e300},
-                                 "n": 16, "m": 16, "h": 0.02, "T": 0.04},
-    "potential-center-over-cap": {"potential": {"kind": "quadratic",
-                                                "kappa": 1.0,
-                                                "center": 1e200},
+    "potential-kappa-over-cap": ({"potential": {"kind": "quadratic",
+                                                "kappa": 1e300},
                                   "n": 16, "m": 16, "h": 0.02, "T": 0.04},
-    "potential-table-over-cap": {"potential": {"kind": "tabulated",
-                                               "x": [0.0, 1.0],
-                                               "v": [0.0, 1e300]}},
-    "potential-kappa-nan": {"potential": {"kind": "quadratic",
-                                          "kappa": float("nan")}},
+                                 "potential reaches 5e+299 on the domain"),
+    "potential-center-over-cap": ({"potential": {"kind": "quadratic",
+                                                 "kappa": 1.0,
+                                                 "center": 1e200},
+                                   "n": 16, "m": 16, "h": 0.02, "T": 0.04},
+                                  "potential reaches inf on the domain"),
+    "potential-table-over-cap": ({"potential": {"kind": "tabulated",
+                                                "x": [0.0, 1.0],
+                                                "v": [0.0, 1e300]}},
+                                 "potential reaches 1e+300 on the domain"),
+    "potential-kappa-nan": ({"potential": {"kind": "quadratic",
+                                           "kappa": float("nan")}},
+                            "quadratic potential needs finite kappa >= 0"),
 }
 
 
@@ -243,10 +330,10 @@ def write_zero_cell_csv(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "study", "crosscheck"])
-@pytest.mark.parametrize("overrides", REJECTED_CONFIGS.values(),
+@pytest.mark.parametrize("overrides,message", REJECTED_CONFIGS.values(),
                          ids=REJECTED_CONFIGS.keys())
 def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
-                                                overrides, command):
+                                                overrides, message, command):
     if overrides.get("rho0") == "zero-cell.csv":
         overrides = {"rho0": write_zero_cell_csv(tmp_path)}
     path = write_config(tmp_path, **overrides)
@@ -255,7 +342,7 @@ def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
         argv += ["--values", "0.05,0.025,0.0125,0.00625"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert err.startswith("config error: ") and message in err, err
     assert "Traceback" not in err
     for key in set(overrides) - CONFIG_KEYS:
         assert key in err
@@ -309,22 +396,40 @@ def test_potential_cap_accepts_its_bound(tmp_path):
             load_config(write_config(tmp_path, potential=over))
 
 
+def test_potential_cap_reads_v_on_the_domain_only(tmp_path):
+    # the table climbs to 1e12 at x = -10 but is 0 on all of [0, 1], the
+    # domain: the cap reads V there, not the table's largest entry
+    cfg = load_config(write_config(tmp_path, potential={
+        "kind": "tabulated", "x": [-10.0, 0.0, 1.0], "v": [1e12, 0.0, 0.0]}))
+    assert cfg.potential.value((cfg.domain.a, cfg.domain.b)).tolist() == [
+        0.0, 0.0]
+
+
+@pytest.mark.parametrize("potential", [None, "zero", {}, {"kind": "zero"}],
+                         ids=["null", "zero", "empty", "kind-zero"])
+def test_zero_potential_configs_parse_to_the_flat_quadratic(tmp_path,
+                                                            potential):
+    cfg = load_config(write_config(tmp_path, potential=potential))
+    assert cfg.potential == PotentialSpec.quadratic(kappa=0.0)
+
+
 def test_grid_sizes_accept_integral_numbers_up_to_the_cap(tmp_path):
     cfg = load_config(write_config(tmp_path, n=64.0, m=MAX_GRID))
     assert (cfg.n, cfg.m) == (64, MAX_GRID)
     assert type(cfg.n) is int
 
 
-def test_held_trajectory_cap_names_the_numbers(tmp_path):
-    # 2048 snapshots of 65536 cells hold exactly MAX_HELD values; m stays
-    # small so that the solver work is under its own cap
+def test_work_cap_on_n_names_the_numbers(tmp_path):
+    # 1024 steps of 65536 density cells are exactly MAX_WORK, and hold
+    # 1025 * 65536 trajectory values; m stays small, under the cap
     cfg = load_config(write_config(tmp_path, n=MAX_GRID, m=64, h=0.5,
-                                   T=1023.5))
-    assert (2047 + 1) * MAX_GRID == MAX_HELD
+                                   T=512.0))
+    assert 1024 * MAX_GRID == MAX_WORK
     cfg.problem()
-    with pytest.raises(ParameterError, match=rf"hold {MAX_HELD + MAX_GRID} "
-                       rf"trajectory values, over the cap of {MAX_HELD}"):
-        cfg.problem(h=1023.5 / 2048)
+    with pytest.raises(ParameterError, match=rf"n = {MAX_GRID} ask for 1025 "
+                       rf"steps of {MAX_GRID} cells, {MAX_WORK + MAX_GRID}"
+                       rf" in all, over the work cap of {MAX_WORK}"):
+        cfg.problem(h=512.0 / 1025)
 
 
 def test_solver_work_cap_names_the_numbers(tmp_path):
@@ -333,21 +438,22 @@ def test_solver_work_cap_names_the_numbers(tmp_path):
     assert 1024 * MAX_GRID == MAX_WORK
     cfg.problem()
     with pytest.raises(ParameterError, match=rf"m = {MAX_GRID} ask for 1025 "
-                       rf"steps of {MAX_GRID} unknowns, {MAX_WORK + MAX_GRID}"
-                       rf" in all, over the solver-work cap of {MAX_WORK}"):
+                       rf"steps of {MAX_GRID} cells, {MAX_WORK + MAX_GRID}"
+                       rf" in all, over the work cap of {MAX_WORK}"):
         cfg.problem(h=512.0 / 1025)
 
 
-def test_crosscheck_reference_work_cap_exits_1_before_writing(
-        tmp_path, outroot, capsys):
-    # the scheme's 5000 steps of 64 nodes pass; the reference's 5000 steps
-    # of 16384 cells do not
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_density_grid_work_cap_exits_1_before_writing(tmp_path, outroot,
+                                                      capsys, command):
+    # 5000 steps of 64 mass cells pass the cap; 5000 steps of 16384 density
+    # cells, held by every command and solved by crosscheck's reference, do
+    # not
     path = write_config(tmp_path, n=16384, m=64, T=50.0)
-    load_config(path).problem()
-    assert main(["crosscheck", "--config", str(path)]) == 1
+    assert main([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert (f"n = 16384 ask for 5000 steps of 16384 unknowns, 81920000 in "
-            f"all, over the solver-work cap of {MAX_WORK}") in err
+    assert (f"n = 16384 ask for 5000 steps of 16384 cells, 81920000 in "
+            f"all, over the work cap of {MAX_WORK}") in err
     assert not outroot.exists()
 
 
@@ -389,8 +495,7 @@ def test_preset_below_its_window_names_it(tmp_path, overrides, window):
 def test_config_accepts_every_key_it_reads(tmp_path):
     path = write_config(tmp_path, exponent_m=None, exponent_p=None,
                         exponent_n=None, cost_terms=None, energy_terms=None,
-                        floor_delta=1e-3, solver_tol=1e-8, newton_max_iter=40,
-                        output_dir=str(tmp_path / "elsewhere"))
+                        floor_delta=1e-3, solver_tol=1e-8, newton_max_iter=40)
     cfg = load_config(path)
     assert (cfg.tol, cfg.newton_max_iter) == (1e-8, 40)
 
@@ -488,6 +593,25 @@ def test_run_solver_failure_exits_2_with_partial(tmp_path, outroot):
     steps = (rundir / "diagnostics.jsonl").read_text().count("\n")
     assert text.endswith("\n")
     assert text.count("\n") == 1 + 64 * (1 + steps)
+
+
+def test_failed_rerun_removes_the_earlier_report(tmp_path, outroot, capsys):
+    # the run directory is named by the config, whose hash covers the path
+    # of rho0's file but not its bytes; from a nearly flat start Newton stops
+    # at step 1, and the earlier run's passing report.json must not stay
+    # beside the new partial trajectory
+    dom = Domain(0.0, 1.0)
+    csv_path = tmp_path / "rho0.csv"
+    path = write_config(tmp_path, preset="p-laplacian", exponent_p=3.0, n=16,
+                        m=8, h=0.015625, T=0.03125, rho0={"csv": str(csv_path)})
+    for amplitude, code in ((0.4, 0), (1e-8, 2)):
+        rho0 = 1.0 + amplitude * np.cos(np.pi * dom.centers(16))
+        csv_path.write_text(density_to_csv(normalize(rho0, dom)[0]))
+        assert cmd_run(str(path)) == code
+    assert "newton_max_iter reached" in capsys.readouterr().err
+    rundir, = outroot.iterdir()
+    assert sorted(p.name for p in rundir.iterdir()) == [
+        "config.json", "diagnostics.jsonl", "trajectory.csv"]
 
 
 def test_run_missing_rho0_csv(tmp_path, outroot):
@@ -740,7 +864,7 @@ def test_crosscheck_reference_from_the_child_matches_in_process(tmp_path,
     cfg = load_config(path)
     rho0 = cfg.initial_density()
     fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
-                           rho0, cfg.T, cfg.reference())
+                           rho0, cfg.T, refsolve.FdConfig(n=cfg.n, dt=cfg.h))
     assert files["reference.csv"].decode() == csv_text(fd)
     table = diagnostics.compare(run_scheme(cfg.problem(), rho0, cfg.T), fd)
     report = json.loads(files["comparison.json"])
@@ -955,13 +1079,51 @@ def test_fresh_command_loads_no_scipy_subpackage(tmp_path, command):
         "assert scipy.linalg.lapack._flapack is flapack\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, WFLOW_OUT=str(tmp_path / "artifacts"),
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# the files of an earlier run that a failed rerun of each command must not
+# keep: its verdicts, and for crosscheck both trajectories
+STALE_ON_FAILURE = {
+    "run": {"report.json"},
+    "study": {"rate.csv"},
+    "crosscheck": {"comparison.json", "comparison.csv", "trajectory.csv",
+                   "reference.csv"},
+}
+
+
+@pytest.mark.parametrize("command", FRESH_COMMANDS)
+def test_failed_rerun_keeps_no_earlier_verdict(tmp_path, outroot, capsys,
+                                               monkeypatch, command):
+    overrides, extra = FRESH_COMMANDS[command]
+    argv = [command, "--config", str(write_config(tmp_path, **overrides)),
+            *extra]
+    assert main(argv) == 0
+    rundir, = outroot.iterdir()
+    assert STALE_ON_FAILURE[command] <= {p.name for p in rundir.iterdir()}
+
+    def failed_scheme(*args):
+        raise SchemeAbortError("scheme failed at step 1")
+
+    monkeypatch.setattr(cli, "run_scheme", failed_scheme)
+    assert main(argv) == 2
+    assert "failed" in capsys.readouterr().err
+    assert not STALE_ON_FAILURE[command] & {p.name for p in rundir.iterdir()}
+
+
+def test_out_sets_the_output_root(tmp_path, outroot, monkeypatch):
+    monkeypatch.setenv("WFLOW_OUT", str(tmp_path / "env"))
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path), "--out", "flag"]) == 0
+    assert main(["run", "--config", str(path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+        "flag", "out"]
 
 
 def test_main_dispatch(tmp_path, outroot, capsys):
@@ -977,8 +1139,9 @@ def test_main_dispatch(tmp_path, outroot, capsys):
     ["frobnicate"],                                  # unknown subcommand
     ["oracle", "--k", "abc"],                        # --k not an int
     ["run", "--config", "cfg.json", "--force"],      # retired flag
+    ["study", "--config", "cfg.json", "--values", "0.1,abc"],  # not numbers
 ], ids=["run-without-config", "unknown-subcommand", "k-not-an-int",
-        "run-force"])
+        "run-force", "values-not-numbers"])
 def test_usage_error_exits_1(capsys, argv):
     # exit 2 is reserved for a failed solve
     with pytest.raises(SystemExit) as exc:
@@ -1053,12 +1216,11 @@ def test_fuzzed_configs_exit_cleanly(cfg):
         path.write_text(json.dumps(cfg))  # NaN and inf as JSON extensions
         for command in ("run", "study", "crosscheck"):
             root = Path(tmp) / command
-            argv = [command, "--config", str(path)]
+            argv = [command, "--config", str(path), "--out", str(root)]
             if command == "study":
                 argv += ["--values", "0.02,0.01,0.005,0.0025"]
             err = io.StringIO()
-            with (mock.patch.dict(os.environ, {"WFLOW_OUT": str(root)}),
-                  contextlib.redirect_stderr(err),
+            with (contextlib.redirect_stderr(err),
                   contextlib.redirect_stdout(io.StringIO()),
                   warnings.catch_warnings()):
                 # as on the command line, a numpy overflow warning is printed,

@@ -268,6 +268,17 @@ def test_quadratic_potential():
     assert V.second_derivative(0.0) == pytest.approx(2.0)
 
 
+def test_zero_potential_is_the_flat_quadratic():
+    # one zero potential: a quadratic with kappa = 0, worth +0.0 everywhere
+    V = PotentialSpec.zero()
+    assert V == PotentialSpec.quadratic(kappa=0.0) and V.is_zero
+    values = V.value(np.array([-2.0, 0.0, 3.0]))
+    assert values.tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(values).any()
+    with pytest.raises(InvalidSpecError, match="unknown potential kind"):
+        PotentialSpec(kind="zero")
+
+
 def test_tabulated_potential_requires_convexity():
     with pytest.raises(InvalidSpecError):
         PotentialSpec.tabulated([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
