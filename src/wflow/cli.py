@@ -75,8 +75,7 @@ class RunConfig:
     m: int
     h: float
     T: float
-    rho0: GridDensity
-    floor_delta: float | None
+    rho0: GridDensity  # the starting density, floored if floor_delta is set
     tol: float
     newton_max_iter: int
     label: str
@@ -98,8 +97,7 @@ class RunConfig:
         return pb
 
     def initial_density(self) -> GridDensity:
-        if self.floor_delta is not None:
-            return floored_density(self.rho0, self.floor_delta)
+        """The starting density, ``rho0``."""
         return self.rho0
 
 
@@ -141,7 +139,14 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
             raise ParameterError(
                 f"gaussian profile needs a finite width > 0 and a finite "
                 f"center, got width {width!r} and center {center!r}")
-        return np.exp(-0.5 * ((xc - center) / width) ** 2) + floor
+        with np.errstate(over="ignore"):  # a far center: every bump is 0
+            values = np.exp(-0.5 * ((xc - center) / width) ** 2) + floor
+        if values.max() == floor:
+            raise ParameterError(
+                f"gaussian profile is flat on the grid: the bump at center "
+                f"{center!r} with width {width!r} is lost below the floor "
+                f"{floor!r} in every cell")
+        return values
     raise ParameterError(f"unknown initial profile {name!r}")
 
 
@@ -222,11 +227,8 @@ def _parse_config(raw) -> RunConfig:
     n = _grid_size(raw, "n", 256)
     m = _grid_size(raw, "m", n)
     rho0 = _rho0_from_config(raw.get("rho0"), domain, n)
-    floor_delta = None
     if raw.get("floor_delta") is not None:
-        floor_delta = _number(raw["floor_delta"], "floor_delta")
-        if not (floor_delta > 0.0):
-            raise ParameterError(f"floor_delta must be positive, got {floor_delta}")
+        rho0 = floored_density(rho0, _number(raw["floor_delta"], "floor_delta"))
     elif not rho0.strictly_positive:
         raise ParameterError(
             "initial density has zero cells; set floor_delta to floor it")
@@ -239,7 +241,7 @@ def _parse_config(raw) -> RunConfig:
         raw=raw, cost=cost, energy=energy, potential=potential, domain=domain,
         n=n, m=m, h=_number(raw.get("h", 1e-2), "h"),
         T=_number(raw.get("T", 1.0), "T"),
-        rho0=rho0, floor_delta=floor_delta, label=preset or "custom",
+        rho0=rho0, label=preset or "custom",
         tol=_number(raw.get("solver_tol", JkoProblem.tol), "solver_tol"),
         newton_max_iter=iters)
 
@@ -365,7 +367,7 @@ def cmd_run(config_path: str, root: str | Path = "out") -> int:
     out = output_dir(cfg, root, ["report.json"])
     _write_json(out / "config.json", cfg.raw)
     try:
-        traj = run_scheme(problem, cfg.initial_density(), cfg.T)
+        traj = run_scheme(problem, cfg.rho0, cfg.T)
     except WflowError as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None:
@@ -385,14 +387,13 @@ def cmd_study(config_path: str, values: list[float],
         cfg = load_config(config_path)
         diagnostics.check_step_sizes(values)
         problems = [cfg.problem(h=h) for h in values]  # checked before any run
-        rho0 = cfg.initial_density()
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     out = output_dir(cfg, root, ["rate.json", "rate.csv"])
     results, failures = [], []
     for pb in problems:
         try:
-            traj = run_scheme(pb, rho0, cfg.T)
+            traj = run_scheme(pb, cfg.rho0, cfg.T)
         except WflowError as exc:
             failures.append({"h": pb.h, "error": str(exc)})
             continue
@@ -521,14 +522,13 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
 
     def reference() -> SchemeTrajectory:
         fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
-                               rho0, cfg.T, fd_cfg)
+                               cfg.rho0, cfg.T, fd_cfg)
         _stream(ref_path, trajectory_to_csv, fd)
         return fd
 
     try:
-        rho0 = cfg.initial_density()
         with _in_child(reference) as reference_result:
-            traj = run_scheme(problem, rho0, cfg.T)
+            traj = run_scheme(problem, cfg.rho0, cfg.T)
             try:
                 fd = reference_result()
             except WflowError as exc:

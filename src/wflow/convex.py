@@ -9,6 +9,13 @@ enforces the hypotheses on its own spec; ``validate_assumptions`` checks the
 two that couple a spec to another input: the energy's exponents to the
 cost's, and a tabulated potential to the domain.  Everything is immutable after construction and
 safe for concurrent reads.
+
+Every spec method takes arrays (anything ``np.asarray`` takes) and returns
+arrays of the input's shape; a scalar gives a 0-d result, which a caller that
+needs a Python float wraps in ``float()``.  The flow inverts two increasing
+derivatives, ``c'`` for ``(c*)' = (c')^{-1}`` and ``F'`` for stationary
+states.  Single-term specs have closed forms; every other spec goes through
+one root finder, ``_invert_increasing``.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ import numpy as np
 
 from .errors import InvalidSpecError, ParameterError
 
-_CONJ_TOL = 1e-12
-_CONJ_MAX_ITER = 100
+_ROOT_TOL = 1e-12  # absolute residual of ``_invert_increasing``
+_ROOT_MAX_ITER = 100
 _CONVEXITY_SLACK = -1e-10
 _CURVATURE_FLOOR = 1e-12  # |z| floor of the cost's curvature
 
@@ -76,15 +83,14 @@ class CostSpec:
 
     def value(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        out = reduce(iadd, (A * z**qi for A, qi in self.terms))
-        return out if out.ndim else float(out)
+        return reduce(iadd, (A * z**qi for A, qi in self.terms))
 
     def derivative(self, z):
         z = np.asarray(z, dtype=float)
         az = np.abs(z)
         out = reduce(iadd, (A * qi * az ** (qi - 1.0) for A, qi in self.terms))
         out *= np.sign(z)
-        return out if out.ndim else float(out)
+        return out
 
     def value_and_derivative(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(c(v), c'(v))`` on an array from one ``|v|^(q_i - 1)`` per term.
@@ -110,9 +116,8 @@ class CostSpec:
     def second_derivative(self, z):
         """Radial curvature ``c''``; |z| is floored to keep it finite."""
         az = np.maximum(np.abs(np.asarray(z, dtype=float)), _CURVATURE_FLOOR)
-        out = reduce(iadd, (A * qi * (qi - 1.0) * az ** (qi - 2.0)
-                            for A, qi in self.terms))
-        return out if out.ndim else float(out)
+        return reduce(iadd, (A * qi * (qi - 1.0) * az ** (qi - 2.0)
+                             for A, qi in self.terms))
 
     def _is_normalized_power(self) -> bool:
         if len(self.terms) != 1:
@@ -127,64 +132,19 @@ class CostSpec:
     def conjugate_gradient(self, z):
         """Gradient ``(c*)'(z)``, the inverse of ``c'``, vectorized."""
         z = np.asarray(z, dtype=float)
-        zf = np.atleast_1d(z)
         if self._is_normalized_power():
-            x = np.sign(zf) * np.abs(zf) ** (self.qstar - 1.0)
-        else:
-            x = _invert_derivative(self, np.abs(zf)) * np.sign(zf)
-        return x if z.ndim else float(x[0])
+            return np.sign(z) * np.abs(z) ** (self.qstar - 1.0)
+        return _invert_increasing(self.derivative, self.second_derivative,
+                                  np.abs(z)) * np.sign(z)
 
     def conjugate_pair(self, z):
         """Return ``(c*(z), (c*)'(z))`` together (shares the inversion)."""
         z = np.asarray(z, dtype=float)
-        zf = np.atleast_1d(z)
-        x = self.conjugate_gradient(zf)
+        x = self.conjugate_gradient(z)
         if self._is_normalized_power():
             qs = self.qstar
-            val = np.abs(zf) ** qs / qs
-        else:
-            val = x * zf - self.value(x)
-        if z.ndim == 0:
-            return float(val[0]), float(x[0])
-        return val, x
-
-
-def _invert_derivative(cost: CostSpec, z: np.ndarray) -> np.ndarray:
-    """Solve ``c'(x) = z`` componentwise for ``z >= 0``.
-
-    Safeguarded Newton with a bisection fallback on the strictly increasing
-    ``c'``; absolute residual tolerance ``1e-12``.
-    """
-    z = np.asarray(z, dtype=float)
-    x = np.zeros_like(z)
-    active = z > 0.0
-    if not np.any(active):
-        return x
-    za = z[active]
-    hi = np.ones_like(za)
-    for _ in range(200):
-        need = cost.derivative(hi) < za
-        if not np.any(need):
-            break
-        hi[need] *= 2.0
-    lo = np.zeros_like(za)
-    xa = 0.5 * hi
-    resid = cost.derivative(xa) - za
-    for _ in range(_CONJ_MAX_ITER):
-        done = np.abs(resid) <= _CONJ_TOL
-        if np.all(done):
-            break
-        lo = np.where(resid < 0.0, xa, lo)
-        hi = np.where(resid > 0.0, xa, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = resid / cost.second_derivative(xa)
-        cand = xa - step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        xa = np.where(done, xa, cand)
-        resid = cost.derivative(xa) - za
-    x[active] = xa
-    return x
+            return np.abs(z) ** qs / qs, x
+        return x * z - self.value(x), x
 
 
 # ---------------------------------------------------------------------------
@@ -234,35 +194,26 @@ class EnergySpec:
         """``coeff * x^m / (m - 1)``."""
         return cls(terms=(("power", coeff, m),))
 
-    @property
-    def negative_slope(self) -> bool:
-        """True when ``F' < 0`` on the whole half line (pure fast-diffusion)."""
-        return all(t[0] == "power" and t[2] < 1.0 for t in self.terms)
-
     def value(self, x):
         """``F(x)`` with the continuous extension ``F(0) = 0``."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        out = np.zeros_like(xv)
-        pos = xv > 0.0
-        out[pos] = self.value_and_pressure(xv[pos])[0]
-        return float(out[0]) if scalar else out
+        out = np.zeros_like(x)
+        pos = x > 0.0
+        out[pos] = self.value_and_pressure(x[pos])[0]
+        return out
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
-        out = reduce(iadd, (
+        return reduce(iadd, (
             t[1] * (np.log(x) + 1.0) if t[0] == "entropy"
             else t[1] * t[2] * x ** (t[2] - 1.0) / (t[2] - 1.0)
             for t in self.terms))
-        return out if out.ndim else float(out)
 
     def second_derivative(self, x):
         x = np.asarray(x, dtype=float)
-        out = reduce(iadd, (t[1] / x if t[0] == "entropy"
-                            else t[1] * t[2] * x ** (t[2] - 2.0)
-                            for t in self.terms))
-        return out if out.ndim else float(out)
+        return reduce(iadd, (t[1] / x if t[0] == "entropy"
+                             else t[1] * t[2] * x ** (t[2] - 2.0)
+                             for t in self.terms))
 
     def value_and_pressure(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(F(x), P(x))`` on an array with ``x > 0`` everywhere.
@@ -290,55 +241,65 @@ class EnergySpec:
                 P += Pi
         return F, P
 
-    def derivative_range(self) -> tuple[float, float]:
-        """Open range of ``F'`` on ``(0, inf)``."""
-        lo = 0.0 if all(t[0] == "power" and t[2] > 1.0 for t in self.terms) else -math.inf
-        hi = 0.0 if self.negative_slope else math.inf
-        return lo, hi
-
     def derivative_inverse(self, s):
-        """Invert the strictly increasing ``F'`` (0 below its range).
-
-        Vectorized; used to assemble stationary states.
-        """
+        """Invert the strictly increasing ``F'``: 0 below its range, inf
+        above it.  Vectorized; used to assemble stationary states."""
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        lo, hi = self.derivative_range()
-        out = np.zeros_like(s)
-        inside = (s > lo) & (s < hi)
-        if np.any(inside):
-            si = s[inside]
-            if len(self.terms) == 1 and self.terms[0][0] == "entropy":
-                A = self.terms[0][1]
-                out[inside] = np.exp(si / A - 1.0)
-            elif len(self.terms) == 1:
-                _, A, m = self.terms[0]
-                out[inside] = ((m - 1.0) * si / (A * m)) ** (1.0 / (m - 1.0))
-            else:
-                out[inside] = _invert_increasing(self.derivative, si)
-        out[s >= hi] = math.inf
-        if scalar:
-            return float(out[0])
+        if len(self.terms) > 1:
+            return _invert_increasing(self.derivative, self.second_derivative, s)
+        if self.terms[0][0] == "entropy":
+            return np.exp(s / self.terms[0][1] - 1.0)
+        _, A, m = self.terms[0]
+        base = (m - 1.0) * s / (A * m)  # > 0 exactly inside the range of F'
+        out = np.full_like(base, 0.0 if m > 1.0 else math.inf)
+        inside = base > 0.0
+        out[inside] = base[inside] ** (1.0 / (m - 1.0))
         return out
 
 
-def _invert_increasing(fp: Callable, s: np.ndarray) -> np.ndarray:
-    """Bisection inverse of a strictly increasing map on ``(0, inf)``."""
-    lo = np.full_like(s, 1e-300)
-    hi = np.ones_like(s)
-    for _ in range(2000):
-        need = fp(hi) < s
-        if not np.any(need):
+def _invert_increasing(fp: Callable, fpp: Callable, s) -> np.ndarray:
+    """Solve ``fp(x) = s`` componentwise on ``[0, inf)``.
+
+    ``fp`` is strictly increasing on ``(0, inf)`` with derivative ``fpp``.
+    The root is 0 where ``s <= fp(0)`` and inf where no finite ``x`` has
+    ``fp(x) >= s``.  Elsewhere a bracket ``[0, 2^k]`` is widened by
+    doubling, then safeguarded Newton with a bisection fallback closes it
+    to the absolute residual ``_ROOT_TOL``.
+    """
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore"):  # the entropy's slope is -inf at 0
+        active = s > fp(0.0)
+    x = np.where(active, math.inf, 0.0)
+    sa = s[active]
+    hi = np.ones_like(sa)
+    with np.errstate(over="ignore"):  # a root past the floats leaves hi inf
+        for _ in range(2000):
+            need = (fp(hi) < sa) & (hi < math.inf)
+            if not np.any(need):
+                break
+            hi[need] *= 2.0
+    finite = hi < math.inf
+    sa, hi = sa[finite], hi[finite]
+    lo = np.zeros_like(hi)
+    xa = 0.5 * hi
+    resid = fp(xa) - sa
+    for _ in range(_ROOT_MAX_ITER):
+        done = np.abs(resid) <= _ROOT_TOL
+        if np.all(done):
             break
-        hi[need] *= 2.0
-    lo = np.where(fp(np.ones_like(s)) < s, np.ones_like(s), lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = fp(mid) < s
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        lo = np.where(resid < 0.0, xa, lo)
+        hi = np.where(resid > 0.0, xa, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = resid / fpp(xa)
+        cand = xa - step
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        cand = np.where(bad, 0.5 * (lo + hi), cand)
+        xa = np.where(done, xa, cand)
+        resid = fp(xa) - sa
+    roots = np.full(finite.shape, math.inf)
+    roots[finite] = xa
+    x[active] = roots
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +364,25 @@ class PotentialSpec:
     def value(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            out = 0.5 * self.kappa * (x - self.center) ** 2
-        else:
-            out = np.interp(x, self.xs, self.vs)
-        return out if out.ndim else float(out)
+            return 0.5 * self.kappa * (x - self.center) ** 2
+        return np.interp(x, self.xs, self.vs)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            out = self.kappa * (x - self.center)
-        else:
-            xs = np.asarray(self.xs)
-            slopes = np.diff(np.asarray(self.vs)) / np.diff(xs)
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-            # ``value`` holds V flat beyond the table (np.interp)
-            out = np.where((x < xs[0]) | (x > xs[-1]), 0.0, slopes[idx])
-        return out if out.ndim else float(out)
+            return self.kappa * (x - self.center)
+        xs = np.asarray(self.xs)
+        slopes = np.diff(np.asarray(self.vs)) / np.diff(xs)
+        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
+        # ``value`` holds V flat beyond the table (np.interp)
+        return np.where((x < xs[0]) | (x > xs[-1]), 0.0, slopes[idx])
 
     def second_derivative(self, x):
         # Piecewise-linear tables carry no usable curvature; report 0 there.
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            out = np.full_like(x, self.kappa)
-        else:
-            out = np.zeros_like(x)
-        return out if out.ndim else float(out)
+            return np.full_like(x, self.kappa)
+        return np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------

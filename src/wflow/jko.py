@@ -650,9 +650,16 @@ def euler_lagrange_residual(problem: JkoProblem, rho_prev: GridDensity,
 # floor approximation for degenerate initial data
 # ---------------------------------------------------------------------------
 
-def floored_density(rho0: GridDensity, delta: float) -> GridDensity:
-    """Raise the density to at least ``delta`` and renormalize."""
-    if not (delta > 0.0):
-        raise ParameterError(f"floor must be positive, got {delta}")
-    values = np.maximum(rho0.values, delta)
+def floored_density(rho0: GridDensity, floor_delta: float) -> GridDensity:
+    """Raise the density to at least ``floor_delta`` and renormalize.
+
+    ``floor_delta`` must be > 0 and small enough that the floored mass is
+    finite.
+    """
+    values = np.maximum(rho0.values, floor_delta)
+    with np.errstate(over="ignore"):
+        mass = np.sum(values) * rho0.dx
+    if not (floor_delta > 0.0 and mass < math.inf):
+        raise ParameterError(f"floor_delta must be > 0 with a finite floored "
+                             f"mass, got {floor_delta!r}")
     return normalize(values, rho0.domain)[0]

@@ -228,8 +228,7 @@ def barenblatt(m: float, mass: float, t: float, x) -> np.ndarray:
     C = (mass * np.sqrt(k) / beta) ** (1.0 / (nexp + 0.5))
     x = np.asarray(x, dtype=float)
     arg = np.maximum(C - k * x**2 * t ** (-2.0 * a), 0.0)
-    out = t ** (-a) * arg**nexp
-    return out if out.ndim else float(out)
+    return t ** (-a) * arg**nexp
 
 
 def barenblatt_density(m: float, t: float, domain: Domain, n: int,

@@ -145,7 +145,21 @@ REJECTED_CONFIGS = {
                                     "doubly-degenerate preset needs n and p"),
     "zero-cell-without-floor": ({"rho0": "zero-cell.csv"},
                                 "initial density has zero cells"),
-    "floor-delta-0": ({"floor_delta": 0}, "floor_delta must be positive"),
+    # a rho0 file on 32 cells for a grid of n = 64
+    "rho0-file-on-another-grid": ({"rho0": "32-cells.csv"},
+                                  "initial density file does not match the "
+                                  "configured grid"),
+    "floor-delta-0": ({"floor_delta": 0},
+                      "floor_delta must be > 0 with a finite floored mass, "
+                      "got 0.0"),
+    # a floor whose floored mass overflows: the run wrote config.json, then
+    # exited 2 on a mass of 0 (after an overflow warning) or on inf values
+    "floor-delta-huge": ({"floor_delta": 1e308},
+                         "floor_delta must be > 0 with a finite floored mass, "
+                         "got 1e+308"),
+    "floor-delta-inf": ({"floor_delta": float("inf")},
+                        "floor_delta must be > 0 with a finite floored mass, "
+                        "got inf"),
     # T = 0.001 is under half of h = 0.01 and of every step size study tries
     "horizon-under-half-step": ({"T": 0.001}, "horizon T = 0.001 with step"),
     "unknown-key": ({"bogus_key": 1}, "unknown config key(s): bogus_key"),
@@ -255,6 +269,15 @@ REJECTED_CONFIGS = {
     "profile-center-nan": ({"rho0": {"profile": "gaussian", "width": 0.1,
                                      "center": float("nan")}},
                            "got width 0.1 and center nan"),
+    # a finite centre so far from the domain that the profile is flat on the
+    # grid: the run started from the uniform floor (and 1e300 overflowed)
+    "profile-center-far": ({"rho0": {"profile": "gaussian", "width": 0.1,
+                                     "center": 2.0}},
+                           "the bump at center 2.0 with width 0.1 is lost"),
+    "profile-center-huge": ({"rho0": {"profile": "gaussian", "width": 0.1,
+                                      "center": 1e300}},
+                            "the bump at center 1e+300 with width 0.1 is "
+                            "lost"),
     "cost-terms-strings": ({"preset": None, "cost_terms": [["1", "2"]],
                             "energy_terms": [{"kind": "entropy"}]},
                            "cost_terms coefficient must be a number"),
@@ -321,12 +344,11 @@ REJECTED_CONFIGS = {
 }
 
 
-def write_zero_cell_csv(tmp_path):
-    vals = np.ones(64)
-    vals[10] = 0.0
-    path = tmp_path / "zero-cell.csv"
-    path.write_text(density_to_csv(normalize(vals, Domain(0.0, 1.0))[0]))
-    return {"csv": str(path)}
+# the rho0 files named by REJECTED_CONFIGS, as cell values on [0, 1]
+RHO0_FILES = {
+    "zero-cell.csv": np.where(np.arange(64) == 10, 0.0, 1.0),
+    "32-cells.csv": np.ones(32),
+}
 
 
 @pytest.mark.parametrize("command", ["run", "study", "crosscheck"])
@@ -334,8 +356,12 @@ def write_zero_cell_csv(tmp_path):
                          ids=REJECTED_CONFIGS.keys())
 def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
                                                 overrides, message, command):
-    if overrides.get("rho0") == "zero-cell.csv":
-        overrides = {"rho0": write_zero_cell_csv(tmp_path)}
+    name = overrides.get("rho0")
+    if isinstance(name, str) and name in RHO0_FILES:
+        path = tmp_path / name
+        path.write_text(density_to_csv(
+            normalize(RHO0_FILES[name], Domain(0.0, 1.0))[0]))
+        overrides = {**overrides, "rho0": {"csv": str(path)}}
     path = write_config(tmp_path, **overrides)
     argv = [command, "--config", str(path)]
     if command == "study":
@@ -347,6 +373,16 @@ def test_rejected_config_exits_1_before_writing(tmp_path, outroot, capsys,
     for key in set(overrides) - CONFIG_KEYS:
         assert key in err
     assert not outroot.exists()
+
+
+@pytest.mark.parametrize("n,center", [(64, 1.2), (2, 0.5), (1, 0.5)])
+def test_gaussian_profile_off_the_domain_or_on_a_coarse_grid_loads(
+        tmp_path, n, center):
+    # only a bump lost below the floor in every cell is flat; a centre just
+    # outside the domain, or a grid of one cell or two symmetric ones, is not
+    path = write_config(tmp_path, n=n, m=64, rho0={
+        "profile": "gaussian", "width": 0.1, "center": center})
+    assert load_config(path).rho0.n == n
 
 
 @pytest.mark.parametrize("key", ["n", "m"])

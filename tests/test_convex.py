@@ -7,7 +7,7 @@ from wflow.convex import (
     PotentialSpec,
     preset_specs,
     validate_assumptions,
-    _invert_derivative,
+    _invert_increasing,
 )
 from wflow.errors import InvalidSpecError, ParameterError
 
@@ -16,6 +16,13 @@ COSTS = {
     "q2": CostSpec.single_power(2.0),
     "q3": CostSpec.single_power(3.0),
     "two-term": CostSpec(terms=((1.0 / 3.0, 3.0), (1.0, 1.5))),
+}
+# energies with no closed-form inverse of F': their slopes run over the
+# whole line, from -inf at 0 (entropy, x^0.6) to +inf
+MIXED_ENERGIES = {
+    "two-term-energy": EnergySpec(terms=(("entropy", 0.5), ("power", 1.0, 3.0))),
+    "three-term-energy": EnergySpec(terms=(("power", 0.7, 1.5), ("entropy", 0.4),
+                                           ("power", 0.2, 0.6))),
 }
 
 
@@ -97,22 +104,38 @@ def test_conjugate_cubic_closed_form():
     assert grad == pytest.approx(np.sqrt(8.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("key", ["q1.5", "q2", "q3"])
+@pytest.mark.parametrize("key", ["q1.5", "q2", "q3", *sorted(MIXED_ENERGIES)])
 def test_closed_form_agrees_with_root_finder(key):
-    cost = COSTS[key]
-    z = np.abs(sample_z(200)) + 0.01
-    grad_closed = cost.conjugate_gradient(z)
-    grad_newton = _invert_derivative(cost, z)
-    scale = np.maximum(1.0, np.abs(grad_closed))
-    assert np.max(np.abs(grad_closed - grad_newton) / scale) < 1e-10
+    if key in COSTS:
+        # a power cost's (c*)' = (c')^-1 is a closed form
+        cost = COSTS[key]
+        z = np.abs(sample_z(200)) + 0.01
+        closed = cost.conjugate_gradient(z)
+        found = _invert_increasing(cost.derivative, cost.second_derivative, z)
+        scale = np.maximum(1.0, np.abs(closed))
+    else:
+        # a mixed energy's F' is a closed form: the root finder recovers
+        # the points it was evaluated at, to a relative 1e-10
+        F = MIXED_ENERGIES[key]
+        closed = np.logspace(-6.0, 2.0, 200)
+        found = _invert_increasing(F.derivative, F.second_derivative,
+                                   F.derivative(closed))
+        scale = closed
+    assert np.max(np.abs(closed - found) / scale) < 1e-10
 
 
-@pytest.mark.parametrize("key", sorted(COSTS))
+@pytest.mark.parametrize("key", [*sorted(COSTS), *sorted(MIXED_ENERGIES)])
 def test_root_finder_residual(key):
-    cost = COSTS[key]
-    z = sample_z(500)
-    x = _invert_derivative(cost, np.abs(z))
-    assert np.max(np.abs(cost.derivative(x) - np.abs(z))) <= 1e-12
+    if key in COSTS:
+        fp, fpp = COSTS[key].derivative, COSTS[key].second_derivative
+        s = np.abs(sample_z(500))
+    else:
+        fp = MIXED_ENERGIES[key].derivative
+        fpp = MIXED_ENERGIES[key].second_derivative
+        s = np.linspace(-20.0, 50.0, 2001)
+    x = _invert_increasing(fp, fpp, s)
+    assert np.all((x > 0.0) & (x < np.inf))
+    assert np.max(np.abs(fp(x) - s)) <= 1e-12
 
 
 @pytest.mark.parametrize("key", sorted(COSTS))
@@ -206,15 +229,11 @@ def test_cost_curvature_matches_zero_started_sum(terms):
     for A, qi in cost.terms:
         want += A * qi * (qi - 1.0) * az ** (qi - 2.0)
     assert cost.second_derivative(z).tobytes() == want.tobytes()
-    assert type(cost.second_derivative(0.7)) is float
 
 
-@pytest.mark.parametrize("terms", [
-    (("entropy", 0.5), ("power", 1.0, 3.0)),
-    (("power", 0.7, 1.5), ("entropy", 0.4), ("power", 0.2, 0.6)),
-], ids=["two-term", "three-term"])
-def test_energy_slope_and_curvature_match_zero_started_sums(terms):
-    F = EnergySpec(terms=terms)
+@pytest.mark.parametrize("F", MIXED_ENERGIES.values(),
+                         ids=["two-term", "three-term"])
+def test_energy_slope_and_curvature_match_zero_started_sums(F):
     x = np.random.default_rng(6).uniform(0.05, 8.0, 257)
     slope, curv = np.zeros_like(x), np.zeros_like(x)
     for t in F.terms:
@@ -227,8 +246,6 @@ def test_energy_slope_and_curvature_match_zero_started_sums(terms):
             curv += A * m * x ** (m - 2.0)
     assert F.derivative(x).tobytes() == slope.tobytes()
     assert F.second_derivative(x).tobytes() == curv.tobytes()
-    assert type(F.derivative(2.0)) is float
-    assert type(F.second_derivative(2.0)) is float
 
 
 @pytest.mark.parametrize("F,s", [
@@ -255,6 +272,25 @@ def test_derivative_inverse_roundtrip():
         xs = np.array([0.2, 1.0, 3.7])
         back = F.derivative_inverse(F.derivative(xs))
         assert np.allclose(back, xs, rtol=1e-10)
+
+
+@pytest.mark.parametrize("terms,want", [
+    ((("power", 1.0, 2.0),), [0.0, 0.0, 0.5]),
+    ((("power", 1.0, 2.0), ("power", 0.5, 3.0)), [0.0, 0.0, None]),
+    ((("power", 1.0, 0.6),), [None, np.inf, np.inf]),
+    ((("power", 1.0, 0.6), ("power", 0.5, 0.8)), [None, np.inf, np.inf]),
+], ids=["x^2", "x^2+x^3", "x^0.6", "x^0.6+x^0.8"])
+def test_derivative_inverse_is_0_below_and_inf_above_the_range(terms, want):
+    # F' of x^m/(m-1) runs over (0, inf) for m > 1 and (-inf, 0) for m < 1;
+    # None marks a finite positive root, at s = -1, 0 and 1
+    F = EnergySpec(terms=terms)
+    got = F.derivative_inverse(np.array([-1.0, 0.0, 1.0]))
+    for g, w in zip(got, want):
+        if w is None:
+            assert 0.0 < g < np.inf
+        else:
+            assert g == w
+    assert F.derivative_inverse(1.0).shape == ()
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +376,7 @@ def test_preset_fast_diffusion_rejects_out_of_range():
     with pytest.raises(ParameterError):
         preset_specs("fast-diffusion", m=0.3)
     cost, F = preset_specs("fast-diffusion", m=0.7)
-    assert F.negative_slope
+    assert np.all(F.derivative(np.logspace(-6.0, 6.0, 25)) < 0.0)
 
 
 def test_preset_doubly_degenerate():

@@ -183,7 +183,7 @@ def _sampled_validate(cost, energy, potential, domain=None):
         xs = zs
         fp = energy.derivative(xs)
         badi = np.nonzero(fp >= 0.0)[0]
-        ok = energy.negative_slope and badi.size == 0
+        ok = badi.size == 0
         witness = (float(xs[badi[0]]), float(fp[badi[0]])) if badi.size else None
     checks.append(SampledCheck(
         name="energy-superlinear-or-decreasing", passed=ok, witness=witness))

@@ -1,15 +1,18 @@
-"""Every function, class and method of the library is reached by what runs.
+"""Every function, class, method and constant of the library is reached by
+what runs.
 
 A top-level definition is reached when a command, an acceptance criterion or
 the benchmark harness refers to it by name, directly or through definitions
 that are reached themselves; a helper called only by another unreached
-helper is unreached too.  A method or property is reached only through an
-attribute reference (``obj.name``) from reached code.  Python calls dunder
-methods, and methods that override a base class's (``_Parser.error`` for
-argparse), without naming them, so those count as part of their class.  The
-roots are the module-level statements of ``src/wflow`` other than imports
-(the ``__main__`` entry points, constant tables), every reference in
-``perfbench/*.py`` and every reference in ``tests/test_acceptance.py``.
+helper is unreached too.  A module-level constant (an assignment to names,
+``_ROOT_TOL = 1e-12``) is a definition like a function, so a tolerance that
+no reached code reads is unreached.  A method or property is reached only
+through an attribute reference (``obj.name``) from reached code.  Python
+calls dunder methods, and methods that override a base class's
+(``_Parser.error`` for argparse), without naming them, so those count as
+part of their class.  The roots are the other module-level statements of
+``src/wflow`` than imports (the ``__main__`` entry points), every reference
+in ``perfbench/*.py`` and every reference in ``tests/test_acceptance.py``.
 References are AST names, attribute names and imported names, never string
 contents: a config key spelled like a function does not keep the function.
 
@@ -74,6 +77,13 @@ def test_every_library_definition_is_reached():
             elif isinstance(stmt, ast.FunctionDef):
                 by_name.setdefault(stmt.name, []).append(
                     (f"{path.stem}.{stmt.name}", references([stmt])))
+            elif isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Name):
+                            by_name.setdefault(sub.id, []).append(
+                                (f"{path.stem}.{sub.id}",
+                                 references([stmt.value])))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 todo.append(references([stmt]))
     for path in [*sorted((ROOT / "perfbench").glob("*.py")),

@@ -170,11 +170,14 @@ def test_gibbs_gaussian_normalization():
 
 
 def test_gibbs_state_has_no_step_velocity():
-    # the flux-side field (c*)'(d(F'(rho)+V)) vanishes on the positivity set
+    # the flux-side field (c*)'(d(F'(rho)+V)) vanishes on the positivity set;
+    # the mixed energy's (F')^-1 comes from the root finder, not a closed form
     n = 128
     V = PotentialSpec.quadratic(1.0, 0.0)
-    for F in (ENTROPY, EnergySpec.power(2.0)):
+    for F in (ENTROPY, EnergySpec.power(2.0),
+              EnergySpec(terms=(("entropy", 0.5), ("power", 1.0, 3.0)))):
         rho = gibbs_state(F, V, SYM, n)
+        assert abs(np.sum(rho.values) * rho.dx - 1.0) <= 1e-12
         xc = SYM.centers(n)
         pos = rho.values > 1e-10
         w = F.derivative(rho.values[pos]) + V.value(xc[pos])
