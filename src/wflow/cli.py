@@ -17,7 +17,7 @@ import pickle
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -287,27 +287,43 @@ def output_dir(cfg: RunConfig, root: str | Path, verdicts: list[str]) -> Path:
 # artifact writers (full round-trip decimal precision)
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
-    """Write the ``t,x,rho`` rows of every snapshot to ``fh``, one snapshot
-    at a time, so no more than one snapshot's text is held in memory.
+def _write_rows(snapshots: Iterable[tuple[float, Domain, np.ndarray]],
+                fh: TextIO) -> None:
+    """Write the ``t,x,rho`` rows of ``(t, domain, values)`` snapshots to
+    ``fh``, one snapshot at a time, so no more than one snapshot's text is
+    held in memory.
 
-    The ``x,rho`` tail of each row is formatted once per distinct snapshot:
-    a snapshot that is the same object as the one before (a run at its
-    fixed point) reuses the tails and only ``t`` is formatted again.
+    Each grid's x column is formatted once.  A snapshot whose domain and
+    values equal the one before, bit for bit (a run at its fixed point),
+    reuses that snapshot's ``x,rho`` tails, so only ``t`` is formatted
+    again.
     """
     x_cells = {}
-    fh.write("t,x,rho\n")
     last = tails = None
-    for t, rho in zip(traj.times, traj.densities):
-        if rho is not last:
-            grid = (rho.domain, rho.n)
+    fh.write("t,x,rho\n")
+    for t, domain, values in snapshots:
+        key = (domain, values.tobytes())
+        if key != last:
+            grid = (domain, values.size)
             if grid not in x_cells:
-                x_cells[grid] = float_cells(rho.centers)
+                x_cells[grid] = float_cells(domain.centers(values.size))
             tails = [f"{x},{v}\n"
-                     for x, v in zip(x_cells[grid], float_cells(rho.values))]
-            last = rho
+                     for x, v in zip(x_cells[grid], float_cells(values))]
+            last = key
         lead = repr(float(t)) + ","
         fh.write(lead + lead.join(tails))
+
+
+def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
+    """Write the ``t,x,rho`` rows of every snapshot to ``fh`` (``_write_rows``).
+
+    ``run`` and ``crosscheck`` write ``trajectory.csv`` with the same rows
+    from a forked child while the scheme runs (``_trajectory_writer``);
+    this function writes ``reference.csv``, and ``trajectory.csv`` wherever
+    that child cannot.
+    """
+    _write_rows(((t, rho.domain, rho.values)
+                 for t, rho in zip(traj.times, traj.densities)), fh)
 
 
 def diagnostics_to_jsonl(traj: SchemeTrajectory, fh: TextIO) -> None:
@@ -329,11 +345,6 @@ def _stream(path: Path, writer, traj: SchemeTrajectory) -> None:
     the file is opened with the same defaults as ``Path.write_text``."""
     with open(path, "w") as fh:
         writer(traj, fh)
-
-
-def _write_trajectory(out: Path, traj: SchemeTrajectory) -> None:
-    _stream(out / "trajectory.csv", trajectory_to_csv, traj)
-    _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
 
 
 def _report_document(cfg: RunConfig, *, led=None, rate_fits=(),
@@ -366,16 +377,20 @@ def cmd_run(config_path: str, root: str | Path = "out") -> int:
         return _config_error(exc)
     out = output_dir(cfg, root, ["report.json"])
     _write_json(out / "config.json", cfg.raw)
-    try:
-        traj = run_scheme(problem, cfg.rho0, cfg.T)
-    except WflowError as exc:
-        partial = getattr(exc, "partial", None)
-        if partial is not None:
-            _write_trajectory(out, partial)
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    _write_trajectory(out, traj)
-    led = diagnostics.ledger(problem, traj)
+    with _trajectory_writer(out / "trajectory.csv", cfg.rho0) as writer:
+        try:
+            traj = run_scheme(problem, cfg.rho0, cfg.T, on_snapshot=writer)
+        except WflowError as exc:
+            partial = getattr(exc, "partial", None)
+            if partial is not None:
+                _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl,
+                        partial)
+                writer.finish(partial)
+            print(f"solver error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
+        led = diagnostics.ledger(problem, traj)
+        writer.finish(traj)
     _write_json(out / "report.json", _report_document(cfg, led=led))
     print(f"artifacts in {out}")
     return EXIT_OK if led.all_pass else EXIT_SOLVER
@@ -428,23 +443,23 @@ def cmd_study(config_path: str, values: list[float],
 
 
 @contextlib.contextmanager
-def _in_child(task):
-    """Run ``task()`` in a forked child while the ``with`` block runs.
+def _forked(child: Callable[[int], None], parent_reads: bool):
+    """Run ``child(fd)`` in a forked process while the ``with`` block runs.
 
-    Yields a function that waits for the child and returns what ``task()``
-    returned, or raises what it raised.  Either comes back pickled through
-    a pipe, so an error keeps its type, message and attributes.  Leaving
-    the block kills and reaps the child on every path; by then it has ended
-    unless its result was never asked for.  Where ``os.fork`` is missing or
-    fails, or the child dies without a result, the yielded function calls
-    ``task()`` in this process instead.
+    ``fd`` is the child's end of a new pipe: the write end if
+    ``parent_reads``, else the read end.  Yields ``(fd, wait)``, this
+    process's end and a function that closes it, waits for the child and
+    returns whether ``child`` returned; or ``None`` where ``os.fork`` is
+    missing or fails.  Leaving the block closes this process's end and,
+    unless ``wait`` returned, kills and reaps the child.
 
-    The child ends in ``os._exit`` on every path: it never returns into the
+    The child ends in ``os._exit`` on every path, with status 0 once
+    ``child`` returned and 1 if it raised: it never returns into the
     caller, runs no exit handler and flushes no buffer it inherited.  A
-    fork copies only the calling thread, so ``task`` must take no lock that
-    another thread may hold.
+    fork copies only the calling thread, so ``child`` must take no lock
+    that another thread may hold.
     """
-    import signal  # loaded only by the command that forks
+    import signal  # loaded only by the commands that fork
 
     pid = None
     if hasattr(os, "fork"):
@@ -455,37 +470,129 @@ def _in_child(task):
             os.close(r)
             os.close(w)
     if pid is None:
-        yield task
+        yield None
         return
+    ours, theirs = (r, w) if parent_reads else (w, r)
     if pid == 0:
         status = 1
         try:
-            os.close(r)
-            with open(w, "wb") as fh:
-                try:
-                    outcome = True, task()
-                except BaseException as exc:
-                    outcome = False, exc
-                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+            os.close(ours)
+            child(theirs)
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
-    with open(r, "rb") as fh:
-        def result():
-            try:
-                ok, value = pickle.load(fh)
-            except Exception:  # the child died, or its outcome cannot load
-                return task()
-            if not ok:
-                raise value
-            return value
+    os.close(theirs)
 
-        try:
-            yield result
-        finally:
+    def wait() -> bool:
+        nonlocal ours, pid
+        os.close(ours)
+        ours = None
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+        return status == 0
+
+    try:
+        yield ours, wait
+    finally:
+        if ours is not None:
+            os.close(ours)
+        if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+@contextlib.contextmanager
+def _in_child(task):
+    """Run ``task()`` in a forked child while the ``with`` block runs.
+
+    Yields a function that waits for the child and returns what ``task()``
+    returned, or raises what it raised.  Either comes back pickled through
+    a pipe, so an error keeps its type, message and attributes.  Leaving
+    the block kills and reaps the child on every path (``_forked``); by
+    then it has ended unless its result was never asked for.  Where
+    ``os.fork`` is missing or fails, or the child dies without a result,
+    the yielded function calls ``task()`` in this process instead.
+    """
+    def child(fd: int) -> None:
+        with open(fd, "wb") as fh:
+            try:
+                outcome = True, task()
+            except BaseException as exc:
+                outcome = False, exc
+            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+
+    with _forked(child, parent_reads=True) as forked:
+        if forked is None:
+            yield task
+            return
+        with open(forked[0], "rb", closefd=False) as fh:
+            def result():
+                try:
+                    ok, value = pickle.load(fh)
+                except Exception:  # the child died, or its outcome cannot load
+                    return task()
+                if not ok:
+                    raise value
+                return value
+
+            yield result
+
+
+class _TrajectoryWriter:
+    """The ``on_snapshot`` that ``_trajectory_writer`` yields."""
+
+    def __init__(self, path: Path, forked):
+        self.path = path
+        self.fd, self.wait = forked or (None, None)
+
+    def __call__(self, t: float, rho: GridDensity) -> None:
+        """Send one snapshot to the child: ``t``, then the values, as
+        float64."""
+        if self.fd is None:
+            return
+        record = memoryview(np.float64(t).tobytes() + rho.values.tobytes())
+        try:
+            while record:
+                record = record[os.write(self.fd, record):]
+        except BrokenPipeError:  # the child died; finish writes the file
+            self.fd = None
+
+    def finish(self, traj: SchemeTrajectory) -> None:
+        """Wait for the child to complete the file of ``traj``, the
+        trajectory whose snapshots were sent.  Where it could not, write
+        the file in this process, raising what that raises."""
+        if not (self.wait is not None and self.wait()):
+            _stream(self.path, trajectory_to_csv, traj)
+
+
+@contextlib.contextmanager
+def _trajectory_writer(path: Path, rho0: GridDensity):
+    """Write ``trajectory_to_csv``'s file of a run from ``rho0`` to ``path``
+    from a forked child, while the ``with`` block runs the scheme.
+
+    Yields the ``on_snapshot`` to pass to ``run_scheme``.  It pipes each
+    snapshot to the child (``_forked``), which formats its rows with
+    ``_write_rows`` while this process computes the next step, and creates
+    the file when the first snapshot arrives.  Its ``finish(traj)`` waits
+    for the child.  Where ``os.fork`` is missing or fails, or the child
+    ended without completing the file, ``finish`` writes it here from
+    ``traj``, which this process still holds.  Leaving the block without
+    ``finish`` kills and reaps the child, which may leave the file
+    incomplete.
+    """
+    def snapshots(pipe):
+        while record := pipe.read(8 * (rho0.n + 1)):
+            values = np.frombuffer(record)
+            yield values[0], rho0.domain, values[1:]
+
+    def child(fd: int) -> None:
+        with open(fd, "rb") as pipe:
+            if pipe.peek(1):  # the file appears with the first snapshot
+                with open(path, "w") as fh:
+                    _write_rows(snapshots(pipe), fh)
+
+    with _forked(child, parent_reads=False) as forked:
+        yield _TrajectoryWriter(path, forked)
 
 
 def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
@@ -495,17 +602,19 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
 
     The two solves share nothing but that density, so they run in two
     processes: a forked child solves the reference and streams
-    ``reference.csv`` while this process runs the scheme (``_in_child``).
-    Every file is the one a serial run writes.  Either solve failing exits
-    2; the scheme's error is reported first, as in a serial run, and the
-    reference's is prefixed ``finite-difference reference:``.  Any exit
-    before ``trajectory.csv`` is written removes ``reference.csv``.
+    ``reference.csv`` while this process runs the scheme (``_in_child``),
+    and a second child writes ``trajectory.csv`` as the scheme's snapshots
+    arrive (``_trajectory_writer``).  Every file is the one a serial run
+    writes.  Either solve failing exits 2; the scheme's error is reported
+    first, as in a serial run, and the reference's is prefixed
+    ``finite-difference reference:``.  Any exit before ``comparison.json``
+    is written removes ``trajectory.csv`` and ``reference.csv``.
 
-    The child is safe to fork from a process with OpenBLAS's thread pool
-    (Python 3.12 and later warn of any native thread): it runs only numpy
-    elementwise code, LAPACK's ``dgtsv`` and the CSV writer, none of which
-    uses the pool, and OpenBLAS resets its pool in the child through its
-    own fork handlers.
+    The children are safe to fork from a process with OpenBLAS's thread
+    pool (Python 3.12 and later warn of any native thread): they run only
+    numpy elementwise code, LAPACK's ``dgtsv`` and the CSV writer, none of
+    which uses the pool, and OpenBLAS resets its pool in a child through
+    its own fork handlers.
     """
     try:
         if not 0.0 <= threshold < math.inf:
@@ -518,7 +627,7 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         return _config_error(exc)
     out = output_dir(cfg, root, ["trajectory.csv", "comparison.json",
                                  "comparison.csv"])
-    ref_path = out / "reference.csv"
+    traj_path, ref_path = out / "trajectory.csv", out / "reference.csv"
 
     def reference() -> SchemeTrajectory:
         fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
@@ -527,16 +636,20 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         return fd
 
     try:
-        with _in_child(reference) as reference_result:
-            traj = run_scheme(problem, cfg.rho0, cfg.T)
+        # the reference child first, so that it holds no end of the
+        # writer's pipe and the writer sees the end of its input
+        with (_in_child(reference) as reference_result,
+              _trajectory_writer(traj_path, cfg.rho0) as writer):
+            traj = run_scheme(problem, cfg.rho0, cfg.T, on_snapshot=writer)
             try:
                 fd = reference_result()
             except WflowError as exc:
                 raise WflowError(f"finite-difference reference: {exc}") from exc
-        table = diagnostics.compare(traj, fd)
-        _stream(out / "trajectory.csv", trajectory_to_csv, traj)
+            table = diagnostics.compare(traj, fd)
+            writer.finish(traj)
     except BaseException as exc:
-        ref_path.unlink(missing_ok=True)  # the child is reaped by now
+        for path in (traj_path, ref_path):  # both children are reaped by now
+            path.unlink(missing_ok=True)
         if not isinstance(exc, WflowError):
             raise
         print(f"solver error: {exc}", file=sys.stderr)

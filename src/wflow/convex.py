@@ -21,6 +21,7 @@ one root finder, ``_invert_increasing``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import iadd
@@ -267,9 +268,12 @@ def _invert_increasing(fp: Callable, fpp: Callable, s) -> np.ndarray:
     to the absolute residual ``_ROOT_TOL``.
     """
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore"):  # the entropy's slope is -inf at 0
+    # the entropy's slope is -inf at 0; a power's overflows at the top
+    with np.errstate(divide="ignore", over="ignore"):
         active = s > fp(0.0)
+        top = fp(sys.float_info.max)
     x = np.where(active, math.inf, 0.0)
+    active &= s <= top  # fp is below s on every float: the root stays inf
     sa = s[active]
     hi = np.ones_like(sa)
     with np.errstate(over="ignore"):  # a root past the floats leaves hi inf

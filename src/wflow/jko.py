@@ -77,7 +77,7 @@ iterations.  The repeat then holds for every later step.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -555,7 +555,8 @@ def step_count(T: float, h: float) -> int:
     return steps
 
 
-def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
+def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
+               on_snapshot: Callable[[float, GridDensity], None] | None = None
                ) -> SchemeTrajectory:
     """Iterate the step solver up to the horizon ``T``.
 
@@ -564,7 +565,9 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
     from, every later step poses the same problem and repeats the previous
     snapshot object and diagnostics with zero iterations (module
     docstring).  A failing step aborts with the partial trajectory
-    attached.
+    attached.  ``on_snapshot(t, rho)``, if given, is called for ``rho0``
+    and right after each later snapshot is appended, so the snapshots of a
+    partial trajectory are exactly the ones it was called with.
     """
     steps = step_count(T, problem.h)
     if rho0.domain != problem.domain:
@@ -580,6 +583,8 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
     times = [0.0]
     densities = [rho0]
     diags: list[StepDiagnostics] = []
+    if on_snapshot is not None:
+        on_snapshot(0.0, rho0)
     for k in range(1, steps + 1):
         if back and (X == back[0]).all():
             rho, diag = densities[-1], replace(diags[-1], iterations=0)
@@ -602,6 +607,8 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float
         times.append(k * problem.h)
         densities.append(rho)
         diags.append(diag)
+        if on_snapshot is not None:
+            on_snapshot(times[-1], rho)
     return SchemeTrajectory(times=tuple(times), densities=tuple(densities),
                             diagnostics=tuple(diags))
 

@@ -629,6 +629,12 @@ def test_run_solver_failure_exits_2_with_partial(tmp_path, outroot):
     steps = (rundir / "diagnostics.jsonl").read_text().count("\n")
     assert text.endswith("\n")
     assert text.count("\n") == 1 + 64 * (1 + steps)
+    # the streamed file is the partial trajectory's, byte for byte
+    cfg = load_config(path)
+    with pytest.raises(SchemeAbortError) as info:
+        run_scheme(cfg.problem(), cfg.rho0, cfg.T)
+    diff = first_line_difference(text, csv_text(info.value.partial))
+    assert diff is None, diff
 
 
 def test_failed_rerun_removes_the_earlier_report(tmp_path, outroot, capsys):
@@ -789,14 +795,21 @@ def test_fixed_point_run_formats_and_audits_repeats_once(tmp_path):
     # a run that reaches its fixed point repeats its last snapshot object
     # and an equal diagnostics record; both are formatted and audited once,
     # with the bytes and the ledger of formatting and auditing each step
-    cfg = load_config(write_config(
+    path = write_config(
         tmp_path, potential={"kind": "quadratic"}, domain_a=-1.0, n=32, m=32,
-        h=0.05, T=10.0, rho0={"profile": "cosine", "amplitude": 0.3}))
+        h=0.05, T=10.0, rho0={"profile": "cosine", "amplitude": 0.3})
+    cfg = load_config(path)
     pb = cfg.problem()
     traj = run_scheme(pb, cfg.rho0, cfg.T)
     dens = traj.densities
     repeats = sum(b is a for a, b in zip(dens, dens[1:]))
     assert repeats >= 10
+    # the writer child finds the repeats by their values: the same bytes
+    assert cmd_run(str(path), root=tmp_path / "out") == 0
+    rundir, = (tmp_path / "out").iterdir()
+    diff = first_line_difference((rundir / "trajectory.csv").read_text(),
+                                 csv_text(traj))
+    assert diff is None, diff
     buf = io.StringIO()
     diagnostics_to_jsonl(traj, buf)
     per_record = "".join(json.dumps(vars(d), sort_keys=True) + "\n"
@@ -847,7 +860,7 @@ def test_run_scheme_holds_a_bounded_node_history(tmp_path):
     # over 100 steps at m = 16384 the traced peak stays near 40 vectors
     # (one step's own arrays), where keeping every step's nodes reaches 130
     cfg = load_config(write_config(tmp_path, n=16, m=16384, h=1e-3, T=0.1))
-    problem, rho0 = cfg.problem(), cfg.initial_density()
+    problem, rho0 = cfg.problem(), cfg.rho0
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -898,7 +911,7 @@ def test_crosscheck_reference_from_the_child_matches_in_process(tmp_path,
     assert cmd_crosscheck(str(path)) == 0
     files = crosscheck_files(outroot)
     cfg = load_config(path)
-    rho0 = cfg.initial_density()
+    rho0 = cfg.rho0
     fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
                            rho0, cfg.T, refsolve.FdConfig(n=cfg.n, dt=cfg.h))
     assert files["reference.csv"].decode() == csv_text(fd)
@@ -945,17 +958,59 @@ def fork_fails():
 
 
 @pytest.mark.parametrize("no_fork", ["raises", "missing"])
+@pytest.mark.parametrize("command", [cmd_run, cmd_crosscheck],
+                         ids=["run", "crosscheck"])
 def test_crosscheck_without_fork_writes_the_same_bytes(tmp_path, monkeypatch,
-                                                       no_fork):
+                                                       command, no_fork):
     path = write_config(tmp_path, h=1e-3)
-    assert cmd_crosscheck(str(path), root=str(tmp_path / "forked")) == 0
+    assert command(str(path), root=str(tmp_path / "forked")) == 0
     if no_fork == "raises":
         monkeypatch.setattr(os, "fork", fork_fails)
     else:
         monkeypatch.delattr(os, "fork")
-    assert cmd_crosscheck(str(path), root=str(tmp_path / "serial")) == 0
+    assert command(str(path), root=str(tmp_path / "serial")) == 0
     assert (crosscheck_files(tmp_path / "serial")
             == crosscheck_files(tmp_path / "forked"))
+
+
+# more snapshots than the pipe holds, so the parent writes on after the
+# writer child has died and meets a broken pipe
+WRITER_FAILURE = {"n": 256, "m": 64, "T": 0.5}
+
+
+def test_run_writes_the_trajectory_here_when_the_writer_dies(tmp_path,
+                                                             monkeypatch):
+    parent = os.getpid()
+    write_rows = cli._write_rows
+
+    def dies_in_the_child(snapshots, fh):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_rows(snapshots, fh)
+
+    monkeypatch.setattr(cli, "_write_rows", dies_in_the_child)
+    path = write_config(tmp_path, **WRITER_FAILURE)
+    assert cmd_run(str(path), root=tmp_path / "out") == 0
+    cfg = load_config(path)
+    traj = run_scheme(cfg.problem(), cfg.rho0, cfg.T)
+    rundir, = (tmp_path / "out").iterdir()
+    diff = first_line_difference((rundir / "trajectory.csv").read_text(),
+                                 csv_text(traj))
+    assert diff is None, diff
+
+
+def test_run_raises_the_writers_error_when_the_child_cannot_write(tmp_path,
+                                                                  outroot):
+    path = write_config(tmp_path, **WRITER_FAILURE)
+    assert cmd_run(str(path)) == 0
+    rundir, = outroot.iterdir()
+    (rundir / "trajectory.csv").unlink()
+    (rundir / "trajectory.csv").mkdir()
+    t0 = time.monotonic()
+    with pytest.raises(IsADirectoryError) as info:
+        cmd_run(str(path))
+    assert time.monotonic() - t0 < 30.0
+    assert info.value.__context__ is None  # no broken pipe on the way
 
 
 def wait_for_reference(root):
@@ -968,7 +1023,7 @@ def wait_for_reference(root):
 @pytest.mark.parametrize("child", ["written", "still-solving"])
 def test_crosscheck_scheme_failure_wins_and_removes_the_reference(
         tmp_path, outroot, capsys, monkeypatch, child):
-    def failed_scheme(*args):
+    def failed_scheme(*args, **kwargs):
         if child == "written":
             wait_for_reference(outroot)
         raise SchemeAbortError("scheme failed at step 3")
@@ -1025,7 +1080,7 @@ def test_crosscheck_comparison_failure_removes_the_reference(
 
 def test_crosscheck_interrupted_removes_the_reference(tmp_path, outroot,
                                                       monkeypatch):
-    def interrupted(*args):
+    def interrupted(*args, **kwargs):
         wait_for_reference(outroot)
         raise KeyboardInterrupt
 
@@ -1144,7 +1199,7 @@ def test_failed_rerun_keeps_no_earlier_verdict(tmp_path, outroot, capsys,
     rundir, = outroot.iterdir()
     assert STALE_ON_FAILURE[command] <= {p.name for p in rundir.iterdir()}
 
-    def failed_scheme(*args):
+    def failed_scheme(*args, **kwargs):
         raise SchemeAbortError("scheme failed at step 1")
 
     monkeypatch.setattr(cli, "run_scheme", failed_scheme)

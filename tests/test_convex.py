@@ -138,6 +138,24 @@ def test_root_finder_residual(key):
     assert np.max(np.abs(fp(x) - s)) <= 1e-12
 
 
+def test_root_finder_reads_inf_off_the_largest_float():
+    # F' of x^0.6 and x^0.8 terms is negative everywhere, so every s >= 0
+    # has the root inf; it is read off fp at the largest float, where
+    # doubling a bracket to inf took over 1,000 evaluations
+    F = EnergySpec(terms=(("power", 1.0, 0.6), ("power", 0.5, 0.8)))
+    calls = []
+
+    def fp(x):
+        calls.append(1)
+        return F.derivative(x)
+
+    s = np.linspace(-20.0, 50.0, 2001)
+    x = _invert_increasing(fp, F.second_derivative, s)
+    assert len(calls) < 100
+    assert np.array_equal(np.isinf(x), s >= 0.0)
+    assert np.max(np.abs(fp(x[s < 0.0]) - s[s < 0.0])) <= 1e-12
+
+
 @pytest.mark.parametrize("key", sorted(COSTS))
 def test_fenchel_young_at_gradient(key):
     cost = COSTS[key]

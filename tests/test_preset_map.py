@@ -77,7 +77,7 @@ def outcome(path) -> str:
     except WflowError:
         return "config error"
     try:
-        traj = run_scheme(problem, cfg.initial_density(), cfg.T)
+        traj = run_scheme(problem, cfg.rho0, cfg.T)
     except WflowError as exc:
         step = str(exc).split(" failed: ")[0]
         return f"{step}: {str(exc).rsplit(': ', 1)[1]}"
