@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import pickle
 import sys
@@ -129,6 +130,9 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
         freq = _number(params.get("frequency", 1.0), "frequency")
         if not (0.0 <= amp < 1.0):
             raise ParameterError("cosine profile needs amplitude in [0, 1)")
+        if not abs(2.0 * math.pi * freq) < math.inf:
+            raise ParameterError(f"cosine profile needs a frequency with "
+                                 f"2*pi*frequency finite, got {freq!r}")
         return 1.0 + amp * np.cos(2.0 * np.pi * freq * xhat)
     if name == "gaussian":
         center = _number(params.get("center", 0.5 * (domain.a + domain.b)),
@@ -139,6 +143,9 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
             raise ParameterError(
                 f"gaussian profile needs a finite width > 0 and a finite "
                 f"center, got width {width!r} and center {center!r}")
+        if not 0.0 <= floor < math.inf:
+            raise ParameterError(
+                f"gaussian profile needs a finite floor >= 0, got {floor!r}")
         with np.errstate(over="ignore"):  # a far center: every bump is 0
             values = np.exp(-0.5 * ((xc - center) / width) ** 2) + floor
         if values.max() == floor:
@@ -293,10 +300,10 @@ def _write_rows(snapshots: Iterable[tuple[float, Domain, np.ndarray]],
     ``fh``, one snapshot at a time, so no more than one snapshot's text is
     held in memory.
 
-    Each grid's x column is formatted once.  A snapshot whose domain and
-    values equal the one before, bit for bit (a run at its fixed point),
-    reuses that snapshot's ``x,rho`` tails, so only ``t`` is formatted
-    again.
+    Each grid's x column is formatted once, each cell with its trailing
+    comma.  A snapshot whose domain and values equal the one before, bit for
+    bit (a run at its fixed point), reuses that snapshot's ``x,rho`` tails,
+    so only ``t`` is formatted again.
     """
     x_cells = {}
     last = tails = None
@@ -306,12 +313,12 @@ def _write_rows(snapshots: Iterable[tuple[float, Domain, np.ndarray]],
         if key != last:
             grid = (domain, values.size)
             if grid not in x_cells:
-                x_cells[grid] = float_cells(domain.centers(values.size))
-            tails = [f"{x},{v}\n"
-                     for x, v in zip(x_cells[grid], float_cells(values))]
+                x_cells[grid] = [x + "," for x in
+                                 float_cells(domain.centers(values.size))]
+            tails = list(map(operator.add, x_cells[grid], float_cells(values)))
             last = key
         lead = repr(float(t)) + ","
-        fh.write(lead + lead.join(tails))
+        fh.write(lead + ("\n" + lead).join(tails) + "\n")
 
 
 def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:

@@ -262,8 +262,29 @@ def l1_distance(rho_a: GridDensity, rho_b: GridDensity) -> float:
 # ---------------------------------------------------------------------------
 
 def float_cells(values) -> list[str]:
-    """Each value as the ``repr`` of a Python float, which reads back exactly."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+    """Each value of a vector as the ``repr`` of a Python float, which reads
+    back exactly.
+
+    The cells come from one ``orjson.dumps`` of the vector, which takes
+    about a quarter of ``repr``'s time on a vector of 256 values.  orjson
+    writes the same shortest round-trip digits, and the same text for 0.0,
+    -0.0 and every ``|x|`` in ``[1e-4, 1e16)``.  Outside that window
+    ``repr`` switches to exponent notation (``1e-05``, ``1e+16``) where
+    orjson does not, and orjson writes NaN and infinities as ``null``, so
+    those cells are ``repr``'d one by one.
+    """
+    import orjson  # loaded only by the commands that write a CSV
+
+    x = np.ascontiguousarray(values, dtype=float)
+    if x.size == 0:
+        return []
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    cells = text[1:-1].split(",")
+    mag = np.abs(x)
+    outside = ((mag < 1e-4) & (x != 0.0)) | ~(mag < 1e16)  # NaN is outside
+    for i in np.flatnonzero(outside).tolist():
+        cells[i] = repr(float(x[i]))
+    return cells
 
 
 def csv_rows(*columns: list[str]) -> str:

@@ -38,7 +38,7 @@ from wflow.cli import (
 )
 from wflow.convex import PotentialSpec
 from wflow.density import (Domain, GridDensity, csv_rows, density_to_csv,
-                           float_cells, normalize)
+                           normalize)
 from wflow.errors import ConvergenceError, ParameterError, SchemeAbortError
 from wflow.jko import SchemeTrajectory, run_scheme
 
@@ -239,6 +239,30 @@ REJECTED_CONFIGS = {
     "profile-amplitude-one": ({"rho0": {"profile": "cosine",
                                         "amplitude": 1.0}},
                               "cosine profile needs amplitude in [0, 1)"),
+    # a cosine frequency whose 2*pi*frequency is not finite: cos warned of
+    # an invalid value and the run exited 1 on a density that was not
+    # finite, naming no field
+    "profile-frequency-huge": ({"rho0": {"profile": "cosine",
+                                         "frequency": 1e308}},
+                               "needs a frequency with 2*pi*frequency "
+                               "finite, got 1e+308"),
+    "profile-frequency-inf": ({"rho0": {"profile": "cosine",
+                                        "frequency": float("inf")}},
+                              "2*pi*frequency finite, got inf"),
+    "profile-frequency-nan": ({"rho0": {"profile": "cosine",
+                                        "frequency": float("nan")}},
+                              "2*pi*frequency finite, got nan"),
+    # a gaussian floor below 0 or not finite: the same generic message
+    "profile-floor-negative": ({"rho0": {"profile": "gaussian",
+                                         "floor": -1.0}},
+                               "gaussian profile needs a finite floor >= 0, "
+                               "got -1.0"),
+    "profile-floor-nan": ({"rho0": {"profile": "gaussian",
+                                    "floor": float("nan")}},
+                          "finite floor >= 0, got nan"),
+    "profile-floor-inf": ({"rho0": {"profile": "gaussian",
+                                    "floor": float("inf")}},
+                          "finite floor >= 0, got inf"),
     "profile-unknown": ({"rho0": {"profile": "triangle"}},
                         "unknown initial profile 'triangle'"),
     "profile-width-bool": ({"rho0": {"profile": "gaussian", "width": True}},
@@ -383,6 +407,16 @@ def test_gaussian_profile_off_the_domain_or_on_a_coarse_grid_loads(
     path = write_config(tmp_path, n=n, m=64, rho0={
         "profile": "gaussian", "width": 0.1, "center": center})
     assert load_config(path).rho0.n == n
+
+
+@pytest.mark.parametrize("frequency", [-2.8e307, 2.8e307])
+def test_cosine_profile_with_the_largest_frequency_loads(tmp_path,
+                                                         frequency):
+    # 2*pi*frequency is finite up to about 2.86e307, and cos of a huge
+    # finite argument is a number (the suite turns warnings into errors)
+    path = write_config(tmp_path, rho0={"profile": "cosine",
+                                        "frequency": frequency})
+    assert load_config(path).rho0.strictly_positive
 
 
 @pytest.mark.parametrize("key", ["n", "m"])
@@ -753,8 +787,14 @@ def test_trajectory_csv_matches_per_row_reference(tmp_path):
     # same n on another domain, and another n on the same domain
     wide, _ = normalize(np.linspace(1.0, 2.0, cfg.n), Domain(-0.5, 1.5))
     coarse, _ = normalize(np.linspace(1.0, 2.0, 40), cfg.domain)
-    mixed = SchemeTrajectory(times=(0.0, 0.1, 0.2, 0.3, 0.4),
-                             densities=(cfg.rho0, wide, fd.final, coarse, wide))
+    # centers below 1e-4, values above 1e16, one below 1e-4 and a zero:
+    # cells that repr writes in exponent notation
+    extreme = np.ones(8)
+    extreme[2], extreme[5] = 1e-22, 0.0
+    tiny, _ = normalize(extreme, Domain(0.0, 2e-17))
+    mixed = SchemeTrajectory(times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
+                             densities=(cfg.rho0, wide, fd.final, coarse, tiny,
+                                        wide))
     for tr in (traj, fd, mixed):
         diff = first_line_difference(csv_text(tr), per_row_trajectory_csv(tr))
         assert diff is None, diff
@@ -762,15 +802,15 @@ def test_trajectory_csv_matches_per_row_reference(tmp_path):
 
 def parent_trajectory_to_csv(traj: SchemeTrajectory) -> str:
     # the writer before snapshot tails were reused: x cells once per grid,
-    # every snapshot's rho cells formatted again
+    # every snapshot's rho cells formatted again, each by repr
     x_cells = {}
     chunks = ["t,x,rho\n"]
     for t, rho in zip(traj.times, traj.densities):
         grid = (rho.domain, rho.n)
         if grid not in x_cells:
-            x_cells[grid] = float_cells(rho.centers)
+            x_cells[grid] = list(map(repr, rho.centers.tolist()))
         chunks.append(csv_rows([repr(float(t))] * rho.n, x_cells[grid],
-                               float_cells(rho.values)))
+                               list(map(repr, rho.values.tolist()))))
     return "".join(chunks)
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wflow.convex import CostSpec, EnergySpec, PotentialSpec
 from wflow.density import (
@@ -10,6 +13,7 @@ from wflow.density import (
     density_from_csv,
     density_to_csv,
     energy,
+    float_cells,
     from_quantiles,
     l1_distance,
     normalize,
@@ -285,6 +289,41 @@ def test_csv_writer_matches_per_row_reference():
     for x, v in zip(rho.centers, rho.values):
         lines.append(f"{float(x)!r},{float(v)!r}")
     assert density_to_csv(rho) == "\n".join(lines) + "\n"
+
+
+def repr_cells(values) -> list[str]:
+    """Reference formatter: ``repr`` of each value, one by one."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+# every float64 bit pattern, and numbers spread over the decades on both
+# sides of the window [1e-4, 1e16) where orjson's text is repr's
+ANY_FLOAT = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64)))
+DECADES = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0),
+                    st.integers(-8, 20))
+FORMAT_EDGES = [
+    1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16,
+    np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 5e-324,
+    np.finfo(float).tiny, np.finfo(float).max, 0.0, -0.0, np.nan, np.inf,
+    -np.inf, 1.0, 0.1, 1e15, 1e-5, 123456789.125,
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(arrays(np.float64, st.integers(0, 40),
+              elements=st.one_of(st.floats(), ANY_FLOAT, DECADES)))
+def test_float_cells_equal_repr(values):
+    assert float_cells(values) == repr_cells(values)
+
+
+def test_float_cells_equal_repr_on_the_window_edges():
+    edges = np.array(FORMAT_EDGES + [-v for v in FORMAT_EDGES])
+    assert float_cells(edges) == repr_cells(edges)
+    assert float_cells(edges[::3]) == repr_cells(edges[::3])  # not contiguous
+    assert float_cells(edges[::-1]) == repr_cells(edges[::-1])
+    assert float_cells(list(edges)) == repr_cells(edges)
+    assert float_cells(np.empty(0)) == []
 
 
 def test_csv_rejects_bad_header():
