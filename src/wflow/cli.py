@@ -18,7 +18,7 @@ import pickle
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -326,8 +326,8 @@ def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
 
     ``run`` and ``crosscheck`` write ``trajectory.csv`` with the same rows
     from a forked child while the scheme runs (``_trajectory_writer``);
-    this function writes ``reference.csv``, and ``trajectory.csv`` wherever
-    that child cannot.
+    this function writes ``reference.csv``, and ``trajectory.csv`` where
+    that child leaves no outcome: no fork, or a child that died.
     """
     _write_rows(((t, rho.domain, rho.values)
                  for t, rho in zip(traj.times, traj.densities)), fh)
@@ -380,24 +380,26 @@ def cmd_run(config_path: str, root: str | Path = "out") -> int:
     try:
         cfg = load_config(config_path)
         problem = cfg.problem()
+        out = output_dir(cfg, root, ["report.json"])
     except (WflowError, OSError) as exc:
         return _config_error(exc)
-    out = output_dir(cfg, root, ["report.json"])
     _write_json(out / "config.json", cfg.raw)
-    with _trajectory_writer(out / "trajectory.csv", cfg.rho0) as writer:
+    with _trajectory_writer(out / "trajectory.csv",
+                            cfg.rho0) as (on_snapshot, finish):
         try:
-            traj = run_scheme(problem, cfg.rho0, cfg.T, on_snapshot=writer)
+            traj = run_scheme(problem, cfg.rho0, cfg.T,
+                              on_snapshot=on_snapshot)
         except WflowError as exc:
             partial = getattr(exc, "partial", None)
             if partial is not None:
                 _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl,
                         partial)
-                writer.finish(partial)
+                finish(partial)
             print(f"solver error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
         _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
         led = diagnostics.ledger(problem, traj)
-        writer.finish(traj)
+        finish(traj)
     _write_json(out / "report.json", _report_document(cfg, led=led))
     print(f"artifacts in {out}")
     return EXIT_OK if led.all_pass else EXIT_SOLVER
@@ -409,9 +411,9 @@ def cmd_study(config_path: str, values: list[float],
         cfg = load_config(config_path)
         diagnostics.check_step_sizes(values)
         problems = [cfg.problem(h=h) for h in values]  # checked before any run
+        out = output_dir(cfg, root, ["rate.json", "rate.csv"])
     except (WflowError, OSError) as exc:
         return _config_error(exc)
-    out = output_dir(cfg, root, ["rate.json", "rate.csv"])
     results, failures = [], []
     for pb in problems:
         try:
@@ -450,156 +452,124 @@ def cmd_study(config_path: str, values: list[float],
 
 
 @contextlib.contextmanager
-def _forked(child: Callable[[int], None], parent_reads: bool):
-    """Run ``child(fd)`` in a forked process while the ``with`` block runs.
+def _in_child(task):
+    """Run ``task(feed)`` in a forked child while the ``with`` block runs.
 
-    ``fd`` is the child's end of a new pipe: the write end if
-    ``parent_reads``, else the read end.  Yields ``(fd, wait)``, this
-    process's end and a function that closes it, waits for the child and
-    returns whether ``child`` returned; or ``None`` where ``os.fork`` is
-    missing or fails.  Leaving the block closes this process's end and,
-    unless ``wait`` returned, kills and reaps the child.
+    ``feed`` is the child's end of a pipe, a binary file that carries the
+    bytes this process sends.  Yields ``(send, result)``.  ``send(data)``
+    writes ``data`` to the feed, and drops it once the child is gone or
+    where there is no child.  ``result(here)`` closes the feed and returns
+    what ``task`` returned, or raises what it raised: the child pickles its
+    outcome through a second pipe, so an error keeps its type, message and
+    attributes.  That outcome is authoritative.  Only where there is none,
+    because ``os.fork`` is missing or fails or the child died, does
+    ``result`` return ``here()``, called in this process.  Leaving the block
+    kills and reaps the child on every path.
 
-    The child ends in ``os._exit`` on every path, with status 0 once
-    ``child`` returned and 1 if it raised: it never returns into the
-    caller, runs no exit handler and flushes no buffer it inherited.  A
-    fork copies only the calling thread, so ``child`` must take no lock
-    that another thread may hold.
+    The child ends in ``os._exit``: it never returns into the caller, runs
+    no exit handler and flushes no buffer it inherited.  A fork copies only
+    the calling thread, so ``task`` must take no lock that another thread
+    may hold.
     """
     import signal  # loaded only by the commands that fork
 
     pid = None
     if hasattr(os, "fork"):
-        r, w = os.pipe()
+        (feed_r, feed), (back_r, back_w) = os.pipe(), os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            os.close(r)
-            os.close(w)
+            for fd in (feed_r, feed, back_r, back_w):
+                os.close(fd)
     if pid is None:
-        yield None
+        yield (lambda data: None), (lambda here: here())
         return
-    ours, theirs = (r, w) if parent_reads else (w, r)
     if pid == 0:
-        status = 1
         try:
-            os.close(ours)
-            child(theirs)
-            status = 0
+            os.close(feed)
+            os.close(back_r)
+            # the feed is closed before the outcome goes back, so that a
+            # parent still sending meets a broken pipe, not a full one
+            with open(feed_r, "rb") as fh:
+                try:
+                    outcome = True, task(fh)
+                except BaseException as exc:
+                    outcome = False, exc
+            with open(back_w, "wb") as fh:
+                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
         finally:
-            os._exit(status)
-    os.close(theirs)
+            os._exit(0)
+    os.close(feed_r)
+    os.close(back_w)
+    back = open(back_r, "rb")
 
-    def wait() -> bool:
-        nonlocal ours, pid
-        os.close(ours)
-        ours = None
-        status = os.waitpid(pid, 0)[1]
-        pid = None
-        return status == 0
+    def close_feed() -> None:
+        nonlocal feed
+        if feed is not None:
+            os.close(feed)
+            feed = None
+
+    def send(data: bytes) -> None:
+        view = memoryview(data)
+        try:
+            while feed is not None and view:
+                view = view[os.write(feed, view):]
+        except BrokenPipeError:  # the child is gone; result tells how
+            close_feed()
+
+    def result(here):
+        close_feed()
+        try:
+            ok, value = pickle.load(back)
+        except Exception:  # the child died, or its outcome cannot load
+            return here()
+        if not ok:
+            raise value
+        return value
 
     try:
-        yield ours, wait
+        yield send, result
     finally:
-        if ours is not None:
-            os.close(ours)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-@contextlib.contextmanager
-def _in_child(task):
-    """Run ``task()`` in a forked child while the ``with`` block runs.
-
-    Yields a function that waits for the child and returns what ``task()``
-    returned, or raises what it raised.  Either comes back pickled through
-    a pipe, so an error keeps its type, message and attributes.  Leaving
-    the block kills and reaps the child on every path (``_forked``); by
-    then it has ended unless its result was never asked for.  Where
-    ``os.fork`` is missing or fails, or the child dies without a result,
-    the yielded function calls ``task()`` in this process instead.
-    """
-    def child(fd: int) -> None:
-        with open(fd, "wb") as fh:
-            try:
-                outcome = True, task()
-            except BaseException as exc:
-                outcome = False, exc
-            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
-
-    with _forked(child, parent_reads=True) as forked:
-        if forked is None:
-            yield task
-            return
-        with open(forked[0], "rb", closefd=False) as fh:
-            def result():
-                try:
-                    ok, value = pickle.load(fh)
-                except Exception:  # the child died, or its outcome cannot load
-                    return task()
-                if not ok:
-                    raise value
-                return value
-
-            yield result
-
-
-class _TrajectoryWriter:
-    """The ``on_snapshot`` that ``_trajectory_writer`` yields."""
-
-    def __init__(self, path: Path, forked):
-        self.path = path
-        self.fd, self.wait = forked or (None, None)
-
-    def __call__(self, t: float, rho: GridDensity) -> None:
-        """Send one snapshot to the child: ``t``, then the values, as
-        float64."""
-        if self.fd is None:
-            return
-        record = memoryview(np.float64(t).tobytes() + rho.values.tobytes())
-        try:
-            while record:
-                record = record[os.write(self.fd, record):]
-        except BrokenPipeError:  # the child died; finish writes the file
-            self.fd = None
-
-    def finish(self, traj: SchemeTrajectory) -> None:
-        """Wait for the child to complete the file of ``traj``, the
-        trajectory whose snapshots were sent.  Where it could not, write
-        the file in this process, raising what that raises."""
-        if not (self.wait is not None and self.wait()):
-            _stream(self.path, trajectory_to_csv, traj)
+        close_feed()
+        back.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 @contextlib.contextmanager
 def _trajectory_writer(path: Path, rho0: GridDensity):
     """Write ``trajectory_to_csv``'s file of a run from ``rho0`` to ``path``
-    from a forked child, while the ``with`` block runs the scheme.
+    from a forked child (``_in_child``), while the ``with`` block runs the
+    scheme.
 
-    Yields the ``on_snapshot`` to pass to ``run_scheme``.  It pipes each
-    snapshot to the child (``_forked``), which formats its rows with
-    ``_write_rows`` while this process computes the next step, and creates
-    the file when the first snapshot arrives.  Its ``finish(traj)`` waits
-    for the child.  Where ``os.fork`` is missing or fails, or the child
-    ended without completing the file, ``finish`` writes it here from
-    ``traj``, which this process still holds.  Leaving the block without
-    ``finish`` kills and reaps the child, which may leave the file
-    incomplete.
+    Yields ``(on_snapshot, finish)``.  ``on_snapshot``, passed to
+    ``run_scheme``, sends each snapshot to the child: ``t``, then the
+    values, as float64.  The child formats the rows with ``_write_rows``
+    while this process computes the next step, and creates the file when
+    the first snapshot arrives.  ``finish(traj)``, with ``traj`` the
+    trajectory whose snapshots were sent, waits for the child and raises
+    what it raised; where there is no child's outcome, it writes the file
+    here from ``traj``.  Leaving the block without ``finish`` kills the
+    child, which may leave the file incomplete.
     """
-    def snapshots(pipe):
-        while record := pipe.read(8 * (rho0.n + 1)):
+    def snapshots(feed):
+        while record := feed.read(8 * (rho0.n + 1)):
             values = np.frombuffer(record)
             yield values[0], rho0.domain, values[1:]
 
-    def child(fd: int) -> None:
-        with open(fd, "rb") as pipe:
-            if pipe.peek(1):  # the file appears with the first snapshot
-                with open(path, "w") as fh:
-                    _write_rows(snapshots(pipe), fh)
+    def write(feed) -> None:
+        if feed.peek(1):  # the file appears with the first snapshot
+            with open(path, "w") as fh:
+                _write_rows(snapshots(feed), fh)
 
-    with _forked(child, parent_reads=False) as forked:
-        yield _TrajectoryWriter(path, forked)
+    with _in_child(write) as (send, result):
+        def on_snapshot(t: float, rho: GridDensity) -> None:
+            send(np.float64(t).tobytes() + rho.values.tobytes())
+
+        def finish(traj: SchemeTrajectory) -> None:
+            result(lambda: _stream(path, trajectory_to_csv, traj))
+
+        yield on_snapshot, finish
 
 
 def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
@@ -607,20 +577,12 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     """Run the scheme and the finite-difference reference from one initial
     density and compare them.
 
-    The two solves share nothing but that density, so they run in two
-    processes: a forked child solves the reference and streams
-    ``reference.csv`` while this process runs the scheme (``_in_child``),
-    and a second child writes ``trajectory.csv`` as the scheme's snapshots
-    arrive (``_trajectory_writer``).  Every file is the one a serial run
-    writes.  Either solve failing exits 2; the scheme's error is reported
-    first, as in a serial run, and the reference's is prefixed
-    ``finite-difference reference:``.  Any exit before ``comparison.json``
-    is written removes ``trajectory.csv`` and ``reference.csv``.
-
-    The children are safe to fork from a process with OpenBLAS's thread
-    pool (Python 3.12 and later warn of any native thread): they run only
-    numpy elementwise code, LAPACK's ``dgtsv`` and the CSV writer, none of
-    which uses the pool, and OpenBLAS resets its pool in a child through
+    The reference child is forked before the trajectory writer's, so that
+    it holds no end of the writer's feed and the writer sees the end of its
+    input.  The children are safe to fork from a process with OpenBLAS's
+    thread pool (Python 3.12 and later warn of any native thread): they run
+    only numpy elementwise code, LAPACK's ``dgtsv`` and the CSV writer, none
+    of which uses the pool, and OpenBLAS resets its pool in a child through
     its own fork handlers.
     """
     try:
@@ -630,10 +592,10 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         cfg = load_config(config_path)
         problem = cfg.problem()
         fd_cfg = refsolve.FdConfig(n=cfg.n, dt=cfg.h)
+        out = output_dir(cfg, root, ["trajectory.csv", "comparison.json",
+                                     "comparison.csv"])
     except (WflowError, OSError) as exc:
         return _config_error(exc)
-    out = output_dir(cfg, root, ["trajectory.csv", "comparison.json",
-                                 "comparison.csv"])
     traj_path, ref_path = out / "trajectory.csv", out / "reference.csv"
 
     def reference() -> SchemeTrajectory:
@@ -643,17 +605,16 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         return fd
 
     try:
-        # the reference child first, so that it holds no end of the
-        # writer's pipe and the writer sees the end of its input
-        with (_in_child(reference) as reference_result,
-              _trajectory_writer(traj_path, cfg.rho0) as writer):
-            traj = run_scheme(problem, cfg.rho0, cfg.T, on_snapshot=writer)
+        with (_in_child(lambda feed: reference()) as (_, reference_result),
+              _trajectory_writer(traj_path, cfg.rho0) as (on_snapshot, finish)):
+            traj = run_scheme(problem, cfg.rho0, cfg.T,
+                              on_snapshot=on_snapshot)
             try:
-                fd = reference_result()
+                fd = reference_result(reference)
             except WflowError as exc:
                 raise WflowError(f"finite-difference reference: {exc}") from exc
             table = diagnostics.compare(traj, fd)
-            writer.finish(traj)
+            finish(traj)
     except BaseException as exc:
         for path in (traj_path, ref_path):  # both children are reaped by now
             path.unlink(missing_ok=True)

@@ -45,10 +45,15 @@ from wflow.jko import SchemeTrajectory, run_scheme
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every test reaps the processes it starts: crosscheck forks one."""
+    """Every test reaps the processes it starts, and closes the descriptors
+    it opens: run forks one child and crosscheck two, each with two pipes."""
+    fds = Path("/proc/self/fd")
+    before = len(os.listdir(fds)) if fds.is_dir() else None
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert len(os.listdir(fds)) == before
 
 
 @pytest.fixture
@@ -963,8 +968,8 @@ def test_crosscheck_reference_from_the_child_matches_in_process(tmp_path,
 
 
 def test_in_child_runs_the_task_in_another_process():
-    with cli._in_child(os.getpid) as result:
-        assert result() != os.getpid()
+    with cli._in_child(lambda feed: os.getpid()) as (_, result):
+        assert result(os.getpid) != os.getpid()
 
 
 def test_in_child_returns_the_childs_error_with_its_attributes(monkeypatch):
@@ -973,9 +978,9 @@ def test_in_child_returns_the_childs_error_with_its_attributes(monkeypatch):
                                residual=0.25)
 
     monkeypatch.setattr(refsolve, "fd_solve", stalled)
-    with cli._in_child(lambda: refsolve.fd_solve()) as result:
+    with cli._in_child(lambda feed: refsolve.fd_solve()) as (_, result):
         with pytest.raises(ConvergenceError) as info:
-            result()
+            result(refsolve.fd_solve)
     assert str(info.value) == "stalled in the child"
     np.testing.assert_array_equal(info.value.best, np.arange(3.0))
     assert info.value.residual == 0.25
@@ -989,8 +994,8 @@ def test_in_child_runs_the_task_here_when_the_child_dies():
             os.kill(os.getpid(), signal.SIGKILL)
         return os.getpid()
 
-    with cli._in_child(task) as result:
-        assert result() == parent
+    with cli._in_child(lambda feed: task()) as (_, result):
+        assert result(task) == parent
 
 
 def fork_fails():
@@ -1051,6 +1056,30 @@ def test_run_raises_the_writers_error_when_the_child_cannot_write(tmp_path,
         cmd_run(str(path))
     assert time.monotonic() - t0 < 30.0
     assert info.value.__context__ is None  # no broken pipe on the way
+
+
+def test_run_raises_the_writers_own_error(tmp_path, outroot, monkeypatch):
+    # the child's outcome is authoritative: an error it raises is raised
+    # here, and the file is not written again in this process
+    parent = os.getpid()
+    write_rows = cli._write_rows
+    here = []
+
+    def denied_in_the_child(snapshots, fh):
+        if os.getpid() != parent:
+            raise PermissionError("denied in the child")
+        write_rows(snapshots, fh)
+
+    def recorded(traj, fh):
+        here.append(traj)
+        trajectory_to_csv(traj, fh)
+
+    monkeypatch.setattr(cli, "_write_rows", denied_in_the_child)
+    monkeypatch.setattr(cli, "trajectory_to_csv", recorded)
+    path = write_config(tmp_path, **WRITER_FAILURE)
+    with pytest.raises(PermissionError, match="^denied in the child$"):
+        cmd_run(str(path))
+    assert here == []
 
 
 def wait_for_reference(root):
@@ -1255,6 +1284,20 @@ def test_out_sets_the_output_root(tmp_path, outroot, monkeypatch):
     assert main(["run", "--config", str(path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
         "flag", "out"]
+
+
+@pytest.mark.parametrize("command", ["run", "study", "crosscheck"])
+def test_out_naming_a_file_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "not-a-directory"
+    out.write_text("kept\n")
+    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(out)]
+    if command == "study":
+        argv += ["--values", "0.05,0.025,0.0125,0.00625"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Not a directory" in err, err
+    assert "Traceback" not in err
+    assert out.read_text() == "kept\n"
 
 
 def test_main_dispatch(tmp_path, outroot, capsys):
