@@ -55,6 +55,9 @@ MAX_DOMAIN = 1e6
 # largest value of the potential on the domain: about 2e4 times the largest
 # any test or benchmark uses, 45,300.5 (kappa 1 centred at -300 on [0, 1])
 MAX_POTENTIAL = 1e9
+# bytes the parent gathers before one write to a child's feed: 16 snapshots
+# of 256 cells, so a run of 1,000 steps wakes its writer 63 times, not 1,001
+FEED_BATCH = 1 << 15
 # largest newton_max_iter: 12.5 times the default of 80, 8 times the 123
 # iterations of the stiffest step seen to certify (kappa = 1e5); a run stopped
 # by 1,000 at m = 16384 took 1.4 s on a 2-core x86_64 host
@@ -334,12 +337,15 @@ def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
 
 
 def diagnostics_to_jsonl(traj: SchemeTrajectory, fh: TextIO) -> None:
-    """Write one JSON line per step record to ``fh``; a record equal to the
-    one before (a run at its fixed point) reuses that record's line."""
+    """Write one JSON line per step record to ``fh``, each the text of
+    ``json.dumps(vars(d), sort_keys=True)`` from one shared encoder; a record
+    equal to the one before (a run at its fixed point) reuses that record's
+    line."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     last = line = None
     for d in traj.diagnostics:
         if d != last:
-            line, last = json.dumps(vars(d), sort_keys=True) + "\n", d
+            line, last = encode(vars(d)) + "\n", d
         fh.write(line)
 
 
@@ -457,14 +463,15 @@ def _in_child(task):
 
     ``feed`` is the child's end of a pipe, a binary file that carries the
     bytes this process sends.  Yields ``(send, result)``.  ``send(data)``
-    writes ``data`` to the feed, and drops it once the child is gone or
-    where there is no child.  ``result(here)`` closes the feed and returns
-    what ``task`` returned, or raises what it raised: the child pickles its
-    outcome through a second pipe, so an error keeps its type, message and
-    attributes.  That outcome is authoritative.  Only where there is none,
-    because ``os.fork`` is missing or fails or the child died, does
-    ``result`` return ``here()``, called in this process.  Leaving the block
-    kills and reaps the child on every path.
+    queues ``data`` and writes the queue to the feed in one go once it
+    holds ``FEED_BATCH`` bytes; it drops ``data`` once the child is gone or
+    where there is no child.  ``result(here)`` writes what is queued, closes
+    the feed and returns what ``task`` returned, or raises what it raised:
+    the child pickles its outcome through a second pipe, so an error keeps
+    its type, message and attributes.  That outcome is authoritative.
+    Only where there is none, because ``os.fork`` is missing or fails or
+    the child died, does ``result`` return ``here()``, called in this
+    process.  Leaving the block kills and reaps the child on every path.
 
     The child ends in ``os._exit``: it never returns into the caller, runs
     no exit handler and flushes no buffer it inherited.  A fork copies only
@@ -509,15 +516,29 @@ def _in_child(task):
             os.close(feed)
             feed = None
 
-    def send(data: bytes) -> None:
-        view = memoryview(data)
+    queue, queued = [], 0
+
+    def flush() -> None:
+        nonlocal queued
+        view = memoryview(b"".join(queue))
+        queue.clear()
+        queued = 0
         try:
             while feed is not None and view:
                 view = view[os.write(feed, view):]
         except BrokenPipeError:  # the child is gone; result tells how
             close_feed()
 
+    def send(data: bytes) -> None:
+        nonlocal queued
+        if feed is not None:
+            queue.append(data)
+            queued += len(data)
+            if queued >= FEED_BATCH:
+                flush()
+
     def result(here):
+        flush()
         close_feed()
         try:
             ok, value = pickle.load(back)
@@ -544,13 +565,16 @@ def _trajectory_writer(path: Path, rho0: GridDensity):
 
     Yields ``(on_snapshot, finish)``.  ``on_snapshot``, passed to
     ``run_scheme``, sends each snapshot to the child: ``t``, then the
-    values, as float64.  The child formats the rows with ``_write_rows``
-    while this process computes the next step, and creates the file when
-    the first snapshot arrives.  ``finish(traj)``, with ``traj`` the
-    trajectory whose snapshots were sent, waits for the child and raises
-    what it raised; where there is no child's outcome, it writes the file
-    here from ``traj``.  Leaving the block without ``finish`` kills the
-    child, which may leave the file incomplete.
+    values, as float64.  The snapshots reach the child in batches of at
+    least ``FEED_BATCH`` bytes, one pipe write each, and the child formats
+    a batch's rows with ``_write_rows`` while this process computes the
+    next steps; it creates the file when the first batch arrives.
+    ``finish(traj)``, with ``traj`` the trajectory whose snapshots were
+    sent, sends the last batch, waits for the child and raises what it
+    raised; where there is no child's outcome, it writes the file here
+    from ``traj``.  Leaving the block without ``finish`` kills the child,
+    which may leave the file incomplete, short of up to one batch of rows
+    that were never sent.
     """
     def snapshots(feed):
         while record := feed.read(8 * (rho0.n + 1)):
@@ -617,7 +641,8 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
             finish(traj)
     except BaseException as exc:
         for path in (traj_path, ref_path):  # both children are reaped by now
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # never hides ``exc``
+                path.unlink(missing_ok=True)
         if not isinstance(exc, WflowError):
             raise
         print(f"solver error: {exc}", file=sys.stderr)
@@ -711,14 +736,17 @@ def main(argv: list[str] | None = None) -> int:
     p_oracle.add_argument("--q", type=float, default=2.0)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, root=args.out)
-    if args.command == "study":
-        return cmd_study(args.config, args.values, root=args.out)
-    if args.command == "crosscheck":
-        return cmd_crosscheck(args.config, threshold=args.threshold,
-                              root=args.out)
-    return cmd_oracle(args.k, args.seed, q=args.q)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, root=args.out)
+        if args.command == "study":
+            return cmd_study(args.config, args.values, root=args.out)
+        if args.command == "crosscheck":
+            return cmd_crosscheck(args.config, threshold=args.threshold,
+                                  root=args.out)
+        return cmd_oracle(args.k, args.seed, q=args.q)
+    except OSError as exc:  # an artifact that cannot be written
+        return _config_error(exc)
 
 
 if __name__ == "__main__":

@@ -98,15 +98,18 @@ class CostSpec:
 
         ``c'`` equals ``derivative`` bit for bit; ``c`` is formed as
         ``A_i |v|^(q_i-1) |v|`` and so differs from ``value`` by a few ulp
-        when ``q_i != 2``.
+        when ``q_i != 2``.  A factor that is exactly 1.0 (``A_i q_i`` of
+        ``|z|^q / q``) is not multiplied by, which changes no bit.
         """
         av = np.abs(v)
         c = cp = None
         for A, qi in self.terms:
             pw = av ** (qi - 1.0)
             ci = pw * av
-            ci *= A
-            pw *= A * qi
+            if A != 1.0:
+                ci *= A
+            if A * qi != 1.0:
+                pw *= A * qi
             if c is None:
                 c, cp = ci, pw
             else:
@@ -380,6 +383,14 @@ class PotentialSpec:
         idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
         # ``value`` holds V flat beyond the table (np.interp)
         return np.where((x < xs[0]) | (x > xs[-1]), 0.0, slopes[idx])
+
+    def value_and_derivative(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(V(x), V'(x))`` on an array, bit for bit ``value`` and
+        ``derivative``; a quadratic forms ``x - center`` once for both."""
+        if self.kind != "quadratic":
+            return self.value(x), self.derivative(x)
+        d = x - self.center
+        return 0.5 * self.kappa * d**2, self.kappa * d
 
     def second_derivative(self, x):
         # Piecewise-linear tables carry no usable curvature; report 0 there.

@@ -62,16 +62,19 @@ factor costs one evaluation and never an uncertified step.
 
 A step posed from its predecessor's minimizer is not solved again.  When
 step ``k`` returned the nodes it started from (``X_k == X_{k-1}`` exactly,
-element for element; never to a tolerance), ``run_scheme`` gives step
-``k + 1`` step ``k``'s density object and diagnostics with zero
-iterations.  That is what the solver would return: step ``k + 1`` poses
-step ``k``'s problem (same ``P``, same nodes), its predictor is ``X_k``
-itself (at ``X_k == X_{k-1}`` the predictor is ``X_k``, whatever its
-order), and the carried energies are the energies of those nodes, which
-step ``k`` also reported as its starting ones.  Evaluating the predictor
-reproduces step ``k``'s final evaluation bit for bit, so the step would
-find the same certified residual and return ``X_k`` after zero
-iterations.  The repeat then holds for every later step.
+element for element; never to a tolerance), step ``k + 1`` would return
+step ``k``'s density and diagnostics with zero iterations: it poses step
+``k``'s problem (same ``P``, same nodes), its predictor is ``X_k`` itself
+(at ``X_k == X_{k-1}`` the predictor is ``X_k``, whatever its order), and
+the carried energies are the energies of those nodes, which step ``k``
+also reported as its starting ones.  Evaluating the predictor reproduces
+step ``k``'s final evaluation bit for bit, so the step would find the same
+certified residual and return ``X_k`` after zero iterations.  Step
+``k + 2`` then starts from ``X_{k+1} == X_k`` again, and the repeat holds
+for every later step.  So ``run_scheme`` solves no step after step ``k``
+and compares no nodes: each later step appends step ``k``'s density
+object and one shared record, step ``k``'s with zero iterations, and is
+still passed to ``on_snapshot``.
 """
 
 from __future__ import annotations
@@ -84,14 +87,8 @@ import numpy as np
 
 from ._lapack import dgtsv, dpttrf, dpttrs
 from .convex import CostSpec, EnergySpec, PotentialSpec, validate_assumptions
-from .density import (
-    Domain,
-    GridDensity,
-    QuantileRep,
-    from_quantiles,
-    normalize,
-    to_quantiles,
-)
+from .density import (Domain, GridDensity, from_quantiles, normalize,
+                      to_quantiles)
 from .errors import (
     ConvergenceError,
     InvalidDensityError,
@@ -236,11 +233,10 @@ class _StepObjective:
         cell = cp * (-0.5 * mu)
         V = dV = None
         if self.has_potential:
-            V = pb.potential.value(M)
+            V, dV = pb.potential.value_and_derivative(M)
             e_pot = mu * float(V.sum())
             f += e_pot
             e_free += e_pot
-            dV = pb.potential.derivative(M)
             cell += 0.5 * mu * dV
         # cell i adds cell + pres to node i and cell - pres to node i + 1; the
         # ends add 0.0 as a zero-started sum would (``pres`` is never -0.0)
@@ -307,9 +303,16 @@ class _StepObjective:
         every gap exceeds ``2 tol`` the two decide alike: a pair with
         ``y_i >= y_{i+1}`` shares a block, so the exact residual is at least
         ``(X_{i+1} - X_i) / 2 > tol``.
+
+        The clip is formed in place, with ``np.maximum`` and ``np.minimum``:
+        they may give a zero of the other sign than ``clip`` does, which
+        ``abs`` makes the same, so ``D`` is ``clip``'s bit for bit.
         """
-        z = (X - g).clip(self.pb.domain.a, self.pb.domain.b)
-        return float(np.abs(X - z).max())
+        z = np.subtract(X, g)
+        np.maximum(z, self.pb.domain.a, out=z)
+        np.minimum(z, self.pb.domain.b, out=z)
+        np.subtract(X, z, out=z)
+        return float(np.abs(z, out=z).max())
 
 
 @dataclass(slots=True)
@@ -389,7 +392,7 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
 
     def trial(step: float, dX: np.ndarray) -> np.ndarray:
         Xn = X.copy()
-        Xn[i0:i1 + 1] += step * dX
+        Xn[i0:i1 + 1] += dX if step == 1.0 else step * dX
         Xn[0] = max(Xn[0], a)
         Xn[-1] = min(Xn[-1], b)
         return Xn
@@ -533,7 +536,7 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
             before = (start.e_int, start.e_free)
     final, nit, r = _newton_solve(obj, start, increasing=start is not cold,
                                   last_hessian=last_hessian)
-    if (final.w <= obj.wmin).any():  # ``w``: the gaps clamped at ``wmin``
+    if final.w.min() <= obj.wmin:  # ``w``: the gaps clamped at ``wmin``
         gaps = final.X[1:] - final.X[:-1]
         raise ConvergenceError(
             f"mass cell collapsed to width {float(gaps.min()):.3e}; "
@@ -561,10 +564,11 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
     """Iterate the step solver up to the horizon ``T``.
 
     The evolution state is kept in quantile coordinates across steps; grid
-    snapshots are derived views.  Once a step returns the nodes it started
-    from, every later step poses the same problem and repeats the previous
-    snapshot object and diagnostics with zero iterations (module
-    docstring).  A failing step aborts with the partial trajectory
+    snapshots are derived views, rasterized straight from the nodes each
+    step certified.  Once a step returns the nodes it started from, every
+    later step poses the same problem: the rest of the run appends that
+    step's snapshot object and one copy of its record with zero iterations
+    (module docstring).  A failing step aborts with the partial trajectory
     attached.  ``on_snapshot(t, rho)``, if given, is called for ``rho0``
     and right after each later snapshot is appended, so the snapshots of a
     partial trajectory are exactly the ones it was called with.
@@ -583,11 +587,12 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
     times = [0.0]
     densities = [rho0]
     diags: list[StepDiagnostics] = []
+    repeat = None  # the record of every step past a fixed point
     if on_snapshot is not None:
         on_snapshot(0.0, rho0)
     for k in range(1, steps + 1):
-        if back and (X == back[0]).all():
-            rho, diag = densities[-1], replace(diags[-1], iterations=0)
+        if repeat is not None:
+            diag = repeat
         else:
             # step 4's cubic would pass through rho0's nodes
             order = 2 if k == 4 else 3
@@ -600,10 +605,11 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
                                            diagnostics=tuple(diags))
                 raise SchemeAbortError(f"step {k} failed: {exc}",
                                        partial=partial) from exc
+            if (Xnext == X).all():  # every later step repeats this one
+                repeat = replace(diag, iterations=0)
             back, X = [X, *back[:2]], Xnext
             before = (diag.E_internal_after, diag.E_free_after)
-            rho = from_quantiles(QuantileRep(domain=problem.domain, X=X),
-                                 rho0.n)
+            rho = from_quantiles(problem.domain, X, rho0.n)
         times.append(k * problem.h)
         densities.append(rho)
         diags.append(diag)

@@ -13,7 +13,6 @@ from wflow.cli import trajectory_to_csv
 from wflow.convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
 from wflow.density import (
     Domain,
-    QuantileRep,
     energy as density_energy,
     from_quantiles,
     l1_distance,
@@ -200,7 +199,7 @@ def test_criterion_07_interpolant_bound_and_jacobian():
         X0 = to_quantiles(rho0, m).X
         for t in (0.25, 0.5, 0.75):
             Xt = (1 - t) * X1 + t * X0
-            rho_t = from_quantiles(QuantileRep(UNIT, Xt), 512)
+            rho_t = from_quantiles(UNIT, Xt, 512)
             worst_sup = min(worst_sup, lim + 4.0 / m - float(rho_t.values.max()))
     assert worst_sup >= 0.0
 
@@ -221,7 +220,7 @@ def test_criterion_07_interpolant_bound_and_jacobian():
         M1 = 0.5 * (X1[:-1] + X1[1:])
         St = 0.5 * ((Xt[:-1] + Xt[1:]))
         slope = np.diff(Xt) / np.diff(X1)
-        rho_t = from_quantiles(QuantileRep(dom, Xt), n)
+        rho_t = from_quantiles(dom, Xt, n)
         idx = np.clip(((St - dom.a) / rho_t.dx).astype(int), 0, n - 1)
         rhs = rho_t.values[idx] * slope
         lhs = (1.0 + 0.5 * np.cos(np.pi * M1)) / z1

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import dataclasses
 import json
+import math
 import os
 import signal
 import subprocess
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wflow import cli, diagnostics, refsolve
+from wflow import cli, diagnostics, jko, refsolve
 from wflow.cli import (
     CONFIG_KEYS,
     MAX_DOMAIN,
@@ -1018,8 +1020,8 @@ def test_crosscheck_without_fork_writes_the_same_bytes(tmp_path, monkeypatch,
             == crosscheck_files(tmp_path / "forked"))
 
 
-# more snapshots than the pipe holds, so the parent writes on after the
-# writer child has died and meets a broken pipe
+# more snapshots than the pipe holds: the child dies or fails on the first
+# batch it reads, and the parent meets a broken pipe on a later batch
 WRITER_FAILURE = {"n": 256, "m": 64, "T": 0.5}
 
 
@@ -1080,6 +1082,89 @@ def test_run_raises_the_writers_own_error(tmp_path, outroot, monkeypatch):
     with pytest.raises(PermissionError, match="^denied in the child$"):
         cmd_run(str(path))
     assert here == []
+
+
+def test_run_sends_snapshots_to_the_writer_in_batches(tmp_path, monkeypatch):
+    # 50 snapshots of 256 cells: one pipe write per FEED_BATCH bytes queued,
+    # and one for the rest when the run finishes
+    parent, write, writes = os.getpid(), os.write, []
+
+    def counted(fd, data):
+        if os.getpid() == parent:
+            writes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", counted)
+    path = write_config(tmp_path, n=256, T=0.49)
+    assert cmd_run(str(path), root=tmp_path / "out") == 0
+    sent = 50 * 8 * (256 + 1)
+    assert sum(writes) == sent
+    assert len(writes) <= math.ceil(sent / cli.FEED_BATCH) + 1
+
+
+def test_run_failing_after_a_batch_writes_the_partial_trajectory(
+        tmp_path, outroot, capsys, monkeypatch):
+    # step 40 fails after two batches went to the writer; the snapshots
+    # still queued in this process reach the file too
+    step, solved, aborts = jko.jko_step_nodes, [], []
+
+    def fails_at_step_40(*args, **kwargs):
+        solved.append(None)
+        if len(solved) == 40:
+            raise ConvergenceError("injected")
+        return step(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        try:
+            return run_scheme(*args, **kwargs)
+        except SchemeAbortError as exc:
+            aborts.append(exc)
+            raise
+
+    monkeypatch.setattr(jko, "jko_step_nodes", fails_at_step_40)
+    monkeypatch.setattr(cli, "run_scheme", recorded)
+    path = write_config(tmp_path, n=256, T=0.5)
+    assert cmd_run(str(path)) == 2
+    assert capsys.readouterr().err == "solver error: step 40 failed: injected\n"
+    partial = aborts[0].partial
+    assert len(partial.times) * 8 * (256 + 1) > 2 * cli.FEED_BATCH
+    rundir, = outroot.iterdir()
+    diff = first_line_difference((rundir / "trajectory.csv").read_text(),
+                                 csv_text(partial))
+    assert diff is None, diff
+    lines = (rundir / "diagnostics.jsonl").read_text().splitlines()
+    assert len(lines) == 39
+
+
+def test_fixed_point_tail_appends_one_snapshot_and_one_record(tmp_path,
+                                                              monkeypatch):
+    # past the step that returned its start no step is solved: each later
+    # step appends that step's snapshot object and one shared record, and
+    # on_snapshot still sees every step once
+    cfg = load_config(write_config(
+        tmp_path, potential={"kind": "quadratic"}, domain_a=-1.0, n=32, m=32,
+        h=0.05, T=10.0, rho0={"profile": "cosine", "amplitude": 0.3}))
+    step, solved, seen = jko.jko_step_nodes, [], []
+
+    def counted(*args, **kwargs):
+        solved.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(jko, "jko_step_nodes", counted)
+    traj = run_scheme(cfg.problem(), cfg.rho0, cfg.T,
+                      on_snapshot=lambda t, rho: seen.append((t, rho)))
+    assert len(seen) == len(traj.times) == 201
+    assert all(t == tt and rho is r for (t, rho), tt, r
+               in zip(seen, traj.times, traj.densities))
+    k = len(solved)  # the last solved step, which returned its start
+    assert k <= 190
+    fixed = traj.densities[k]
+    assert fixed is not traj.densities[k - 1]
+    assert all(rho is fixed for rho in traj.densities[k + 1:])
+    tail = traj.diagnostics[k:]
+    assert all(d is tail[0] for d in tail)
+    assert tail[0] == dataclasses.replace(traj.diagnostics[k - 1],
+                                          iterations=0)
 
 
 def wait_for_reference(root):
@@ -1298,6 +1383,46 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys, command):
     assert err.startswith("config error: ") and "Not a directory" in err, err
     assert "Traceback" not in err
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command,artifact", [
+    ("run", "config.json"), ("run", "diagnostics.jsonl"),
+    ("run", "trajectory.csv"), ("crosscheck", "reference.csv")])
+def test_unwritable_artifact_exits_1_naming_it(tmp_path, outroot, capsys,
+                                               command, artifact):
+    # a directory at an artifact's path: the error of the write that failed
+    # is reported on one line, and crosscheck's cleanup does not hide it
+    argv = [command, "--config", str(write_config(tmp_path, h=1e-3))]
+    assert main(argv) == 0
+    rundir, = outroot.iterdir()
+    (rundir / artifact).unlink()
+    (rundir / artifact).mkdir()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "Is a directory" in err and f"{rundir.name}/{artifact}" in err, err
+    assert (rundir / artifact).is_dir()
+    if command == "crosscheck":
+        assert not (rundir / "trajectory.csv").exists()
+
+
+def test_unwritable_artifact_exits_1_without_a_traceback(tmp_path, outroot):
+    argv = ["run", "--config", str(write_config(tmp_path))]
+    assert main(argv) == 0
+    rundir, = outroot.iterdir()
+    (rundir / "trajectory.csv").unlink()
+    (rundir / "trajectory.csv").mkdir()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "wflow", *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ") and \
+        proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_main_dispatch(tmp_path, outroot, capsys):

@@ -11,7 +11,6 @@ from wflow.convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
 from wflow.density import (
     Domain,
     GridDensity,
-    QuantileRep,
     from_quantiles,
     l1_distance,
     normalize,
@@ -171,7 +170,7 @@ def test_degeneracy_guard_fires(monkeypatch):
         jko_step_nodes(pb, X)
     assert info.value.best.shape == X.shape
     assert np.isfinite(info.value.residual)
-    rho = from_quantiles(QuantileRep(domain=UNIT, X=X), 8)
+    rho = from_quantiles(UNIT, X, 8)
     with pytest.raises(SchemeAbortError, match="step 1 failed: mass cell") as info:
         run_scheme(pb, rho, pb.h)
     assert info.value.partial.times == (0.0,)
@@ -622,8 +621,7 @@ def _run_every_step(pb, rho0, T):
                                   last_hessian=last)
         back, X = [X, *back[:2]], Xnext
         before = (d.E_internal_after, d.E_free_after)
-        densities.append(from_quantiles(QuantileRep(domain=pb.domain, X=X),
-                                        rho0.n))
+        densities.append(from_quantiles(pb.domain, X, rho0.n))
         diags.append(d)
     return densities, diags
 

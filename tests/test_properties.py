@@ -1,22 +1,27 @@
 """Property tests: the step kernels and the assumption checks against their
 reference forms, and the run invariants over random valid problems."""
 
+import io
+import json
 import warnings
 from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
 from wflow import jko
+from wflow.cli import diagnostics_to_jsonl
 from wflow.convex import (CostSpec, EnergySpec, PotentialSpec, preset_specs,
                           validate_assumptions)
-from wflow.density import Domain, normalize
+from wflow.density import (Domain, GridDensity, QuantileRep, _levels,
+                           from_quantiles, normalize)
 from wflow.errors import InvalidSpecError, SchemeAbortError
-from wflow.jko import JkoProblem, _StepObjective, run_scheme
+from wflow.jko import (JkoProblem, SchemeTrajectory, StepDiagnostics,
+                       _StepObjective, run_scheme)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -127,6 +132,130 @@ def test_kkt_shortcut_matches_pava(Xg):
     tol = obj.pb.tol
     if np.diff(X).min() > 2.0 * tol:
         assert (r <= tol) == (exact <= tol)
+
+
+# each fast path of the step loop against the code it replaced, bit for bit
+
+# finite values of both signs, both zeros and NaN
+odd_floats = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(
+    [0.0, -0.0, float("nan")]))
+
+
+@st.composite
+def domains_and_nodes(draw):
+    """A domain and strictly increasing nodes in it, the end nodes on the
+    walls or inside, on a grid of up to 64 cells."""
+    a = draw(st.floats(-10.0, 10.0))
+    dom = Domain(a, a + draw(st.floats(1e-3, 20.0)))
+    k = draw(st.integers(1, 64))
+    gaps = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=k + 2,
+                                  max_size=k + 2)))
+    X = dom.a + dom.length * (np.cumsum(gaps) / gaps.sum())[:-1]
+    X = np.unique(np.concatenate((
+        [dom.a] if draw(st.booleans()) else [], X,
+        [dom.b] if draw(st.booleans()) else [])))
+    assume(X.size >= 2 and dom.a <= X[0] and X[-1] <= dom.b)
+    return dom, X, draw(st.integers(1, 64))
+
+
+def _rep_raster(dom, X, n):
+    # the path from_quantiles took through QuantileRep and its cdf
+    q = QuantileRep(domain=dom, X=X)
+    assert q.strictly_increasing
+    cum = np.interp(np.asarray(q.domain.edges(n), dtype=float), q.X,
+                    _levels(q.m), left=0.0, right=1.0)
+    cum[0], cum[-1] = 0.0, 1.0
+    return GridDensity(domain=q.domain, values=(cum[1:] - cum[:-1])
+                       / (q.domain.length / n))
+
+
+@PROPERTY
+@given(domains_and_nodes())
+def test_certified_nodes_rasterize_as_the_quantile_rep_did(case):
+    dom, X, n = case
+    rho = from_quantiles(dom, X, n)
+    assert bits(rho.values) == bits(_rep_raster(dom, X, n).values)
+
+
+@PROPERTY
+@given(st.integers(1, 40).flatmap(lambda k: st.tuples(
+    st.lists(odd_floats, min_size=k, max_size=k),
+    st.lists(odd_floats, min_size=k, max_size=k))),
+    st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (-0.0, 2.5)]))
+def test_kkt_residual_in_place_matches_clip(Xg, walls):
+    # nodes and gradients beyond the walls, zeros of both signs and NaN; each
+    # pair alone too, since one NaN makes the whole vector's residual NaN
+    X, g = (np.array(v) for v in Xg)
+    dom = Domain(*walls)
+    obj = _StepObjective(JkoProblem(cost=CostSpec.single_power(2.0),
+                                    energy=EnergySpec.entropy(),
+                                    potential=PotentialSpec.zero(),
+                                    domain=dom, h=0.01, m=8),
+                         np.linspace(dom.a, dom.b, 9))
+    for Xi, gi in [(X, g), *zip(X[:, None], g[:, None])]:
+        want = float(np.abs(Xi - (Xi - gi).clip(dom.a, dom.b)).max())
+        got = obj.kkt_residual(Xi, gi)
+        assert type(got) is float
+        assert bits(got) == bits(want)
+
+
+tables = st.sampled_from([((0.0, 0.5, 1.0), (1.0, 0.0, 1.0)),
+                          ((-0.5, 0.2, 0.6, 1.5), (2.0, 0.3, 0.2, 1.0))])
+
+
+@PROPERTY
+@given(st.one_of(st.just(PotentialSpec.zero()),
+                 st.builds(PotentialSpec.quadratic, st.floats(1e-3, 1e3),
+                           st.floats(-5.0, 5.0)),
+                 tables.map(lambda t: PotentialSpec.tabulated(*t))),
+       st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
+           [0.0, -0.0, -0.5, 1.5])), min_size=1, max_size=50).map(np.array))
+def test_potential_value_and_slope_match_separate_calls(potential, x):
+    # table points include the ends and points beyond them
+    V, dV = potential.value_and_derivative(x)
+    assert bits(V) == bits(potential.value(x))
+    assert bits(dV) == bits(potential.derivative(x))
+
+
+def _cost_reference(cost, v):
+    # every term multiplied by its factors, 1.0 or not
+    av = np.abs(v)
+    c = cp = None
+    for A, qi in cost.terms:
+        pw = av ** (qi - 1.0)
+        ci = pw * av
+        ci *= A
+        pw *= A * qi
+        c = ci if c is None else c + ci
+        cp = pw if cp is None else cp + pw
+    return c, np.copysign(cp, v, out=cp)
+
+
+@PROPERTY
+@given(st.one_of(costs, st.sampled_from([
+    CostSpec.single_power(2.0), CostSpec(terms=((1.0, 2.0),)),
+    CostSpec(terms=((1.0, 3.0), (0.5, 2.0)))])),
+    st.one_of(speeds, st.just(np.array([0.0, -0.0, float("nan"), 1.0]))))
+def test_cost_kernel_skipping_unit_factors_matches_general_terms(cost, v):
+    c, cp = cost.value_and_derivative(v)
+    c_ref, cp_ref = _cost_reference(cost, v)
+    assert bits(c) == bits(c_ref)
+    assert bits(cp) == bits(cp_ref)
+
+
+@PROPERTY
+@given(st.lists(st.builds(
+    StepDiagnostics, *[st.floats(allow_nan=True, allow_infinity=True)] * 8,
+    iterations=st.integers(0, 1000)), min_size=1, max_size=5))
+def test_jsonl_encoder_matches_json_dumps(records):
+    traj = SchemeTrajectory(times=tuple(0.1 * k for k in range(len(records) + 1)),
+                            densities=(normalize(np.ones(4), UNIT)[0],)
+                            * (len(records) + 1),
+                            diagnostics=tuple(records))
+    buf = io.StringIO()
+    diagnostics_to_jsonl(traj, buf)
+    assert buf.getvalue() == "".join(json.dumps(vars(d), sort_keys=True) + "\n"
+                                     for d in records)
 
 
 # ---------------------------------------------------------------------------

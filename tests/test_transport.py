@@ -4,7 +4,6 @@ import pytest
 from wflow.convex import CostSpec, EnergySpec
 from wflow.density import (
     Domain,
-    QuantileRep,
     from_quantiles,
     l1_distance,
     normalize,
@@ -40,7 +39,7 @@ def quantile_pair(rho0, rho1, m):
 
 def interpolant(X1, X0, t, n, domain=WIDE):
     """Density of the displacement interpolant ``(1 - t) X1 + t X0``."""
-    return from_quantiles(QuantileRep(domain, (1.0 - t) * X1 + t * X0), n)
+    return from_quantiles(domain, (1.0 - t) * X1 + t * X0, n)
 
 
 def smooth_density(domain, n, amp=0.5, freq=1, phase=0.0):
@@ -83,7 +82,7 @@ def test_push_forward_residual_small():
     rho0 = smooth_density(WIDE, 128, amp=0.4, phase=1.2)
     m = 256
     _, X0 = quantile_pair(rho0, rho1, m)
-    pushed = from_quantiles(QuantileRep(domain=WIDE, X=X0), rho0.n)
+    pushed = from_quantiles(WIDE, X0, rho0.n)
     assert l1_distance(pushed, rho0) <= 2.0 / m + 1e-9
 
 
