@@ -109,6 +109,7 @@ def _potential_from_config(spec) -> PotentialSpec:
     if spec is None or spec == "zero":
         return PotentialSpec.zero()
     if isinstance(spec, dict):
+        _known_keys(spec, "potential", "kind", "kappa", "center", "x", "v")
         kind = spec.get("kind", "zero")
         if kind == "zero":
             return PotentialSpec.zero()
@@ -127,8 +128,11 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
     xc = domain.centers(n)
     xhat = (xc - domain.a) / domain.length
     if name == "uniform":
+        _known_keys(params, "uniform profile", "profile")
         return np.ones(n)
     if name == "cosine":
+        _known_keys(params, "cosine profile", "profile", "amplitude",
+                    "frequency")
         amp = _number(params.get("amplitude", 0.5), "amplitude")
         freq = _number(params.get("frequency", 1.0), "frequency")
         if not (0.0 <= amp < 1.0):
@@ -138,6 +142,8 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
                                  f"2*pi*frequency finite, got {freq!r}")
         return 1.0 + amp * np.cos(2.0 * np.pi * freq * xhat)
     if name == "gaussian":
+        _known_keys(params, "gaussian profile", "profile", "center", "width",
+                    "floor")
         center = _number(params.get("center", 0.5 * (domain.a + domain.b)),
                          "center")
         width = _number(params.get("width", 0.2 * domain.length), "width")
@@ -161,11 +167,10 @@ def _profile_values(name: str, params: dict, domain: Domain, n: int) -> np.ndarr
 
 
 def _rho0_from_config(spec, domain: Domain, n: int) -> GridDensity:
-    if spec is None:
-        spec = {"profile": "uniform"}
-    if isinstance(spec, str):
-        spec = {"profile": spec}
+    if spec is None or isinstance(spec, str):
+        spec = {"profile": "uniform" if spec is None else spec}
     if "csv" in spec:
+        _known_keys(spec, "csv rho0", "csv")
         path = Path(spec["csv"])
         if not path.exists():
             raise ParameterError(f"initial density file not found: {path}")
@@ -191,9 +196,7 @@ def load_config(path: str | Path) -> RunConfig:
 def _parse_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise TypeError("config must be a JSON object")
-    unknown = sorted(set(raw) - CONFIG_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
+    _known_keys(raw, "config", *CONFIG_KEYS)
     preset = raw.get("preset")
     if preset:
         cost, energy = preset_specs(preset, **{
@@ -209,6 +212,7 @@ def _parse_config(raw) -> RunConfig:
         eterms = []
         for t in raw.get("energy_terms", []):
             coeff = _number(t.get("coeff", 1.0), "energy_terms coeff")
+            _known_keys(t, "energy term", "kind", "coeff", "exponent")
             if t.get("kind") == "entropy":
                 eterms.append(("entropy", coeff))
             elif t.get("kind") == "power":
@@ -268,6 +272,13 @@ def _number(v, name: str, integral: bool = False):
                      f", got {v!r}")
 
 
+def _known_keys(spec: dict, what: str, *keys: str) -> None:
+    """Reject a key of the config object ``spec`` that is not in ``keys``."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ParameterError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
 def _grid_size(raw: dict, key: str, default: int) -> int:
     """``raw[key]`` as a cell count: an integral JSON number in [1, MAX_GRID]."""
     v = _number(raw.get(key, default), key, integral=True)
@@ -300,13 +311,11 @@ def output_dir(cfg: RunConfig, root: str | Path, verdicts: list[str]) -> Path:
 def _write_rows(snapshots: Iterable[tuple[float, Domain, np.ndarray]],
                 fh: TextIO) -> None:
     """Write the ``t,x,rho`` rows of ``(t, domain, values)`` snapshots to
-    ``fh``, one snapshot at a time, so no more than one snapshot's text is
-    held in memory.
-
-    Each grid's x column is formatted once, each cell with its trailing
-    comma.  A snapshot whose domain and values equal the one before, bit for
-    bit (a run at its fixed point), reuses that snapshot's ``x,rho`` tails,
-    so only ``t`` is formatted again.
+    ``fh`` one snapshot at a time, so no more than one snapshot's text is
+    held in memory.  Each grid's x column is formatted once, each cell with
+    its trailing comma; a snapshot whose domain and values equal the one
+    before, bit for bit (a run at its fixed point), reuses that snapshot's
+    ``x,rho`` tails, so only ``t`` is formatted again.
     """
     x_cells = {}
     last = tails = None
@@ -325,13 +334,9 @@ def _write_rows(snapshots: Iterable[tuple[float, Domain, np.ndarray]],
 
 
 def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
-    """Write the ``t,x,rho`` rows of every snapshot to ``fh`` (``_write_rows``).
-
-    ``run`` and ``crosscheck`` write ``trajectory.csv`` with the same rows
-    from a forked child while the scheme runs (``_trajectory_writer``);
-    this function writes ``reference.csv``, and ``trajectory.csv`` where
-    that child leaves no outcome: no fork, or a child that died.
-    """
+    """Write every snapshot's ``t,x,rho`` rows to ``fh`` (``_write_rows``):
+    ``reference.csv``, and ``trajectory.csv`` where the run path's writer
+    child leaves no outcome (``_scheme_run``)."""
     _write_rows(((t, rho.domain, rho.values)
                  for t, rho in zip(traj.times, traj.densities)), fh)
 
@@ -389,23 +394,12 @@ def cmd_run(config_path: str, root: str | Path = "out") -> int:
         out = output_dir(cfg, root, ["report.json"])
     except (WflowError, OSError) as exc:
         return _config_error(exc)
-    _write_json(out / "config.json", cfg.raw)
-    with _trajectory_writer(out / "trajectory.csv",
-                            cfg.rho0) as (on_snapshot, finish):
-        try:
-            traj = run_scheme(problem, cfg.rho0, cfg.T,
-                              on_snapshot=on_snapshot)
-        except WflowError as exc:
-            partial = getattr(exc, "partial", None)
-            if partial is not None:
-                _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl,
-                        partial)
-                finish(partial)
-            print(f"solver error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
-        led = diagnostics.ledger(problem, traj)
-        finish(traj)
+    try:
+        with _scheme_run(out, cfg, problem) as traj:
+            led = diagnostics.ledger(problem, traj)
+    except WflowError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     _write_json(out / "report.json", _report_document(cfg, led=led))
     print(f"artifacts in {out}")
     return EXIT_OK if led.all_pass else EXIT_SOLVER
@@ -443,14 +437,12 @@ def cmd_study(config_path: str, values: list[float],
         return EXIT_SOLVER
     expected = min(1.0, cfg.cost.q - 1.0)
     passes = fit.slope >= expected - 0.15
-    report = _report_document(cfg, rate_fits=[{
+    _write_json(out / "rate.json", {**_report_document(cfg, rate_fits=[{
         "vary": "h",
         "fit": asdict(fit),
         "expected_exponent": expected,
         "passes": passes,
-    }])
-    report["passes"] = passes
-    _write_json(out / "rate.json", report)
+    }]), "passes": passes})
     (out / "rate.csv").write_text(
         "h,total_second_moment\n" + csv_rows(float_cells(hs), float_cells(totals)))
     print(f"slope {fit.slope!r} (expected >= {expected - 0.15!r}); artifacts in {out}")
@@ -558,24 +550,22 @@ def _in_child(task):
 
 
 @contextlib.contextmanager
-def _trajectory_writer(path: Path, rho0: GridDensity):
-    """Write ``trajectory_to_csv``'s file of a run from ``rho0`` to ``path``
-    from a forked child (``_in_child``), while the ``with`` block runs the
-    scheme.
-
-    Yields ``(on_snapshot, finish)``.  ``on_snapshot``, passed to
-    ``run_scheme``, sends each snapshot to the child: ``t``, then the
-    values, as float64.  The snapshots reach the child in batches of at
-    least ``FEED_BATCH`` bytes, one pipe write each, and the child formats
-    a batch's rows with ``_write_rows`` while this process computes the
-    next steps; it creates the file when the first batch arrives.
-    ``finish(traj)``, with ``traj`` the trajectory whose snapshots were
-    sent, sends the last batch, waits for the child and raises what it
-    raised; where there is no child's outcome, it writes the file here
-    from ``traj``.  Leaving the block without ``finish`` kills the child,
-    which may leave the file incomplete, short of up to one batch of rows
-    that were never sent.
+def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
+    """The one run path of ``run`` and ``crosscheck``: write ``config.json``
+    to the run directory ``out``, run ``run_scheme`` while a forked child
+    (``_in_child``) formats each snapshot it is sent, ``t`` and the values
+    as float64, into ``trajectory.csv``, write ``diagnostics.jsonl`` and
+    yield the trajectory.  The block's end waits for the child and raises
+    what it raised; where the child leaves no outcome, the file is written
+    here.  A failed step raises its ``WflowError`` once both files hold the
+    partial trajectory.  Once the scheme has finished, an ``Exception`` from
+    writing ``diagnostics.jsonl`` or from the block still waits for the
+    child; only an interrupt kills it, which may leave the file short of up
+    to one batch.
     """
+    path, rho0 = out / "trajectory.csv", cfg.rho0
+    _write_json(out / "config.json", cfg.raw)
+
     def snapshots(feed):
         while record := feed.read(8 * (rho0.n + 1)):
             values = np.frombuffer(record)
@@ -593,7 +583,21 @@ def _trajectory_writer(path: Path, rho0: GridDensity):
         def finish(traj: SchemeTrajectory) -> None:
             result(lambda: _stream(path, trajectory_to_csv, traj))
 
-        yield on_snapshot, finish
+        try:
+            traj = run_scheme(problem, rho0, cfg.T, on_snapshot=on_snapshot)
+        except WflowError as exc:
+            if getattr(exc, "partial", None) is not None:
+                _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl,
+                        exc.partial)
+                finish(exc.partial)
+            raise
+        try:
+            _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
+            yield traj
+        except Exception:
+            finish(traj)
+            raise
+        finish(traj)
 
 
 def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
@@ -601,13 +605,13 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
     """Run the scheme and the finite-difference reference from one initial
     density and compare them.
 
-    The reference child is forked before the trajectory writer's, so that
-    it holds no end of the writer's feed and the writer sees the end of its
-    input.  The children are safe to fork from a process with OpenBLAS's
-    thread pool (Python 3.12 and later warn of any native thread): they run
-    only numpy elementwise code, LAPACK's ``dgtsv`` and the CSV writer, none
-    of which uses the pool, and OpenBLAS resets its pool in a child through
-    its own fork handlers.
+    The reference child is forked before the run path's writer
+    (``_scheme_run``), so that it holds no end of the writer's feed.
+    Forking beside OpenBLAS's thread pool is safe (Python 3.12 and later
+    warn of any native thread): the children run only numpy elementwise
+    code, LAPACK's ``dgtsv`` and the CSV writer, none of which uses the
+    pool, and OpenBLAS resets its pool in a child through its own fork
+    handlers.
     """
     try:
         if not 0.0 <= threshold < math.inf:
@@ -616,11 +620,10 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         cfg = load_config(config_path)
         problem = cfg.problem()
         fd_cfg = refsolve.FdConfig(n=cfg.n, dt=cfg.h)
-        out = output_dir(cfg, root, ["trajectory.csv", "comparison.json",
-                                     "comparison.csv"])
+        out = output_dir(cfg, root, ["comparison.json", "comparison.csv"])
     except (WflowError, OSError) as exc:
         return _config_error(exc)
-    traj_path, ref_path = out / "trajectory.csv", out / "reference.csv"
+    ref_path = out / "reference.csv"
 
     def reference() -> SchemeTrajectory:
         fd = refsolve.fd_solve(cfg.cost, cfg.energy, cfg.potential, cfg.domain,
@@ -630,32 +633,28 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
 
     try:
         with (_in_child(lambda feed: reference()) as (_, reference_result),
-              _trajectory_writer(traj_path, cfg.rho0) as (on_snapshot, finish)):
-            traj = run_scheme(problem, cfg.rho0, cfg.T,
-                              on_snapshot=on_snapshot)
+              _scheme_run(out, cfg, problem) as traj):
             try:
                 fd = reference_result(reference)
             except WflowError as exc:
                 raise WflowError(f"finite-difference reference: {exc}") from exc
             table = diagnostics.compare(traj, fd)
-            finish(traj)
     except BaseException as exc:
-        for path in (traj_path, ref_path):  # both children are reaped by now
-            with contextlib.suppress(OSError):  # never hides ``exc``
-                path.unlink(missing_ok=True)
+        # the reference child, reaped by now, may have cut its file short
+        with contextlib.suppress(OSError):  # never hides ``exc``
+            ref_path.unlink(missing_ok=True)
         if not isinstance(exc, WflowError):
             raise
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     passes = table.l1_final <= threshold
-    report = _report_document(cfg, comparisons=[{
-        "against": "finite-difference reference",
-        "threshold": threshold,
-        "table": asdict(table),
-        "passes": passes,
-    }])
-    report["passes"] = passes
-    _write_json(out / "comparison.json", report)
+    _write_json(out / "comparison.json", {
+        **_report_document(cfg, comparisons=[{
+            "against": "finite-difference reference",
+            "threshold": threshold,
+            "table": asdict(table),
+            "passes": passes,
+        }]), "passes": passes})
     (out / "comparison.csv").write_text("t,l1_error\n" + csv_rows(
         float_cells(table.times), float_cells(table.l1_errors)))
     print(f"final-time L1 gap {table.l1_final!r} vs threshold {threshold!r}")

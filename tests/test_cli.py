@@ -175,6 +175,19 @@ REJECTED_CONFIGS = {
     # the output root is the --out option alone
     "retired-output-dir-key": ({"output_dir": "elsewhere"},
                                "unknown config key(s): output_dir"),
+    # misspelled nested keys: each run used the key's default
+    "profile-key-misspelled": ({"rho0": {"profile": "gaussian",
+                                         "widht": 0.05}},
+                               "unknown gaussian profile key(s): widht"),
+    "potential-key-misspelled": ({"potential": {"kind": "quadratic",
+                                                "kapa": 5}},
+                                 "unknown potential key(s): kapa"),
+    "profile-name-key-misspelled": ({"rho0": {"profle": "cosine"}},
+                                    "unknown uniform profile key(s): profle"),
+    "energy-term-key-misspelled": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": "power", "exponent": 2, "coef": 3}]},
+        "unknown energy term key(s): coef"),
     # a negative cap never stops Newton; a NaN or negative tolerance made
     # every step fail as a solver error
     "newton-max-iter-negative": ({"newton_max_iter": -1},
@@ -1174,6 +1187,18 @@ def wait_for_reference(root):
         time.sleep(0.01)
 
 
+def assert_only_the_scheme_artifacts(rundir, config_path):
+    """A command that failed after its scheme finished leaves the run path's
+    files, with the whole trajectory, and no reference or verdict."""
+    names = {p.name for p in rundir.iterdir()}
+    assert names == {"config.json", "diagnostics.jsonl", "trajectory.csv"}
+    cfg = load_config(config_path)
+    traj = run_scheme(cfg.problem(), cfg.rho0, cfg.T)
+    diff = first_line_difference((rundir / "trajectory.csv").read_text(),
+                                 csv_text(traj))
+    assert diff is None, diff
+
+
 @pytest.mark.parametrize("child", ["written", "still-solving"])
 def test_crosscheck_scheme_failure_wins_and_removes_the_reference(
         tmp_path, outroot, capsys, monkeypatch, child):
@@ -1190,20 +1215,50 @@ def test_crosscheck_scheme_failure_wins_and_removes_the_reference(
     assert cmd_crosscheck(str(path)) == 2
     assert time.monotonic() - t0 < 30.0
     assert capsys.readouterr().err == "solver error: scheme failed at step 3\n"
-    assert crosscheck_files(outroot) == {}
+    assert set(crosscheck_files(outroot)) == {"config.json"}
+
+
+# run exits 0 on this config with the ledger passing; the reference's Newton
+# clamps a negative iterate at step 1 and stalls
+REFERENCE_STALLS = {"preset": "porous-medium", "exponent_m": 4, "T": 0.2,
+                    "rho0": {"profile": "gaussian", "width": 0.1,
+                             "floor": 0.01}}
 
 
 def test_crosscheck_reference_failure_is_named(tmp_path, outroot, capsys):
-    # run exits 0 on this config with the ledger passing; the reference's
-    # Newton clamps a negative iterate at step 1 and stalls
-    path = write_config(tmp_path, preset="porous-medium", exponent_m=4,
-                        T=0.2, rho0={"profile": "gaussian", "width": 0.1,
-                                     "floor": 0.01})
+    path = write_config(tmp_path, **REFERENCE_STALLS)
     assert cmd_crosscheck(str(path)) == 2
     assert capsys.readouterr().err == (
         "solver error: finite-difference reference: Newton stalled at step 1 "
         "(negative iterates clamped)\n")
-    assert crosscheck_files(outroot) == {}
+    assert_only_the_scheme_artifacts(next(outroot.iterdir()), path)
+
+
+def test_failed_crosscheck_keeps_the_run_of_the_same_config(tmp_path,
+                                                           outroot, capsys):
+    # run and crosscheck of one config share its run directory: the
+    # crosscheck rewrites the run path's files with the same bytes, and its
+    # failure removes none of them, nor run's report
+    path = write_config(tmp_path, **REFERENCE_STALLS)
+    assert main(["run", "--config", str(path)]) == 0
+    files = crosscheck_files(outroot)
+    assert set(files) == {"config.json", "diagnostics.jsonl", "report.json",
+                          "trajectory.csv"}
+    capsys.readouterr()
+    assert main(["crosscheck", "--config", str(path)]) == 2
+    assert ("finite-difference reference: Newton stalled at step 1"
+            in capsys.readouterr().err)
+    assert crosscheck_files(outroot) == files
+
+
+def test_crosscheck_writes_the_run_path_files_of_run(tmp_path):
+    path = write_config(tmp_path, h=1e-3)
+    assert cmd_run(str(path), root=tmp_path / "run") == 0
+    assert cmd_crosscheck(str(path), root=tmp_path / "crosscheck") == 0
+    ran = crosscheck_files(tmp_path / "run")
+    checked = crosscheck_files(tmp_path / "crosscheck")
+    for name in ("config.json", "diagnostics.jsonl", "trajectory.csv"):
+        assert checked[name] == ran[name], name
 
 
 def test_crosscheck_reference_error_of_another_type_is_raised(
@@ -1215,7 +1270,7 @@ def test_crosscheck_reference_error_of_another_type_is_raised(
     path = write_config(tmp_path, h=1e-3)
     with pytest.raises(ZeroDivisionError, match="reference divided by zero"):
         cmd_crosscheck(str(path))
-    assert crosscheck_files(outroot) == {}
+    assert_only_the_scheme_artifacts(next(outroot.iterdir()), path)
 
 
 def test_crosscheck_comparison_failure_removes_the_reference(
@@ -1229,7 +1284,7 @@ def test_crosscheck_comparison_failure_removes_the_reference(
     path = write_config(tmp_path, h=1e-3)
     assert cmd_crosscheck(str(path)) == 2
     assert "different domains" in capsys.readouterr().err
-    assert crosscheck_files(outroot) == {}
+    assert_only_the_scheme_artifacts(next(outroot.iterdir()), path)
 
 
 def test_crosscheck_interrupted_removes_the_reference(tmp_path, outroot,
@@ -1242,7 +1297,7 @@ def test_crosscheck_interrupted_removes_the_reference(tmp_path, outroot,
     path = write_config(tmp_path, h=1e-3)
     with pytest.raises(KeyboardInterrupt):
         cmd_crosscheck(str(path))
-    assert crosscheck_files(outroot) == {}
+    assert set(crosscheck_files(outroot)) == {"config.json"}
 
 
 def test_oracle_command():
@@ -1334,12 +1389,11 @@ def test_fresh_command_loads_no_scipy_subpackage(tmp_path, command):
 
 
 # the files of an earlier run that a failed rerun of each command must not
-# keep: its verdicts, and for crosscheck both trajectories
+# keep: its verdicts, and for crosscheck the reference
 STALE_ON_FAILURE = {
     "run": {"report.json"},
     "study": {"rate.csv"},
-    "crosscheck": {"comparison.json", "comparison.csv", "trajectory.csv",
-                   "reference.csv"},
+    "crosscheck": {"comparison.json", "comparison.csv", "reference.csv"},
 }
 
 
@@ -1392,7 +1446,8 @@ def test_unwritable_artifact_exits_1_naming_it(tmp_path, outroot, capsys,
                                                command, artifact):
     # a directory at an artifact's path: the error of the write that failed
     # is reported on one line, and crosscheck's cleanup does not hide it
-    argv = [command, "--config", str(write_config(tmp_path, h=1e-3))]
+    path = write_config(tmp_path, h=1e-3)
+    argv = [command, "--config", str(path)]
     assert main(argv) == 0
     rundir, = outroot.iterdir()
     (rundir / artifact).unlink()
@@ -1404,7 +1459,8 @@ def test_unwritable_artifact_exits_1_naming_it(tmp_path, outroot, capsys,
     assert "Is a directory" in err and f"{rundir.name}/{artifact}" in err, err
     assert (rundir / artifact).is_dir()
     if command == "crosscheck":
-        assert not (rundir / "trajectory.csv").exists()
+        (rundir / artifact).rmdir()
+        assert_only_the_scheme_artifacts(rundir, path)
 
 
 def test_unwritable_artifact_exits_1_without_a_traceback(tmp_path, outroot):
