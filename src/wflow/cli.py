@@ -23,7 +23,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import diagnostics, refsolve, transport
-from .convex import CostSpec, EnergySpec, PotentialSpec, preset_specs
+from .convex import (PRESET_EXPONENTS, CostSpec, EnergySpec, PotentialSpec,
+                     preset_specs)
 from .density import (Domain, GridDensity, csv_rows, density_from_csv,
                       float_cells, normalize)
 from .errors import ParameterError, WflowError
@@ -39,6 +40,11 @@ CONFIG_KEYS = frozenset({
     "energy_terms", "potential", "domain_a", "domain_b", "n", "m", "h", "T",
     "rho0", "floor_delta", "solver_tol", "newton_max_iter",
 })
+# the keys each kind of potential and of energy term takes
+POTENTIAL_KEYS = {"zero": ("kind",), "quadratic": ("kind", "kappa", "center"),
+                  "tabulated": ("kind", "x", "v")}
+ENERGY_TERM_KEYS = {"entropy": ("kind", "coeff"),
+                    "power": ("kind", "coeff", "exponent")}
 # largest n or m: four times the finest grid any test or benchmark uses
 MAX_GRID = 1 << 16
 # largest work, steps * cells on both grids (m for the scheme, n for the held
@@ -109,8 +115,12 @@ def _potential_from_config(spec) -> PotentialSpec:
     if spec is None or spec == "zero":
         return PotentialSpec.zero()
     if isinstance(spec, dict):
-        _known_keys(spec, "potential", "kind", "kappa", "center", "x", "v")
         kind = spec.get("kind", "zero")
+        keys = POTENTIAL_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
+            raise ParameterError(
+                f"unrecognized potential description {spec!r}")
+        _known_keys(spec, "potential", *keys, kind=kind)
         if kind == "zero":
             return PotentialSpec.zero()
         if kind == "quadratic":
@@ -198,11 +208,21 @@ def _parse_config(raw) -> RunConfig:
         raise TypeError("config must be a JSON object")
     _known_keys(raw, "config", *CONFIG_KEYS)
     preset = raw.get("preset")
+    # a key set to null counts as absent
+    exponents = [k for k in "mpn" if raw.get(f"exponent_{k}") is not None]
     if preset:
         cost, energy = preset_specs(preset, **{
-            k: _number(raw[f"exponent_{k}"], f"exponent_{k}") for k in "mpn"
-            if raw.get(f"exponent_{k}") is not None})
+            k: _number(raw[f"exponent_{k}"], f"exponent_{k}")
+            for k in exponents})
+        _inapplicable_keys(
+            [k for k in ("cost_terms", "energy_terms")
+             if raw.get(k) is not None]
+            + [f"exponent_{k}" for k in exponents
+               if k not in PRESET_EXPONENTS[preset]],
+            f"the {preset} preset")
     else:
+        _inapplicable_keys([f"exponent_{k}" for k in exponents],
+                           "explicit cost_terms and energy_terms")
         terms = raw.get("cost_terms")
         if not terms:
             raise ParameterError("config needs a preset or explicit cost_terms")
@@ -211,15 +231,18 @@ def _parse_config(raw) -> RunConfig:
              _number(qi, "cost_terms exponent")) for A, qi in terms))
         eterms = []
         for t in raw.get("energy_terms", []):
+            kind = t.get("kind")
+            keys = (ENERGY_TERM_KEYS.get(kind) if isinstance(kind, str)
+                    else None)
+            if keys is None:
+                raise ParameterError(f"unknown energy term {t!r}")
+            _known_keys(t, "energy term", *keys, kind=kind)
             coeff = _number(t.get("coeff", 1.0), "energy_terms coeff")
-            _known_keys(t, "energy term", "kind", "coeff", "exponent")
-            if t.get("kind") == "entropy":
+            if kind == "entropy":
                 eterms.append(("entropy", coeff))
-            elif t.get("kind") == "power":
+            else:
                 eterms.append(("power", coeff,
                                _number(t["exponent"], "energy_terms exponent")))
-            else:
-                raise ParameterError(f"unknown energy term {t!r}")
         if not eterms:
             raise ParameterError("explicit configs need energy_terms")
         energy = EnergySpec(terms=tuple(eterms))
@@ -272,11 +295,22 @@ def _number(v, name: str, integral: bool = False):
                      f", got {v!r}")
 
 
-def _known_keys(spec: dict, what: str, *keys: str) -> None:
-    """Reject a key of the config object ``spec`` that is not in ``keys``."""
+def _known_keys(spec: dict, what: str, *keys: str,
+                kind: str | None = None) -> None:
+    """Reject a key of the config object ``spec`` that is not in ``keys``,
+    the keys its ``kind``, if named, takes."""
     unknown = sorted(set(spec) - set(keys))
     if unknown:
-        raise ParameterError(f"unknown {what} key(s): {', '.join(unknown)}")
+        takes = f" ({what} kind {kind!r} takes {', '.join(keys)})"
+        raise ParameterError(f"unknown {what} key(s): {', '.join(unknown)}"
+                             + (takes if kind else ""))
+
+
+def _inapplicable_keys(keys: list[str], what: str) -> None:
+    """Reject the config keys ``keys``, which ``what`` does not read."""
+    if keys:
+        raise ParameterError(
+            f"config key(s) that do not apply to {what}: {', '.join(keys)}")
 
 
 def _grid_size(raw: dict, key: str, default: int) -> int:

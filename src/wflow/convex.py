@@ -99,8 +99,25 @@ class CostSpec:
         ``c'`` equals ``derivative`` bit for bit; ``c`` is formed as
         ``A_i |v|^(q_i-1) |v|`` and so differs from ``value`` by a few ulp
         when ``q_i != 2``.  A factor that is exactly 1.0 (``A_i q_i`` of
-        ``|z|^q / q``) is not multiplied by, which changes no bit.
+        ``|z|^q / q``) is not multiplied by, which changes no bit.  A single
+        quadratic term ``A v^2`` takes no power: ``c = v v A`` and
+        ``c' = 2A v`` are the same bits (``|v|^1.0 = |v|`` and
+        ``copysign(2A |v|, v) = 2A v``).
         """
+        v = np.asarray(v, dtype=float)
+        c, cp = self._value_and_derivative(v)
+        return c, (cp.copy() if cp is v else cp)
+
+    def _value_and_derivative(self, v: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """``value_and_derivative``, whose ``c'`` is ``v`` itself for
+        ``|z|^2 / 2`` (``2A = 1``)."""
+        if len(self.terms) == 1 and self.terms[0][1] == 2.0:
+            A = self.terms[0][0]
+            c = v * v
+            if A != 1.0:
+                c *= A
+            return c, (v if 2.0 * A == 1.0 else v * (2.0 * A))
         av = np.abs(v)
         c = cp = None
         for A, qi in self.terms:
@@ -225,8 +242,21 @@ class EnergySpec:
         ``P(x) = x F'(x) - F(x)`` is the quantity driving the flow.  Each
         term costs one ``log`` or one ``x^m``.  There is no branch for
         ``x <= 0`` (``value`` handles it): the step solver clamps cell widths
-        at a positive floor, so its densities are positive.
+        at a positive floor, so its densities are positive.  A coefficient
+        that is exactly 1.0 is not multiplied by, which changes no bit.
         """
+        x = np.asarray(x, dtype=float)
+        F, P = self._value_and_pressure(x)
+        return F, (P.copy() if P is x else P)
+
+    def _value_and_pressure(self, x: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """``value_and_pressure``, whose ``P`` is ``x`` itself for the one
+        term ``x ln x``."""
+        if self.terms == (("entropy", 1.0),):
+            F = np.log(x)
+            F *= x
+            return F, x
         F = P = None
         for t in self.terms:
             if t[0] == "entropy":
@@ -236,7 +266,8 @@ class EnergySpec:
             else:
                 _, A, m = t
                 Pi = x**m
-                Pi *= A
+                if A != 1.0:
+                    Pi *= A
                 Fi = Pi / (m - 1.0)
             if F is None:
                 F, P = Fi, Pi
@@ -451,6 +482,12 @@ def validate_assumptions(cost: CostSpec, energy: EnergySpec,
 # ---------------------------------------------------------------------------
 # named problem families
 # ---------------------------------------------------------------------------
+
+# the exponents (``m``, ``p``, ``n``) each preset of ``preset_specs`` reads
+PRESET_EXPONENTS = {"fokker-planck": "", "porous-medium": "m",
+                    "fast-diffusion": "m", "p-laplacian": "p",
+                    "doubly-degenerate": "np"}
+
 
 def preset_specs(name: str, m: float | None = None, p: float | None = None,
                  n: float | None = None) -> tuple[CostSpec, EnergySpec]:

@@ -17,11 +17,17 @@ yields the objective, its gradient, both energies, the transport sum
 ``sum_i c(v_i)`` and the per-cell quantities (midpoints, widths, velocity,
 cell density, pressure) everything else reads from; the ledger's dissipation
 is ``|c'(v)|^{q*}`` by the optimality law ``c'(v) = d(F'(rho) + V)/dx``.  The
-sweep takes one transcendental per cost or energy term:
-``CostSpec.value_and_derivative`` forms ``c`` and ``c'`` from one
-``|v|^(q-1)``, and ``EnergySpec.value_and_pressure`` forms ``F`` and the
-pressure from one ``log`` or ``rho^m``.  The banded curvature is formed from
-an evaluation, and only at iterates Newton steps from.
+sweep takes at most one transcendental per cost or energy term: the cost
+forms ``c`` and ``c'`` from one ``|v|^(q-1)``, except a quadratic cost
+``A v^2``, which takes no power (``c' = 2A v``, ``v`` itself for
+``|z|^2 / 2``), and the energy forms ``F`` and the pressure from one ``log``
+or ``rho^m`` (the pressure of ``x ln x`` is ``rho`` itself).  As ``c'`` and
+the pressure may be the sweep's own ``v`` and ``rho``, nothing writes to an
+evaluation once it is formed.  The banded curvature is formed from an
+evaluation, and only at iterates Newton steps from.  A run carries the
+nodes each step certifies into the next step with their midpoints, the
+final evaluation's ``M``, and the next step takes those as its ``P``
+instead of forming them again.
 
 Warm start: inside a run, step ``k + 1`` starts at a polynomial predictor
 through the last minimizers (endpoints clipped to the walls), and that one
@@ -203,17 +209,24 @@ class _Evaluation:
 class _StepObjective:
     """Objective of one step at fixed ``Xprev``: evaluation and curvature."""
 
-    def __init__(self, problem: JkoProblem, Xprev: np.ndarray):
+    def __init__(self, problem: JkoProblem, Xprev: np.ndarray,
+                 P: np.ndarray | None = None):
         self.pb = problem
         self.m = problem.m
         self.mu = 1.0 / problem.m
         self.h = problem.h
-        self.P = 0.5 * (Xprev[:-1] + Xprev[1:])
+        # ``P``, if given, is ``Xprev``'s midpoints as ``evaluate`` forms them
+        self.P = 0.5 * (Xprev[:-1] + Xprev[1:]) if P is None else P
         self.wmin = VACUUM_FLOOR_FACTOR * problem.domain.length
         self.has_potential = not problem.potential.is_zero
 
     def evaluate(self, X: np.ndarray) -> _Evaluation:
-        """Objective, gradient, energies and per-cell quantities at ``X``."""
+        """Objective, gradient, energies and per-cell quantities at ``X``.
+
+        ``cp`` may be ``v`` and ``pres`` may be ``rho`` (the closed forms of
+        ``c' = v`` and ``P = rho``), so nothing writes to an evaluation's
+        arrays once it is formed.
+        """
         pb, mu = self.pb, self.mu
         M = X[:-1] + X[1:]
         M *= 0.5
@@ -222,8 +235,8 @@ class _StepObjective:
         disp = self.P - M
         v = disp / self.h
         rho = mu / w
-        c, cp = pb.cost.value_and_derivative(v)
-        Fw, pres = pb.energy.value_and_pressure(rho)
+        c, cp = pb.cost._value_and_derivative(v)
+        Fw, pres = pb.energy._value_and_pressure(rho)
         Fw *= w
         e_int = float(Fw.sum())
         csum = float(c.sum())
@@ -317,21 +330,32 @@ class _StepObjective:
 
 @dataclass(slots=True)
 class _LastHessian:
-    """The last Hessian Newton built in a run, for warm steps to reuse.
+    """A run's state for warm steps to reuse: the last Hessian Newton built,
+    and the midpoints of the last nodes a step certified.
 
-    ``d`` and ``e`` are its diagonals on the wall active set ``key =
-    (i0, i1)``; ``factor`` is their ``L D L^T`` factor from ``dpttrf``,
-    formed the first time a step reuses them, or ``()`` when they are not
-    positive definite.
+    ``d`` and ``e`` are the Hessian's diagonals on the wall active set
+    ``key = (i0, i1)``; ``factor`` is their ``L D L^T`` factor from
+    ``dpttrf``, formed the first time a step reuses them, or ``()`` when
+    they are not positive definite.  ``mid`` holds the midpoints of the node
+    array ``nodes``, keyed by its identity; both are read-only.
     """
 
     key: tuple[int, int] | None = None
     d: np.ndarray | None = None
     e: np.ndarray | None = None
     factor: tuple[np.ndarray, ...] | None = None
+    nodes: np.ndarray | None = None
+    mid: np.ndarray | None = None
 
     def keep(self, key: tuple[int, int], d: np.ndarray, e: np.ndarray):
         self.key, self.d, self.e, self.factor = key, d, e, None
+
+    def carry(self, final: _Evaluation) -> None:
+        """Keep the certified nodes of ``final`` and their midpoints, and
+        make both read-only: the next step reads them as ``Xprev`` and
+        ``P``."""
+        final.X.flags.writeable = final.M.flags.writeable = False
+        self.nodes, self.mid = final.X, final.M
 
     def solve(self, key: tuple[int, int], rhs: np.ndarray) -> np.ndarray | None:
         """``H^-1 rhs`` on the active set ``key``, or None if the stored
@@ -463,10 +487,14 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
     """Ledger entries of one step: ``before = (E_internal, E_free)`` at
     ``Xprev``, everything else read off the final evaluation.
 
-    The dissipation is ``|c'(v)|^{q*}`` by the optimality law.  Means are
-    sums over the ``m`` cells divided by ``m``, as ``np.mean`` forms them.
+    The dissipation is ``|c'(v)|^{q*}`` by the optimality law; at
+    ``q* = 2`` the square needs no ``abs``.  Means are sums over the ``m``
+    cells divided by ``m``, as ``np.mean`` forms them.
     """
     k = problem.m
+    qs = problem.cost.qstar
+    cp = final.cp
+    dissipation = np.square(cp) if qs == 2.0 else np.abs(cp) ** qs
     return StepDiagnostics(
         W_value=final.csum / k,
         E_internal_before=before[0],
@@ -474,7 +502,7 @@ def _step_diagnostics(problem: JkoProblem, before: tuple[float, float],
         E_free_before=before[1],
         E_free_after=final.e_free,
         second_moment=float((final.disp**2).sum()) / k,
-        dissipation=float((np.abs(final.cp) ** problem.cost.qstar).sum()) / k,
+        dissipation=float(dissipation.sum()) / k,
         kkt_residual=r,
         iterations=iterations,
     )
@@ -491,7 +519,8 @@ def _predictor(obj: _StepObjective, nodes: list[np.ndarray],
     ``sum_j (-1)^j C(p + 1, j + 1) X_{k-j}``: ``2 X_k - X_{k-1}`` for
     ``p = 1``, ``4 X_k - 6 X_{k-1} + 4 X_{k-2} - X_{k-3}`` for ``p = 3``.
     At a fixed point, ``X_k == X_{k-1}`` exactly, the predictor is ``X_k``.
-    Summed from the first term, it is the zero-started sum bit for bit.
+    Summed from the first term, it is the zero-started sum bit for bit; the
+    last coefficient, ``C(p + 1, p + 1) = 1``, takes no multiply.
     """
     X = nodes[0]
     if (X == nodes[1]).all():
@@ -501,8 +530,9 @@ def _predictor(obj: _StepObjective, nodes: list[np.ndarray],
         guess = (p + 1) * X
         term = np.empty_like(X)
         for j in range(1, p + 1):
-            np.multiply(nodes[j], math.comb(p + 1, j + 1), out=term)
-            (np.subtract if j % 2 else np.add)(guess, term, out=guess)
+            t = nodes[j] if j == p else np.multiply(
+                nodes[j], math.comb(p + 1, j + 1), out=term)
+            (np.subtract if j % 2 else np.add)(guess, t, out=guess)
         guess[0] = max(guess[0], obj.pb.domain.a)
         guess[-1] = min(guess[-1], obj.pb.domain.b)
     if not (guess[1:] > guess[:-1]).all():
@@ -523,10 +553,17 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
     newest first, and ``before`` the ``(E_internal, E_free)`` of ``Xprev``
     that the previous step reported; the step then starts at the predictor
     of order ``len(Xback)`` through them (module docstring), and
-    ``last_hessian``, if given, the run's last Hessian (``_newton_solve``).
+    ``last_hessian``, if given, the run's state: its last Hessian
+    (``_newton_solve``) and the nodes the last step returned, with their
+    midpoints.  A step posed from those very nodes takes their midpoints as
+    ``P`` and copies no ``Xprev``.
     """
-    Xprev = np.array(Xprev, dtype=float)
-    obj = _StepObjective(problem, Xprev)
+    P = None
+    if last_hessian is not None and Xprev is last_hessian.nodes:
+        P = last_hessian.mid
+    else:
+        Xprev = np.array(Xprev, dtype=float)
+    obj = _StepObjective(problem, Xprev, P)
     start = cold = None
     if len(Xback) and before is not None:
         start = _predictor(obj, [Xprev, *Xback], before[1])
@@ -545,6 +582,8 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
     if final.f > before[1] and final.f > before[1] + obj.rounding_error(final):
         raise ConvergenceError("step increased the objective", best=final.X,
                                residual=r)
+    if last_hessian is not None:
+        last_hessian.carry(final)
     return final.X, _step_diagnostics(problem, before, final, r, nit)
 
 

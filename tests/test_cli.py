@@ -385,6 +385,47 @@ REJECTED_CONFIGS = {
     "potential-kappa-nan": ({"potential": {"kind": "quadratic",
                                            "kappa": float("nan")}},
                             "quadratic potential needs finite kappa >= 0"),
+    # keys the config's preset, explicit terms or kind do not read: each run
+    # ran without a word, the key ignored
+    "cost-terms-with-a-preset": ({"cost_terms": [[0.5, 2.0]]},
+                                 "config key(s) that do not apply to the "
+                                 "fokker-planck preset: cost_terms"),
+    "energy-terms-with-a-preset": ({"energy_terms": [{"kind": "entropy"}]},
+                                   "do not apply to the fokker-planck "
+                                   "preset: energy_terms"),
+    "exponent-the-preset-does-not-read": ({"exponent_m": 3},
+                                          "do not apply to the fokker-planck "
+                                          "preset: exponent_m"),
+    "exponents-porous-medium-does-not-read": (
+        {"preset": "porous-medium", "exponent_m": 2.0, "exponent_p": 3.0,
+         "exponent_n": 1.0},
+        "do not apply to the porous-medium preset: exponent_p, exponent_n"),
+    "exponent-with-explicit-terms": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": "entropy"}], "exponent_m": 2.0},
+        "do not apply to explicit cost_terms and energy_terms: exponent_m"),
+    "zero-potential-with-kappa": ({"potential": {"kind": "zero",
+                                                 "kappa": 5.0}},
+                                  "unknown potential key(s): kappa "
+                                  "(potential kind 'zero' takes kind)"),
+    # a potential without a kind is the zero one
+    "kindless-potential-with-kappa": ({"potential": {"kappa": 5.0}},
+                                      "unknown potential key(s): kappa"),
+    "quadratic-potential-with-a-table": (
+        {"potential": {"kind": "quadratic", "x": [0.0, 1.0],
+                       "v": [0.0, 1.0]}},
+        "unknown potential key(s): v, x (potential kind 'quadratic' takes "
+        "kind, kappa, center)"),
+    "tabulated-potential-with-kappa": (
+        {"potential": {"kind": "tabulated", "x": [0.0, 1.0], "v": [0.0, 1.0],
+                       "kappa": 1.0, "center": 0.5}},
+        "unknown potential key(s): center, kappa (potential kind 'tabulated' "
+        "takes kind, x, v)"),
+    "entropy-term-with-an-exponent": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": "entropy", "exponent": 7}]},
+        "unknown energy term key(s): exponent (energy term kind 'entropy' "
+        "takes kind, coeff)"),
 }
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import math
@@ -1068,3 +1069,84 @@ def test_cold_start_off_the_walls_is_clipped(where):
         assert outcome(lambda: _newton_solve(obj, obj.evaluate(Xprev),
                                              increasing=True)[0].X) == want
     assert outcome(lambda: jko_step_nodes(pb, Xprev)[0]) == want
+
+
+# ---------------------------------------------------------------------------
+# the run state's carried midpoints, and the sweep's aliases
+# ---------------------------------------------------------------------------
+
+def _carry_problems():
+    pm_cost, pm_energy = preset_specs("porous-medium", m=2.0)
+    porous = JkoProblem(cost=pm_cost, energy=pm_energy, potential=NOPOT,
+                        domain=UNIT, h=2e-3, m=128)
+    return {"fokker-planck": _fp_problem(),
+            "porous-medium": (porous, cosine_density(64, amp=0.4), 0.04),
+            "p-laplacian": _plap_problem()}
+
+
+def _steps_posed_from(pb, rho0, T, carried):
+    # run_scheme's loop, each step posed from the nodes the step before
+    # returned (the run state's midpoints are reused) or from a fresh copy
+    # of them (they are formed again)
+    from wflow.jko import _LastHessian
+
+    X = to_quantiles(rho0, pb.m).X
+    back, before, last, steps = [], None, _LastHessian(), []
+    for k in range(1, step_count(T, pb.h) + 1):
+        Xprev = X if carried else X.copy()
+        assert (Xprev is last.nodes) == (carried and k > 1)
+        Xnext, d = jko_step_nodes(pb, Xprev, back[:2 if k == 4 else 3],
+                                  before, last_hessian=last)
+        back, X = [X, *back[:2]], Xnext
+        before = (d.E_internal_after, d.E_free_after)
+        steps.append((Xnext.tobytes(), d))
+    return steps
+
+
+@pytest.mark.parametrize("name", ["fokker-planck", "porous-medium",
+                                  "p-laplacian"])
+def test_carried_midpoints_change_no_bit(name):
+    pb, rho0, T = _carry_problems()[name]
+    assert _steps_posed_from(pb, rho0, T, carried=True) == \
+        _steps_posed_from(pb, rho0, T, carried=False)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_nothing_writes_to_an_evaluation_or_the_node_history(case,
+                                                            monkeypatch):
+    # the sweep may hand out c' = v and P = rho themselves, and the run state
+    # the last nodes and their midpoints: no later stage of a step may write
+    # to any of them
+    from wflow.jko import (_LastHessian, _newton_solve, _predictor,
+                           _step_diagnostics, _StepObjective)
+
+    pb = _pinned_problems()[case]
+    X0 = to_quantiles(cosine_density(pb.m, domain=pb.domain), pb.m).X
+    last = _LastHessian()
+    X1, d1 = jko_step_nodes(pb, X0, last_hessian=last)
+    X2, d2 = jko_step_nodes(pb, X1, [X0], (d1.E_internal_after,
+                                           d1.E_free_after),
+                            last_hessian=last)
+    assert last.nodes is X2
+    history = [X2, X1, X0, last.mid]
+    kept = [a.copy() for a in history]
+    assert not (X2.flags.writeable or last.mid.flags.writeable)
+    # a tolerance the predictor misses, so that the chord trial is made
+    obj = _StepObjective(dataclasses.replace(pb, tol=1e-14), X2, last.mid)
+    ev = _predictor(obj, [X2, X1, X0], math.inf)
+    assert (ev.cp is ev.v and ev.pres is ev.rho) == (case in (0, 1))
+    fields = {f.name: getattr(ev, f.name).copy()
+              for f in dataclasses.fields(ev)
+              if isinstance(getattr(ev, f.name), np.ndarray)}
+    trials = _counting(monkeypatch, jko, "dpttrs")
+    obj.hessian(ev)
+    obj.rounding_error(ev)
+    obj.kkt_residual(ev.X, ev.g)
+    _step_diagnostics(pb, (d2.E_internal_after, d2.E_free_after), ev, 0.0, 0)
+    with contextlib.suppress(ConvergenceError):
+        _newton_solve(obj, ev, increasing=True, last_hessian=last)
+    assert trials
+    for name, want in fields.items():
+        assert _same_bits(getattr(ev, name), want), name
+    for a, want in zip(history, kept):
+        assert _same_bits(a, want)

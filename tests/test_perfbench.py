@@ -63,3 +63,56 @@ def test_traced_names_resolve():
     for module, name in targets:
         assert callable(getattr(importlib.import_module(f"wflow.{module}"),
                                 name, None)), f"{module}.{name}"
+
+
+def _run_targets(namespace: dict) -> list:
+    """``run.py``'s trace targets, the list ``Bench`` assigns to
+    ``self.targets``, built over the modules in ``namespace``."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    value = next(node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Attribute) and t.attr == "targets"
+                         for t in node.targets))
+    return eval(compile(ast.Expression(value), "run.py", "eval"), namespace)
+
+
+def test_every_workload_config_loads(tmp_path):
+    # no workload config carries a key that its preset does not read
+    from wflow import cli
+
+    workloads = perfbench_module("workloads")
+    for name, wl in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        cfg = cli.load_config(workloads.write_inputs(wl, 0, tmp_path / name))
+        assert cfg.label == wl.config["preset"]
+
+
+def test_traced_run_records_each_solved_step_and_rasterization(tmp_path):
+    # run.py times the scheme through the module bindings it wraps: a run
+    # that bypassed them would empty the per-layer table without an error.
+    # This run reaches its fixed point, after which no step is solved.
+    from wflow import cli, diagnostics, jko, refsolve
+
+    spans = perfbench_module("spans")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "preset": "fokker-planck", "domain_a": -1.0, "domain_b": 1.0,
+        "potential": {"kind": "quadratic", "kappa": 1.0, "center": 0.0},
+        "n": 32, "m": 32, "h": 0.05, "T": 10.0,
+        "rho0": {"profile": "cosine", "amplitude": 0.3, "frequency": 0.5}}))
+    cfg = cli.load_config(config)
+    traj = jko.run_scheme(cfg.problem(), cfg.initial_density(), cfg.T)
+    solved = len({id(rho) for rho in traj.densities[1:]})
+    assert solved < len(traj.diagnostics)
+    tracer = spans.Tracer()
+    targets = _run_targets({"cli": cli, "diagnostics": diagnostics,
+                            "jko": jko, "refsolve": refsolve})
+    with tracer.patched(targets):
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 0
+    names = [s.name for s in tracer.spans]
+    assert names.count("jko.run_scheme") == 1
+    steps = [s for s in tracer.spans if s.name == "jko.step"]
+    assert [s.count for s in steps] == \
+        [d.iterations for d in traj.diagnostics[:solved]]
+    assert names.count("density.rasterize") == solved

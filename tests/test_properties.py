@@ -244,6 +244,43 @@ def test_cost_kernel_skipping_unit_factors_matches_general_terms(cost, v):
 
 
 @PROPERTY
+@given(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 5.0)),
+       st.one_of(speeds, st.just(np.array([0.0, -0.0, float("nan"), 1.0]))))
+def test_quadratic_cost_closed_form_matches_general_terms(A, v):
+    # the sweep's c = v v A and c' = 2A v take no power, and hand out v
+    # itself as c' when 2A = 1; the public method returns a copy
+    cost = CostSpec(terms=((A, 2.0),))
+    kept = v.copy()
+    c, cp = cost._value_and_derivative(v)
+    c_ref, cp_ref = _cost_reference(cost, v)
+    assert bits(c) == bits(c_ref)
+    assert bits(cp) == bits(cp_ref)
+    assert (cp is v) == (A == 0.5)
+    c, cp = cost.value_and_derivative(v)
+    assert bits(cp) == bits(cp_ref) and not np.shares_memory(cp, v)
+    assert bits(v) == bits(kept)
+
+
+@PROPERTY
+@given(st.sampled_from([EnergySpec.entropy(), EnergySpec.entropy(2.0),
+                        EnergySpec.power(2.0), EnergySpec.power(0.8),
+                        EnergySpec(terms=(("entropy", 1.0),
+                                          ("power", 1.0, 2.0)))]),
+       densities)
+def test_unit_coefficient_energy_closed_forms_match_general_terms(energy, x):
+    # the unit entropy's pressure is x itself, and a unit power coefficient
+    # is not multiplied by; a second term never adds into x
+    kept = x.copy()
+    F, P = energy._value_and_pressure(x)
+    F_ref, P_ref = _energy_reference(energy, x)
+    assert bits(F) == bits(F_ref)
+    assert bits(P) == bits(P_ref)
+    assert (P is x) == (energy.terms == (("entropy", 1.0),))
+    assert bits(x) == bits(kept)
+    assert not np.shares_memory(energy.value_and_pressure(x)[1], x)
+
+
+@PROPERTY
 @given(st.lists(st.builds(
     StepDiagnostics, *[st.floats(allow_nan=True, allow_infinity=True)] * 8,
     iterations=st.integers(0, 1000)), min_size=1, max_size=5))
