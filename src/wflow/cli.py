@@ -16,7 +16,7 @@ import operator
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -28,8 +28,8 @@ from .convex import (PRESET_EXPONENTS, CostSpec, EnergySpec, PotentialSpec,
 from .density import (Domain, GridDensity, csv_rows, density_from_csv,
                       float_cells, normalize)
 from .errors import ParameterError, WflowError
-from .jko import (JkoProblem, SchemeTrajectory, floored_density, run_scheme,
-                  step_count)
+from .jko import (JkoProblem, SchemeTrajectory, StepDiagnostics,
+                  floored_density, run_scheme, step_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,9 +61,16 @@ MAX_DOMAIN = 1e6
 # largest value of the potential on the domain: about 2e4 times the largest
 # any test or benchmark uses, 45,300.5 (kappa 1 centred at -300 on [0, 1])
 MAX_POTENTIAL = 1e9
-# bytes the parent gathers before one write to a child's feed: 16 snapshots
-# of 256 cells, so a run of 1,000 steps wakes its writer 63 times, not 1,001
+# bytes the parent gathers before one write to a child's feed: 16 distinct
+# snapshots of 256 cells, or 4,096 steps past a fixed point, which send their
+# time alone; a run of 1,000 distinct steps wakes its writer 63 times, not
+# 1,001, and the run path also writes the queue out when the scheme returns
 FEED_BATCH = 1 << 15
+# records formatted by one orjson pass in ``diagnostics_to_jsonl``: about 80
+# KB of text, and a peak of about 0.6 MB with the cells, whatever the length
+JSONL_CHUNK = 1 << 8
+# how ``json`` spells the floats that ``repr`` writes as nan, inf and -inf
+JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # largest newton_max_iter: 12.5 times the default of 80, 8 times the 123
 # iterations of the stiffest step seen to certify (kappa = 1e5); a run stopped
 # by 1,000 at m = 16384 took 1.4 s on a 2-core x86_64 host
@@ -347,22 +354,22 @@ def _write_rows(snapshots: Iterable[tuple[float, Domain, np.ndarray]],
     """Write the ``t,x,rho`` rows of ``(t, domain, values)`` snapshots to
     ``fh`` one snapshot at a time, so no more than one snapshot's text is
     held in memory.  Each grid's x column is formatted once, each cell with
-    its trailing comma; a snapshot whose domain and values equal the one
-    before, bit for bit (a run at its fixed point), reuses that snapshot's
-    ``x,rho`` tails, so only ``t`` is formatted again.
+    its trailing comma; a snapshot whose values are the very array of the
+    one before, on the same domain (a run past its fixed point repeats one
+    density object), reuses that snapshot's ``x,rho`` tails, so only ``t``
+    is formatted again.
     """
     x_cells = {}
-    last = tails = None
+    last_domain = last_values = tails = None
     fh.write("t,x,rho\n")
     for t, domain, values in snapshots:
-        key = (domain, values.tobytes())
-        if key != last:
+        if values is not last_values or domain != last_domain:
             grid = (domain, values.size)
             if grid not in x_cells:
                 x_cells[grid] = [x + "," for x in
                                  float_cells(domain.centers(values.size))]
             tails = list(map(operator.add, x_cells[grid], float_cells(values)))
-            last = key
+            last_domain, last_values = domain, values
         lead = repr(float(t)) + ","
         fh.write(lead + ("\n" + lead).join(tails) + "\n")
 
@@ -377,15 +384,43 @@ def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
 
 def diagnostics_to_jsonl(traj: SchemeTrajectory, fh: TextIO) -> None:
     """Write one JSON line per step record to ``fh``, each the text of
-    ``json.dumps(vars(d), sort_keys=True)`` from one shared encoder; a record
-    equal to the one before (a run at its fixed point) reuses that record's
-    line."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    ``json.dumps(vars(d), sort_keys=True)``.
+
+    The records go out in chunks of ``JSONL_CHUNK``, one write each, so no
+    more than one chunk's text is held in memory.  A chunk's float fields
+    are formatted by one ``float_cells`` call, NaN and infinities spelled
+    as ``json`` spells them, and each line fills one template made from
+    the sorted field names.  A record that is the very object of the one
+    before (the shared record of a run past its fixed point) reuses that
+    record's line.
+    """
+    specs = sorted(fields(StepDiagnostics), key=operator.attrgetter("name"))
+    names = [f.name for f in specs]
+    ints = [i for i, f in enumerate(specs) if f.type in (int, "int")]
+    reals = [i for i in range(len(names)) if i not in ints]
+    template = "{" + ", ".join(json.dumps(f) + ": %s" for f in names) + "}\n"
+    real_fields = operator.attrgetter(*(names[i] for i in reals))
     last = line = None
-    for d in traj.diagnostics:
-        if d != last:
-            line, last = encode(vars(d)) + "\n", d
-        fh.write(line)
+    records = traj.diagnostics
+    for start in range(0, len(records), JSONL_CHUNK):
+        chunk = records[start:start + JSONL_CHUNK]
+        fresh = [d for d, prev in zip(chunk, (last, *chunk)) if d is not prev]
+        table = np.zeros((len(fresh), len(names)))
+        if fresh:
+            table[:, reals] = [real_fields(d) for d in fresh]
+        values = table.ravel()
+        cells = float_cells(values)
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            cells[i] = JSON_NONFINITE[cells[i]]
+        for i in ints:
+            cells[i::len(names)] = [repr(getattr(d, names[i])) for d in fresh]
+        lines = iter((template * len(fresh) % tuple(cells)).splitlines(True))
+        text = []
+        for d in chunk:
+            if d is not last:
+                line, last = next(lines), d
+            text.append(line)
+        fh.write("".join(text))
 
 
 def _write_json(path: Path, doc) -> None:
@@ -488,11 +523,14 @@ def _in_child(task):
     """Run ``task(feed)`` in a forked child while the ``with`` block runs.
 
     ``feed`` is the child's end of a pipe, a binary file that carries the
-    bytes this process sends.  Yields ``(send, result)``.  ``send(data)``
-    queues ``data`` and writes the queue to the feed in one go once it
-    holds ``FEED_BATCH`` bytes; it drops ``data`` once the child is gone or
-    where there is no child.  ``result(here)`` writes what is queued, closes
-    the feed and returns what ``task`` returned, or raises what it raised:
+    bytes this process sends.  Yields ``(send, flush, result)``.
+    ``send(data)`` queues ``data`` and writes the queue to the feed in one
+    go once it holds ``FEED_BATCH`` bytes; it drops ``data`` once the child
+    is gone or where there is no child.  ``flush()`` writes what is queued
+    now, so that the child can work on it while this process goes on; an
+    empty queue writes nothing.  ``result(here)`` writes what is queued,
+    closes the feed and returns what ``task`` returned, or raises what it
+    raised:
     the child pickles its outcome through a second pipe, so an error keeps
     its type, message and attributes.  That outcome is authoritative.
     Only where there is none, because ``os.fork`` is missing or fails or
@@ -515,7 +553,7 @@ def _in_child(task):
             for fd in (feed_r, feed, back_r, back_w):
                 os.close(fd)
     if pid is None:
-        yield (lambda data: None), (lambda here: here())
+        yield (lambda data: None), (lambda: None), (lambda here: here())
         return
     if pid == 0:
         try:
@@ -575,7 +613,7 @@ def _in_child(task):
         return value
 
     try:
-        yield send, result
+        yield send, flush, result
     finally:
         close_feed()
         back.close()
@@ -587,32 +625,53 @@ def _in_child(task):
 def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
     """The one run path of ``run`` and ``crosscheck``: write ``config.json``
     to the run directory ``out``, run ``run_scheme`` while a forked child
-    (``_in_child``) formats each snapshot it is sent, ``t`` and the values
-    as float64, into ``trajectory.csv``, write ``diagnostics.jsonl`` and
-    yield the trajectory.  The block's end waits for the child and raises
-    what it raised; where the child leaves no outcome, the file is written
-    here.  A failed step raises its ``WflowError`` once both files hold the
-    partial trajectory.  Once the scheme has finished, an ``Exception`` from
-    writing ``diagnostics.jsonl`` or from the block still waits for the
-    child; only an interrupt kills it, which may leave the file short of up
-    to one batch.
+    (``_in_child``) formats each snapshot it is sent into
+    ``trajectory.csv``, write ``diagnostics.jsonl`` and yield the
+    trajectory.
+
+    A snapshot goes to the child as float64: its time, then its n values.
+    A step past the fixed point, whose snapshot is the very object of the
+    step before, goes as its time alone, negated: every time after
+    ``rho0``'s is ``k * h > 0``, so the sign marks a repeat, and the child
+    writes its rows from the text it formatted for the snapshot before.
+    What is still queued is written to the child as soon as the scheme
+    returns, so that the child formats the last rows while this process
+    writes ``diagnostics.jsonl`` and runs the block.  The block's end waits
+    for the child and raises what it raised; where the child leaves no
+    outcome, the file is written here.  A failed step raises its
+    ``WflowError`` once both files hold the partial trajectory.  Once the
+    scheme has finished, an ``Exception`` from writing ``diagnostics.jsonl``
+    or from the block still waits for the child; only an interrupt kills
+    it, which may leave the file short of up to one batch.
     """
     path, rho0 = out / "trajectory.csv", cfg.rho0
     _write_json(out / "config.json", cfg.raw)
 
     def snapshots(feed):
-        while record := feed.read(8 * (rho0.n + 1)):
-            values = np.frombuffer(record)
-            yield values[0], rho0.domain, values[1:]
+        values = None
+        while head := feed.read(8):
+            t = float(np.frombuffer(head)[0])
+            if t < 0.0:  # the snapshot before, at time -t
+                yield -t, rho0.domain, values
+            else:
+                values = np.frombuffer(feed.read(8 * rho0.n))
+                yield t, rho0.domain, values
 
     def write(feed) -> None:
         if feed.peek(1):  # the file appears with the first snapshot
             with open(path, "w") as fh:
                 _write_rows(snapshots(feed), fh)
 
-    with _in_child(write) as (send, result):
+    with _in_child(write) as (send, flush, result):
+        last = None
+
         def on_snapshot(t: float, rho: GridDensity) -> None:
-            send(np.float64(t).tobytes() + rho.values.tobytes())
+            nonlocal last
+            if rho is last:
+                send(np.float64(-t).tobytes())
+            else:
+                send(np.float64(t).tobytes() + rho.values.tobytes())
+                last = rho
 
         def finish(traj: SchemeTrajectory) -> None:
             result(lambda: _stream(path, trajectory_to_csv, traj))
@@ -621,10 +680,12 @@ def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
             traj = run_scheme(problem, rho0, cfg.T, on_snapshot=on_snapshot)
         except WflowError as exc:
             if getattr(exc, "partial", None) is not None:
+                flush()
                 _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl,
                         exc.partial)
                 finish(exc.partial)
             raise
+        flush()
         try:
             _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
             yield traj
@@ -666,7 +727,7 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         return fd
 
     try:
-        with (_in_child(lambda feed: reference()) as (_, reference_result),
+        with (_in_child(lambda feed: reference()) as (_, _, reference_result),
               _scheme_run(out, cfg, problem) as traj):
             try:
                 fd = reference_result(reference)

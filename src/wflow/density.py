@@ -8,6 +8,7 @@ plain CDF algebra without interpolation heuristics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,6 +18,10 @@ from .convex import EnergySpec, PotentialSpec
 from .errors import InvalidDensityError, ParameterError
 
 MASS_TOL = 1e-12
+# an exponent that orjson writes with no sign, where ``repr`` writes a plus
+# sign, and a one-digit negative one, which ``repr`` writes with a zero
+_UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
+_SHORT_EXPONENT = re.compile(r"e-(?=\d\b)")
 
 
 @lru_cache(maxsize=16)
@@ -264,9 +269,12 @@ def float_cells(values) -> list[str]:
     about a quarter of ``repr``'s time on a vector of 256 values.  orjson
     writes the same shortest round-trip digits, and the same text for 0.0,
     -0.0 and every ``|x|`` in ``[1e-4, 1e16)``.  Outside that window
-    ``repr`` switches to exponent notation (``1e-05``, ``1e+16``) where
-    orjson does not, and orjson writes NaN and infinities as ``null``, so
-    those cells are ``repr``'d one by one.
+    ``repr`` writes exponent notation with a sign and at least two digits
+    (``1e-07``, ``1e+16``).  orjson writes the exponent bare (``1e-7``,
+    ``1e16``), which two substitutions over its whole text mend, except
+    for ``[1e-5, 1e-4)``, which it writes as decimals, and NaN and the
+    infinities, which it writes as ``null``: those few cells come from one
+    ``repr`` of the list of their values.
     """
     import orjson  # loaded only by the commands that write a CSV
 
@@ -274,11 +282,16 @@ def float_cells(values) -> list[str]:
     if x.size == 0:
         return []
     text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    cells = text[1:-1].split(",")
     mag = np.abs(x)
-    outside = ((mag < 1e-4) & (x != 0.0)) | ~(mag < 1e16)  # NaN is outside
-    for i in np.flatnonzero(outside).tolist():
-        cells[i] = repr(float(x[i]))
+    if not (((mag < 1e-4) & (x != 0.0)) | ~(mag < 1e16)).any():  # NaN fails
+        return text[1:-1].split(",")
+    text = _SHORT_EXPONENT.sub("e-0", _UNSIGNED_EXPONENT.sub("e+", text))
+    cells = text[1:-1].split(",")
+    where = np.flatnonzero(((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(x))
+    if where.size:
+        texts = repr(x[where].tolist())[1:-1].split(", ")
+        for i, cell in zip(where.tolist(), texts):
+            cells[i] = cell
     return cells
 
 

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import unittest.mock
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -905,7 +906,7 @@ def test_fixed_point_run_formats_and_audits_repeats_once(tmp_path):
     dens = traj.densities
     repeats = sum(b is a for a, b in zip(dens, dens[1:]))
     assert repeats >= 10
-    # the writer child finds the repeats by their values: the same bytes
+    # the writer child is sent each repeat as its time alone: the same bytes
     assert cmd_run(str(path), root=tmp_path / "out") == 0
     rundir, = (tmp_path / "out").iterdir()
     diff = first_line_difference((rundir / "trajectory.csv").read_text(),
@@ -931,6 +932,87 @@ def test_fixed_point_run_formats_and_audits_repeats_once(tmp_path):
         densities=tuple(GridDensity(domain=rho.domain, values=rho.values)
                         for rho in dens))
     assert diagnostics.ledger(pb, copies) == led
+
+
+# every float64 a record can hold: any bit pattern, and the values next to
+# where repr's notation changes, with NaN, the infinities, the zeros and the
+# subnormals
+JSON_EDGES = [float(sign * v) for e in (1e-5, 1e-4, 1e16) for sign in (1, -1)
+              for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(
+        lambda b: float(np.uint64(b).view(np.float64))),
+    st.sampled_from(JSON_EDGES + [math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                  5e-324, 2.2250738585072014e-308,
+                                  sys.float_info.max]))
+RECORDS = st.builds(jko.StepDiagnostics, iterations=st.integers(0), **{
+    f.name: JSON_FLOATS for f in dataclasses.fields(jko.StepDiagnostics)
+    if f.name != "iterations"})
+
+
+@st.composite
+def record_runs(draw):
+    """Records in runs of one shared object, each run maybe followed by an
+    equal copy that is another object."""
+    records = []
+    for d, run, copy in draw(st.lists(
+            st.tuples(RECORDS, st.integers(1, 4), st.booleans()),
+            max_size=12)):
+        records += [d] * run + [dataclasses.replace(d)] * copy
+    return tuple(records)
+
+
+UNIFORM = normalize(np.ones(4), Domain(0.0, 1.0))[0]
+
+
+def jsonl_text(records) -> str:
+    traj = SchemeTrajectory(times=(0.0,), densities=(UNIFORM,),
+                            diagnostics=tuple(records))
+    buf = io.StringIO()
+    diagnostics_to_jsonl(traj, buf)
+    return buf.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(records=record_runs(), chunk=st.integers(1, 8))
+def test_diagnostics_jsonl_matches_the_json_encoder(records, chunk):
+    # with chunks of 1 to 8 records, most drawn runs span several chunks
+    with unittest.mock.patch.object(cli, "JSONL_CHUNK", chunk):
+        got = jsonl_text(records)
+    assert got == "".join(json.dumps(vars(d), sort_keys=True) + "\n"
+                          for d in records)
+
+
+def test_diagnostics_jsonl_holds_one_chunk_at_a_time(tmp_path):
+    # 16 chunks of records, the last 3.5 of them one shared record, are
+    # written as the json encoder writes them, with the peak memory of 2
+    # chunks of distinct records
+    rng = np.random.default_rng(7)
+    per_chunk = cli.JSONL_CHUNK
+    peaks = []
+    for chunks, tail in ((2, 0), (16, 7 * per_chunk // 2)):
+        records = [jko.StepDiagnostics(*rng.standard_normal(8).tolist(),
+                                       iterations=k % 9)
+                   for k in range(chunks * per_chunk - tail)]
+        records += [records[-1]] * tail
+        traj = SchemeTrajectory(times=(0.0,), densities=(UNIFORM,),
+                                diagnostics=tuple(records))
+        path = tmp_path / f"diagnostics-{chunks}.jsonl"
+        with open(path, "w") as fh:
+            diagnostics_to_jsonl(traj, fh)  # orjson loaded, caches warm
+        with open(path, "w") as fh:
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                diagnostics_to_jsonl(traj, fh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        same_bytes = path.read_text() == "".join(
+            json.dumps(vars(d), sort_keys=True) + "\n" for d in records)
+        assert same_bytes  # no slow text diff on failure
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_trajectory_csv_streams_to_its_file(tmp_path):
@@ -1024,7 +1106,7 @@ def test_crosscheck_reference_from_the_child_matches_in_process(tmp_path,
 
 
 def test_in_child_runs_the_task_in_another_process():
-    with cli._in_child(lambda feed: os.getpid()) as (_, result):
+    with cli._in_child(lambda feed: os.getpid()) as (_, _, result):
         assert result(os.getpid) != os.getpid()
 
 
@@ -1034,7 +1116,7 @@ def test_in_child_returns_the_childs_error_with_its_attributes(monkeypatch):
                                residual=0.25)
 
     monkeypatch.setattr(refsolve, "fd_solve", stalled)
-    with cli._in_child(lambda feed: refsolve.fd_solve()) as (_, result):
+    with cli._in_child(lambda feed: refsolve.fd_solve()) as (_, _, result):
         with pytest.raises(ConvergenceError) as info:
             result(refsolve.fd_solve)
     assert str(info.value) == "stalled in the child"
@@ -1050,7 +1132,7 @@ def test_in_child_runs_the_task_here_when_the_child_dies():
             os.kill(os.getpid(), signal.SIGKILL)
         return os.getpid()
 
-    with cli._in_child(lambda feed: task()) as (_, result):
+    with cli._in_child(lambda feed: task()) as (_, _, result):
         assert result(task) == parent
 
 
@@ -1156,6 +1238,90 @@ def test_run_sends_snapshots_to_the_writer_in_batches(tmp_path, monkeypatch):
     assert len(writes) <= math.ceil(sent / cli.FEED_BATCH) + 1
 
 
+def fixed_point_config(tmp_path):
+    """A run of 201 snapshots of 32 cells that reaches its fixed point."""
+    return write_config(
+        tmp_path, potential={"kind": "quadratic"}, domain_a=-1.0, n=32, m=32,
+        h=0.05, T=10.0, rho0={"profile": "cosine", "amplitude": 0.3})
+
+
+def test_run_sends_repeated_steps_as_their_time_alone(tmp_path, monkeypatch):
+    # a distinct snapshot goes to the writer as its time and its values, a
+    # step past the fixed point as its time alone, negated; nothing else is
+    # sent, and the writer, and this process where the writer dies, write
+    # the rows of every step
+    parent, write, sent = os.getpid(), os.write, []
+
+    def recorded(fd, data):
+        if os.getpid() == parent:
+            sent.append(bytes(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", recorded)
+    path = fixed_point_config(tmp_path)
+    cfg = load_config(path)
+    traj = run_scheme(cfg.problem(), cfg.rho0, cfg.T)
+    dens = traj.densities
+    repeats = sum(b is a for a, b in zip(dens, dens[1:]))
+    assert repeats >= 10
+    assert cmd_run(str(path), root=tmp_path / "out") == 0
+    feed = np.frombuffer(b"".join(sent))
+    assert feed.size == (len(dens) - repeats) * (cfg.n + 1) + repeats
+    at = 0
+    for k, rho in enumerate(dens):
+        if k and rho is dens[k - 1]:
+            assert feed[at] == -traj.times[k]
+            at += 1
+        else:
+            assert feed[at] == traj.times[k]
+            assert feed[at + 1:at + 1 + cfg.n].tobytes() == rho.values.tobytes()
+            at += 1 + cfg.n
+    rundir, = (tmp_path / "out").iterdir()
+    want = csv_text(traj)
+    diff = first_line_difference((rundir / "trajectory.csv").read_text(), want)
+    assert diff is None, diff
+
+    write_rows = cli._write_rows
+
+    def dies_in_the_child(snapshots, fh):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_rows(snapshots, fh)
+
+    monkeypatch.setattr(cli, "_write_rows", dies_in_the_child)
+    assert cmd_run(str(path), root=tmp_path / "here") == 0
+    rundir, = (tmp_path / "here").iterdir()
+    diff = first_line_difference((rundir / "trajectory.csv").read_text(), want)
+    assert diff is None, diff
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_crosscheck],
+                         ids=["run", "crosscheck"])
+def test_feed_is_written_out_before_the_diagnostics(tmp_path, monkeypatch,
+                                                    command):
+    # the writer gets the last snapshots when the scheme returns, not when
+    # the run path's block ends: it formats them while this process writes
+    # diagnostics.jsonl and runs the ledger or the comparison.  The run
+    # sends less than one batch, so its one write is that flush.
+    parent, write, events = os.getpid(), os.write, []
+
+    def recorded(fd, data):
+        if os.getpid() == parent:
+            events.append("write")
+        return write(fd, data)
+
+    def jsonl(traj, fh):
+        events.append("diagnostics")
+        diagnostics_to_jsonl(traj, fh)
+
+    monkeypatch.setattr(os, "write", recorded)
+    monkeypatch.setattr(cli, "diagnostics_to_jsonl", jsonl)
+    path = write_config(tmp_path, n=32, m=32, h=1e-3, T=0.02)
+    assert command(str(path), root=tmp_path / "out") == 0
+    assert 21 * 8 * (32 + 1) < cli.FEED_BATCH
+    assert events == ["write", "diagnostics"]
+
+
 def test_run_failing_after_a_batch_writes_the_partial_trajectory(
         tmp_path, outroot, capsys, monkeypatch):
     # step 40 fails after two batches went to the writer; the snapshots
@@ -1195,9 +1361,7 @@ def test_fixed_point_tail_appends_one_snapshot_and_one_record(tmp_path,
     # past the step that returned its start no step is solved: each later
     # step appends that step's snapshot object and one shared record, and
     # on_snapshot still sees every step once
-    cfg = load_config(write_config(
-        tmp_path, potential={"kind": "quadratic"}, domain_a=-1.0, n=32, m=32,
-        h=0.05, T=10.0, rho0={"profile": "cosine", "amplitude": 0.3}))
+    cfg = load_config(fixed_point_config(tmp_path))
     step, solved, seen = jko.jko_step_nodes, [], []
 
     def counted(*args, **kwargs):

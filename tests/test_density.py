@@ -304,7 +304,8 @@ FORMAT_EDGES = [
     1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16,
     np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 5e-324,
     np.finfo(float).tiny, np.finfo(float).max, 0.0, -0.0, np.nan, np.inf,
-    -np.inf, 1.0, 0.1, 1e15, 1e-5, 123456789.125,
+    -np.inf, 1.0, 0.1, 1e15, 1e-5, 123456789.125, np.nextafter(1e-5, 0.0),
+    np.nextafter(1e-5, 1.0), 1e-6, 1.5e-7, 1e-10, 1e22, 1.25e100,
 ]
 
 

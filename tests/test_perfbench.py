@@ -116,3 +116,23 @@ def test_traced_run_records_each_solved_step_and_rasterization(tmp_path):
     assert [s.count for s in steps] == \
         [d.iterations for d in traj.diagnostics[:solved]]
     assert names.count("density.rasterize") == solved
+
+
+def test_verify_reads_the_artifacts_of_a_fixed_point_run(tmp_path):
+    # seed-0 fp-readme reaches its fixed point about halfway, so most of the
+    # steps after it reach the writer as their time alone; the benchmark's
+    # check reads the final state off the end of trajectory.csv
+    from wflow import cli
+
+    workloads = perfbench_module("workloads")
+    wl = workloads.WORKLOADS["fp-readme"]
+    config = workloads.write_inputs(wl, 0, tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([wl.command, "--config", str(config),
+                     "--out", str(out)]) == 0
+    rundir, = out.iterdir()
+    rows = (rundir / "trajectory.csv").read_text().splitlines()
+    cfg = cli.load_config(config)
+    assert len(rows) == 1 + (round(cfg.T / cfg.h) + 1) * cfg.n
+    verdict = workloads.verify(wl, config, out)
+    assert verdict.ok, verdict
