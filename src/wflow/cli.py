@@ -16,7 +16,7 @@ import operator
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -28,8 +28,8 @@ from .convex import (PRESET_EXPONENTS, CostSpec, EnergySpec, PotentialSpec,
 from .density import (Domain, GridDensity, csv_rows, density_from_csv,
                       float_cells, normalize)
 from .errors import ParameterError, WflowError
-from .jko import (JkoProblem, SchemeTrajectory, StepDiagnostics,
-                  floored_density, run_scheme, step_count)
+from .jko import (JkoProblem, SchemeTrajectory, floored_density, run_scheme,
+                  step_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,11 +66,6 @@ MAX_POTENTIAL = 1e9
 # time alone; a run of 1,000 distinct steps wakes its writer 63 times, not
 # 1,001, and the run path also writes the queue out when the scheme returns
 FEED_BATCH = 1 << 15
-# records formatted by one orjson pass in ``diagnostics_to_jsonl``: about 80
-# KB of text, and a peak of about 0.6 MB with the cells, whatever the length
-JSONL_CHUNK = 1 << 8
-# how ``json`` spells the floats that ``repr`` writes as nan, inf and -inf
-JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # largest newton_max_iter: 12.5 times the default of 80, 8 times the 123
 # iterations of the stiffest step seen to certify (kappa = 1e5); a run stopped
 # by 1,000 at m = 16384 took 1.4 s on a 2-core x86_64 host
@@ -383,44 +378,23 @@ def trajectory_to_csv(traj: SchemeTrajectory, fh: TextIO) -> None:
 
 
 def diagnostics_to_jsonl(traj: SchemeTrajectory, fh: TextIO) -> None:
-    """Write one JSON line per step record to ``fh``, each the text of
-    ``json.dumps(vars(d), sort_keys=True)``.
+    """Write one JSON line per step record to ``fh``: ``orjson.dumps`` of
+    its fields with sorted keys, every float the shortest decimal that
+    reads back to the same float64, one line at a time.  A record that is
+    the very object of the one before (the shared record of a run past its
+    fixed point) reuses that record's line.
 
-    The records go out in chunks of ``JSONL_CHUNK``, one write each, so no
-    more than one chunk's text is held in memory.  A chunk's float fields
-    are formatted by one ``float_cells`` call, NaN and infinities spelled
-    as ``json`` spells them, and each line fills one template made from
-    the sorted field names.  A record that is the very object of the one
-    before (the shared record of a run past its fixed point) reuses that
-    record's line.
+    orjson writes NaN and the infinities as ``null``; no record holds one,
+    since every record comes from a step whose KKT residual certified it.
     """
-    specs = sorted(fields(StepDiagnostics), key=operator.attrgetter("name"))
-    names = [f.name for f in specs]
-    ints = [i for i, f in enumerate(specs) if f.type in (int, "int")]
-    reals = [i for i in range(len(names)) if i not in ints]
-    template = "{" + ", ".join(json.dumps(f) + ": %s" for f in names) + "}\n"
-    real_fields = operator.attrgetter(*(names[i] for i in reals))
+    import orjson  # loaded only by the commands that write a trajectory
+
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
     last = line = None
-    records = traj.diagnostics
-    for start in range(0, len(records), JSONL_CHUNK):
-        chunk = records[start:start + JSONL_CHUNK]
-        fresh = [d for d, prev in zip(chunk, (last, *chunk)) if d is not prev]
-        table = np.zeros((len(fresh), len(names)))
-        if fresh:
-            table[:, reals] = [real_fields(d) for d in fresh]
-        values = table.ravel()
-        cells = float_cells(values)
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            cells[i] = JSON_NONFINITE[cells[i]]
-        for i in ints:
-            cells[i::len(names)] = [repr(getattr(d, names[i])) for d in fresh]
-        lines = iter((template * len(fresh) % tuple(cells)).splitlines(True))
-        text = []
-        for d in chunk:
-            if d is not last:
-                line, last = next(lines), d
-            text.append(line)
-        fh.write("".join(text))
+    for d in traj.diagnostics:
+        if d is not last:
+            line, last = orjson.dumps(vars(d), option=option).decode(), d
+        fh.write(line)
 
 
 def _write_json(path: Path, doc) -> None:

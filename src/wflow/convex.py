@@ -94,7 +94,8 @@ class CostSpec:
         return out
 
     def value_and_derivative(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(c(v), c'(v))`` on an array from one ``|v|^(q_i - 1)`` per term.
+        """``(c(v), c'(v))`` on a float64 array from one ``|v|^(q_i - 1)``
+        per term.
 
         ``c'`` equals ``derivative`` bit for bit; ``c`` is formed as
         ``A_i |v|^(q_i-1) |v|`` and so differs from ``value`` by a few ulp
@@ -102,16 +103,10 @@ class CostSpec:
         ``|z|^q / q``) is not multiplied by, which changes no bit.  A single
         quadratic term ``A v^2`` takes no power: ``c = v v A`` and
         ``c' = 2A v`` are the same bits (``|v|^1.0 = |v|`` and
-        ``copysign(2A |v|, v) = 2A v``).
+        ``copysign(2A |v|, v) = 2A v``).  For ``|z|^2 / 2`` (``2A = 1``)
+        ``c'`` is ``v`` itself, so a caller that writes to one writes to
+        the other.
         """
-        v = np.asarray(v, dtype=float)
-        c, cp = self._value_and_derivative(v)
-        return c, (cp.copy() if cp is v else cp)
-
-    def _value_and_derivative(self, v: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """``value_and_derivative``, whose ``c'`` is ``v`` itself for
-        ``|z|^2 / 2`` (``2A = 1``)."""
         if len(self.terms) == 1 and self.terms[0][1] == 2.0:
             A = self.terms[0][0]
             c = v * v
@@ -237,22 +232,16 @@ class EnergySpec:
                              for t in self.terms))
 
     def value_and_pressure(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(F(x), P(x))`` on an array with ``x > 0`` everywhere.
+        """``(F(x), P(x))`` on a float64 array with ``x > 0`` everywhere.
 
         ``P(x) = x F'(x) - F(x)`` is the quantity driving the flow.  Each
         term costs one ``log`` or one ``x^m``.  There is no branch for
         ``x <= 0`` (``value`` handles it): the step solver clamps cell widths
         at a positive floor, so its densities are positive.  A coefficient
-        that is exactly 1.0 is not multiplied by, which changes no bit.
+        that is exactly 1.0 is not multiplied by, which changes no bit.  For
+        the one term ``x ln x``, ``P`` is ``x`` itself, so a caller that
+        writes to one writes to the other.
         """
-        x = np.asarray(x, dtype=float)
-        F, P = self._value_and_pressure(x)
-        return F, (P.copy() if P is x else P)
-
-    def _value_and_pressure(self, x: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """``value_and_pressure``, whose ``P`` is ``x`` itself for the one
-        term ``x ln x``."""
         if self.terms == (("entropy", 1.0),):
             F = np.log(x)
             F *= x

@@ -8,7 +8,6 @@ plain CDF algebra without interpolation heuristics.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,10 +17,6 @@ from .convex import EnergySpec, PotentialSpec
 from .errors import InvalidDensityError, ParameterError
 
 MASS_TOL = 1e-12
-# an exponent that orjson writes with no sign, where ``repr`` writes a plus
-# sign, and a one-digit negative one, which ``repr`` writes with a zero
-_UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
-_SHORT_EXPONENT = re.compile(r"e-(?=\d\b)")
 
 
 @lru_cache(maxsize=16)
@@ -262,19 +257,13 @@ def l1_distance(rho_a: GridDensity, rho_b: GridDensity) -> float:
 # ---------------------------------------------------------------------------
 
 def float_cells(values) -> list[str]:
-    """Each value of a vector as the ``repr`` of a Python float, which reads
-    back exactly.
+    """Each value of a vector as the shortest decimal that reads back to the
+    same float64, as one ``orjson.dumps`` of the vector writes it.
 
-    The cells come from one ``orjson.dumps`` of the vector, which takes
-    about a quarter of ``repr``'s time on a vector of 256 values.  orjson
-    writes the same shortest round-trip digits, and the same text for 0.0,
-    -0.0 and every ``|x|`` in ``[1e-4, 1e16)``.  Outside that window
-    ``repr`` writes exponent notation with a sign and at least two digits
-    (``1e-07``, ``1e+16``).  orjson writes the exponent bare (``1e-7``,
-    ``1e16``), which two substitutions over its whole text mend, except
-    for ``[1e-5, 1e-4)``, which it writes as decimals, and NaN and the
-    infinities, which it writes as ``null``: those few cells come from one
-    ``repr`` of the list of their values.
+    orjson writes NaN and the infinities as ``null``, which reads back as
+    no number.  No artifact holds one: a ``GridDensity`` rejects non-finite
+    values, and every other column (times, step sizes, second moments,
+    L1 gaps, transport plans) is formed from finite densities.
     """
     import orjson  # loaded only by the commands that write a CSV
 
@@ -282,17 +271,7 @@ def float_cells(values) -> list[str]:
     if x.size == 0:
         return []
     text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    mag = np.abs(x)
-    if not (((mag < 1e-4) & (x != 0.0)) | ~(mag < 1e16)).any():  # NaN fails
-        return text[1:-1].split(",")
-    text = _SHORT_EXPONENT.sub("e-0", _UNSIGNED_EXPONENT.sub("e+", text))
-    cells = text[1:-1].split(",")
-    where = np.flatnonzero(((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(x))
-    if where.size:
-        texts = repr(x[where].tolist())[1:-1].split(", ")
-        for i, cell in zip(where.tolist(), texts):
-            cells[i] = cell
-    return cells
+    return text[1:-1].split(",")
 
 
 def csv_rows(*columns: list[str]) -> str:

@@ -235,8 +235,8 @@ class _StepObjective:
         disp = self.P - M
         v = disp / self.h
         rho = mu / w
-        c, cp = pb.cost._value_and_derivative(v)
-        Fw, pres = pb.energy._value_and_pressure(rho)
+        c, cp = pb.cost.value_and_derivative(v)
+        Fw, pres = pb.energy.value_and_pressure(rho)
         Fw *= w
         e_int = float(Fw.sum())
         csum = float(c.sum())

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import time
 import tracemalloc
-import unittest.mock
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -41,7 +40,7 @@ from wflow.cli import (
 )
 from wflow.convex import PotentialSpec
 from wflow.density import (Domain, GridDensity, csv_rows, density_to_csv,
-                           normalize)
+                           float_cells, normalize)
 from wflow.errors import ConvergenceError, ParameterError, SchemeAbortError
 from wflow.jko import SchemeTrajectory, run_scheme
 
@@ -811,7 +810,7 @@ def test_study_member_failure_flags_partial(tmp_path, outroot, repeats):
 
 
 def per_row_trajectory_csv(traj):
-    """Reference writer: one f-string per row."""
+    """Reference writer: one f-string of ``repr`` texts per row."""
     lines = ["t,x,rho"]
     for t, rho in zip(traj.times, traj.densities):
         for x, v in zip(rho.centers, rho.values):
@@ -823,6 +822,17 @@ def csv_text(traj):
     buf = io.StringIO()
     trajectory_to_csv(traj, buf)
     return buf.getvalue()
+
+
+def hex_csv(text: str) -> str:
+    """A CSV text with each cell below the header replaced by the
+    ``float.hex`` of the float64 it reads back to, so that two texts compare
+    by value (-0.0 apart from 0.0) whatever decimals they spell."""
+    assert text.endswith("\n")
+    header, *rows = text.splitlines()
+    return header + "\n" + "".join(
+        ",".join(float(cell).hex() for cell in row.split(",")) + "\n"
+        for row in rows)
 
 
 def first_line_difference(got: str, want: str) -> str | None:
@@ -858,21 +868,22 @@ def test_trajectory_csv_matches_per_row_reference(tmp_path):
                              densities=(cfg.rho0, wide, fd.final, coarse, tiny,
                                         wide))
     for tr in (traj, fd, mixed):
-        diff = first_line_difference(csv_text(tr), per_row_trajectory_csv(tr))
+        diff = first_line_difference(hex_csv(csv_text(tr)),
+                                     hex_csv(per_row_trajectory_csv(tr)))
         assert diff is None, diff
 
 
 def parent_trajectory_to_csv(traj: SchemeTrajectory) -> str:
     # the writer before snapshot tails were reused: x cells once per grid,
-    # every snapshot's rho cells formatted again, each by repr
+    # every snapshot's rho cells formatted again
     x_cells = {}
     chunks = ["t,x,rho\n"]
     for t, rho in zip(traj.times, traj.densities):
         grid = (rho.domain, rho.n)
         if grid not in x_cells:
-            x_cells[grid] = list(map(repr, rho.centers.tolist()))
+            x_cells[grid] = float_cells(rho.centers)
         chunks.append(csv_rows([repr(float(t))] * rho.n, x_cells[grid],
-                               list(map(repr, rho.values.tolist()))))
+                               float_cells(rho.values)))
     return "".join(chunks)
 
 
@@ -888,8 +899,13 @@ def test_trajectory_csv_bytes_match_parent_writer():
     two_grids = (a, coarse, coarse, b, coarse, a, a)
     for densities in (same_object, equal_copies, two_grids):
         traj = SchemeTrajectory(times=times, densities=densities)
-        diff = first_line_difference(csv_text(traj),
-                                     parent_trajectory_to_csv(traj))
+        # reused tails are the bytes of formatting each snapshot again, and
+        # every cell reads back to its float64
+        text = csv_text(traj)
+        diff = first_line_difference(text, parent_trajectory_to_csv(traj))
+        assert diff is None, diff
+        diff = first_line_difference(hex_csv(text),
+                                     hex_csv(per_row_trajectory_csv(traj)))
         assert diff is None, diff
 
 
@@ -912,12 +928,8 @@ def test_fixed_point_run_formats_and_audits_repeats_once(tmp_path):
     diff = first_line_difference((rundir / "trajectory.csv").read_text(),
                                  csv_text(traj))
     assert diff is None, diff
-    buf = io.StringIO()
-    diagnostics_to_jsonl(traj, buf)
-    per_record = "".join(json.dumps(vars(d), sort_keys=True) + "\n"
-                         for d in traj.diagnostics)
-    same_bytes = buf.getvalue() == per_record  # no slow text diff on failure
-    assert same_bytes
+    assert read_jsonl(jsonl_text(traj.diagnostics)) == \
+        list(map(record_fields, traj.diagnostics))
     hi0 = float(np.max(dens[0].values)) + diagnostics.BOUND_SLACK_CELLS / pb.m
     backwards = SchemeTrajectory(times=traj.times, diagnostics=traj.diagnostics,
                                  densities=(dens[0], *dens[:0:-1]))
@@ -946,9 +958,12 @@ JSON_FLOATS = st.one_of(
     st.sampled_from(JSON_EDGES + [math.nan, math.inf, -math.inf, 0.0, -0.0,
                                   5e-324, 2.2250738585072014e-308,
                                   sys.float_info.max]))
-RECORDS = st.builds(jko.StepDiagnostics, iterations=st.integers(0), **{
-    f.name: JSON_FLOATS for f in dataclasses.fields(jko.StepDiagnostics)
-    if f.name != "iterations"})
+# an iteration count is at most MAX_NEWTON_ITER; orjson writes any int up
+# to 2^64 - 1
+RECORDS = st.builds(
+    jko.StepDiagnostics, iterations=st.integers(0, 2**64 - 1),
+    **{f.name: JSON_FLOATS for f in dataclasses.fields(jko.StepDiagnostics)
+       if f.name != "iterations"})
 
 
 @st.composite
@@ -974,31 +989,47 @@ def jsonl_text(records) -> str:
     return buf.getvalue()
 
 
+def hex_fields(pairs) -> list:
+    """Field-value pairs with each float as its ``float.hex`` (so -0.0 is
+    not 0.0), an int as it is, and ``None`` (orjson's ``null``) for NaN and
+    the infinities."""
+    return [(k, v if v is None or isinstance(v, int)
+             else v.hex() if math.isfinite(v) else None) for k, v in pairs]
+
+
+def record_fields(d) -> list:
+    """A record's fields in sorted order, as its JSON line should read back."""
+    return hex_fields(sorted(vars(d).items()))
+
+
+def read_jsonl(text: str) -> list:
+    """The fields of each JSON line in the order they were written."""
+    assert text == "" or text.endswith("\n")
+    return [hex_fields(json.loads(line).items()) for line in text.splitlines()]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(records=record_runs(), chunk=st.integers(1, 8))
-def test_diagnostics_jsonl_matches_the_json_encoder(records, chunk):
-    # with chunks of 1 to 8 records, most drawn runs span several chunks
-    with unittest.mock.patch.object(cli, "JSONL_CHUNK", chunk):
-        got = jsonl_text(records)
-    assert got == "".join(json.dumps(vars(d), sort_keys=True) + "\n"
-                          for d in records)
+@given(records=record_runs())
+def test_diagnostics_jsonl_reads_back(records):
+    # one line per record, keys sorted, every float its own float64
+    assert read_jsonl(jsonl_text(records)) == list(map(record_fields, records))
 
 
 def test_diagnostics_jsonl_holds_one_chunk_at_a_time(tmp_path):
-    # 16 chunks of records, the last 3.5 of them one shared record, are
-    # written as the json encoder writes them, with the peak memory of 2
-    # chunks of distinct records
+    # records of 16 blocks, the last 3.5 blocks one shared record, are
+    # written with the peak memory of 2 blocks of distinct records: the
+    # writer holds one line at a time
     rng = np.random.default_rng(7)
-    per_chunk = cli.JSONL_CHUNK
+    block = 256
     peaks = []
-    for chunks, tail in ((2, 0), (16, 7 * per_chunk // 2)):
+    for blocks, tail in ((2, 0), (16, 7 * block // 2)):
         records = [jko.StepDiagnostics(*rng.standard_normal(8).tolist(),
                                        iterations=k % 9)
-                   for k in range(chunks * per_chunk - tail)]
+                   for k in range(blocks * block - tail)]
         records += [records[-1]] * tail
         traj = SchemeTrajectory(times=(0.0,), densities=(UNIFORM,),
                                 diagnostics=tuple(records))
-        path = tmp_path / f"diagnostics-{chunks}.jsonl"
+        path = tmp_path / f"diagnostics-{blocks}.jsonl"
         with open(path, "w") as fh:
             diagnostics_to_jsonl(traj, fh)  # orjson loaded, caches warm
         with open(path, "w") as fh:
@@ -1009,9 +1040,9 @@ def test_diagnostics_jsonl_holds_one_chunk_at_a_time(tmp_path):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        same_bytes = path.read_text() == "".join(
-            json.dumps(vars(d), sort_keys=True) + "\n" for d in records)
-        assert same_bytes  # no slow text diff on failure
+        same_values = read_jsonl(path.read_text()) == \
+            list(map(record_fields, records))
+        assert same_values  # no slow diff on failure
     assert peaks[1] < 1.2 * peaks[0]
 
 

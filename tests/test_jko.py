@@ -981,9 +981,10 @@ def test_gradient_and_curvature_match_zero_started_assembly(case):
     obj = _StepObjective(pb, Xprev)
     ev = obj.evaluate(X)
     mu = 1.0 / pb.m
-    # the sweep's gradient, assembled into zeros as cell sums used to be
-    _, cell = pb.cost.value_and_derivative(ev.v)
-    _, pres = pb.energy.value_and_pressure(ev.rho)
+    # the sweep's gradient, assembled into zeros as cell sums used to be;
+    # c' may be v itself and P may be rho itself, so the kernels get copies
+    _, cell = pb.cost.value_and_derivative(ev.v.copy())
+    _, pres = pb.energy.value_and_pressure(ev.rho.copy())
     cell *= -0.5 * mu
     if not pb.potential.is_zero:
         cell += 0.5 * mu * pb.potential.derivative(ev.M)

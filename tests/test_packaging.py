@@ -51,8 +51,8 @@ def test_every_third_party_import_is_a_declared_dependency():
 
 
 def test_importing_the_cli_loads_no_orjson():
-    # orjson is imported by the first CSV a command writes, so the import
-    # of the front door does not pay for it
+    # orjson is imported by the first CSV or JSONL artifact a command writes,
+    # so the import of the front door does not pay for it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
