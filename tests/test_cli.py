@@ -1010,9 +1010,14 @@ def read_jsonl(text: str) -> list:
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(records=record_runs())
-def test_diagnostics_jsonl_reads_back(records):
-    # one line per record, keys sorted, every float its own float64
-    assert read_jsonl(jsonl_text(records)) == list(map(record_fields, records))
+def test_diagnostics_jsonl_matches_the_json_encoder(records):
+    # one line per record, keys sorted, every float its own float64: the
+    # values json.dumps writes, though not its text (orjson is compact, and
+    # spells 1e-05 as 0.00001 and NaN as null)
+    got = read_jsonl(jsonl_text(records))
+    assert got == list(map(record_fields, records))
+    assert got == read_jsonl("".join(json.dumps(vars(d), sort_keys=True) + "\n"
+                                     for d in records))
 
 
 def test_diagnostics_jsonl_holds_one_chunk_at_a_time(tmp_path):

@@ -1,6 +1,8 @@
 """Property tests: the step kernels and the assumption checks against their
 reference forms, and the run invariants over random valid problems."""
 
+import io
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -13,12 +15,14 @@ from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
 from wflow import jko
+from wflow.cli import diagnostics_to_jsonl
 from wflow.convex import (CostSpec, EnergySpec, PotentialSpec, preset_specs,
                           validate_assumptions)
 from wflow.density import (Domain, GridDensity, QuantileRep, _levels,
                            from_quantiles, normalize)
 from wflow.errors import InvalidSpecError, SchemeAbortError
-from wflow.jko import JkoProblem, _StepObjective, run_scheme
+from wflow.jko import (JkoProblem, SchemeTrajectory, StepDiagnostics,
+                       _StepObjective, run_scheme)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -272,6 +276,33 @@ def test_unit_coefficient_energy_closed_forms_match_general_terms(energy, x):
     assert bits(P) == bits(P_ref)
     assert (P is x) == (energy.terms == (("entropy", 1.0),))
     assert bits(x) == bits(kept)
+
+
+def _json_values(text: str) -> list:
+    # each line's fields in written order, floats by float.hex (-0.0 apart
+    # from 0.0), NaN and the infinities as None (orjson's null)
+    return [[(k, v if v is None or isinstance(v, int)
+              else v.hex() if math.isfinite(v) else None)
+             for k, v in json.loads(line).items()]
+            for line in text.splitlines()]
+
+
+@PROPERTY
+@given(st.lists(st.builds(
+    StepDiagnostics, *[st.floats(allow_nan=True, allow_infinity=True)] * 8,
+    iterations=st.integers(0, 1000)), min_size=1, max_size=5))
+def test_jsonl_encoder_matches_json_dumps(records):
+    # the JSONL writer's lines read back to the values json.dumps writes,
+    # keys sorted, one line per record
+    traj = SchemeTrajectory(times=tuple(0.1 * k for k in range(len(records) + 1)),
+                            densities=(normalize(np.ones(4), UNIT)[0],)
+                            * (len(records) + 1),
+                            diagnostics=tuple(records))
+    buf = io.StringIO()
+    diagnostics_to_jsonl(traj, buf)
+    assert buf.getvalue().endswith("\n")
+    assert _json_values(buf.getvalue()) == _json_values(
+        "".join(json.dumps(vars(d), sort_keys=True) + "\n" for d in records))
 
 
 # ---------------------------------------------------------------------------
