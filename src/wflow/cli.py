@@ -186,8 +186,8 @@ def _rho0_from_config(spec, domain: Domain, n: int) -> GridDensity:
         path = Path(spec["csv"])
         if not path.exists():
             raise ParameterError(f"initial density file not found: {path}")
-        rho = density_from_csv(path.read_text())
-        if rho.n != n or rho.domain != domain:
+        rho = density_from_csv(path.read_text(), domain)
+        if rho.n != n:
             raise ParameterError(
                 "initial density file does not match the configured grid")
         return rho

@@ -69,7 +69,7 @@ class GridDensity:
         lo, hi = values.min(), values.max()  # NaN if any value is NaN
         if not (0.0 <= lo and hi < np.inf):
             raise InvalidDensityError("density values must be finite and nonnegative")
-        mass = float(values.sum() * self.dx_for(values.size))
+        mass = float(values.sum() * (self.domain.length / values.size))
         if abs(mass - 1.0) > MASS_TOL:
             raise InvalidDensityError(f"density mass is {mass!r}, expected 1")
         values = values.copy()
@@ -77,16 +77,13 @@ class GridDensity:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "strictly_positive", bool(lo > 0.0))
 
-    def dx_for(self, n: int) -> float:
-        return self.domain.length / n
-
     @property
     def n(self) -> int:
         return self.values.size
 
     @property
     def dx(self) -> float:
-        return self.dx_for(self.n)
+        return self.domain.length / self.n
 
     @property
     def centers(self) -> np.ndarray:
@@ -283,7 +280,9 @@ def density_to_csv(rho: GridDensity) -> str:
     return "x,rho\n" + csv_rows(float_cells(rho.centers), float_cells(rho.values))
 
 
-def density_from_csv(text: str) -> GridDensity:
+def density_from_csv(text: str, domain: Domain) -> GridDensity:
+    """Density on ``domain`` from ``x,rho`` rows, one per cell of a uniform
+    grid: each ``x`` is its cell's center to within 1e-9 of a cell width."""
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows or rows[0].strip() != "x,rho":
         raise InvalidDensityError("expected header 'x,rho'")
@@ -291,11 +290,8 @@ def density_from_csv(text: str) -> GridDensity:
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != 2:
         raise InvalidDensityError("expected rows of 'x,rho' pairs")
     x, v = data[:, 0], data[:, 1]
-    if x.size == 1:
-        raise InvalidDensityError("cannot infer a grid from a single row")
-    steps = np.diff(x)
-    if np.any(steps <= 0.0) or abs(steps.max() - steps.min()) > 1e-9 * abs(steps[0]):
-        raise InvalidDensityError("cell centers must be uniform and ascending")
-    dx = float((x[-1] - x[0]) / (x.size - 1))
-    domain = Domain(a=float(x[0] - 0.5 * dx), b=float(x[-1] + 0.5 * dx))
+    if not (np.abs(x - domain.centers(x.size)).max()
+            <= 1e-9 * (domain.length / x.size)):
+        raise InvalidDensityError(f"cell centers are not the {x.size}-cell "
+                                  f"grid of ({domain.a!r}, {domain.b!r})")
     return GridDensity(domain=domain, values=v)

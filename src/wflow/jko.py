@@ -24,10 +24,10 @@ forms ``c`` and ``c'`` from one ``|v|^(q-1)``, except a quadratic cost
 or ``rho^m`` (the pressure of ``x ln x`` is ``rho`` itself).  As ``c'`` and
 the pressure may be the sweep's own ``v`` and ``rho``, nothing writes to an
 evaluation once it is formed.  The banded curvature is formed from an
-evaluation, and only at iterates Newton steps from.  A run carries the
-nodes each step certifies into the next step with their midpoints, the
-final evaluation's ``M``, and the next step takes those as its ``P``
-instead of forming them again.
+evaluation, and only at iterates Newton steps from.  A run's state
+(``_RunState``) carries the nodes each step certifies into the next step
+with their midpoints, the final evaluation's ``M``, and the next step
+takes those as its ``P`` instead of forming them again.
 
 Warm start: inside a run, step ``k + 1`` starts at a polynomial predictor
 through the last minimizers (endpoints clipped to the walls), and that one
@@ -40,24 +40,25 @@ The order ramps up with the history: linear ``2 X_1 - X_0`` at step 2,
 quadratic at steps 3 and 4, cubic from step 5 on, so that the cubic never
 passes through ``rho0``'s nodes, which carry the initial layer.  Higher
 orders amplify the solver tolerance's noise in the history by
-``2^(p+1) - 1`` and save no iterations.  A run holds only the last three
-earlier node vectors.  ``Xprev`` is evaluated only when the predictor is
-not strictly increasing or its objective lies above the objective at
-``Xprev``.  That objective needs no evaluation: at ``Xprev`` the
-displacement is zero and ``c(0) = 0``, so it equals step ``k``'s final
-free energy bit for bit, and the run carries it, with the internal energy,
-into the next step.  A step's ``E_*_before`` are these carried energies and
-the descent guard compares against the carried free energy; everything else
-in the ledger comes from the evaluation at the accepted nodes.  The first
-step of a run, and a step called on its own, start cold at ``Xprev``.
+``2^(p+1) - 1`` and save no iterations.  The run state holds only the
+earlier node vectors the next predictor passes through, at most three.
+``Xprev`` is evaluated only when the predictor is not strictly increasing
+or its objective lies above the objective at ``Xprev``.  That objective
+needs no evaluation: at ``Xprev`` the displacement is zero and
+``c(0) = 0``, so it equals step ``k``'s final free energy bit for bit, and
+the run carries it, with the internal energy, into the next step.  A
+step's ``E_*_before`` are these carried energies and the descent guard
+compares against the carried free energy; everything else in the ledger
+comes from the evaluation at the accepted nodes.  The first step of a run,
+and a step called on its own, start cold at ``Xprev``.
 
 A warm step whose predictor misses the tolerance first tries one
 correction with the run's last Hessian, as stiff integrators reuse their
 iteration matrix across time steps (Hairer & Wanner, *Solving Ordinary
-Differential Equations II*, section IV.8).  ``run_scheme`` keeps the
-tridiagonal Hessian of the last Newton iteration it ran, with its wall
-active set, and factors it as ``L D L^T`` (``dpttrf``) the first time a
-warm step needs it.  On the same active set the step tries
+Differential Equations II*, section IV.8).  The run state keeps the
+tridiagonal Hessian of the last Newton iteration the run ran, with its
+wall active set, and factors it as ``L D L^T`` (``dpttrf``) the first time
+a warm step needs it.  On the same active set the step tries
 ``X - H_old^-1 g`` (``dpttrs``) and keeps it, as one iteration, only if it
 is strictly increasing, does not raise the objective above the
 predictor's and passes the certificate; otherwise Newton runs from the
@@ -86,8 +87,8 @@ still passed to ``on_snapshot``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -329,33 +330,41 @@ class _StepObjective:
 
 
 @dataclass(slots=True)
-class _LastHessian:
-    """A run's state for warm steps to reuse: the last Hessian Newton built,
-    and the midpoints of the last nodes a step certified.
+class _RunState:
+    """What a run carries from one step into the next.
 
-    ``d`` and ``e`` are the Hessian's diagonals on the wall active set
-    ``key = (i0, i1)``; ``factor`` is their ``L D L^T`` factor from
-    ``dpttrf``, formed the first time a step reuses them, or ``()`` when
-    they are not positive definite.  ``mid`` holds the midpoints of the node
-    array ``nodes``, keyed by its identity; both are read-only.
+    ``nodes`` are the next step's ``Xprev``: ``rho0``'s nodes, then the
+    nodes each step certified, read-only with their midpoints ``mid``
+    (None before the first step).  ``back`` holds the earlier node vectors
+    the next predictor passes through, newest first, ``before`` the
+    ``(E_internal, E_free)`` of ``nodes`` and ``steps`` the count of steps
+    advanced.  ``d`` and ``e`` are the diagonals of the last Hessian Newton
+    built, on the wall active set ``key = (i0, i1)``; ``factor`` is their
+    ``L D L^T`` factor from ``dpttrf``, formed the first time a step reuses
+    them, or ``()`` when they are not positive definite.
     """
 
+    nodes: np.ndarray | None = None
+    mid: np.ndarray | None = None
+    back: list[np.ndarray] = field(default_factory=list)
+    before: tuple[float, float] | None = None
+    steps: int = 0
     key: tuple[int, int] | None = None
     d: np.ndarray | None = None
     e: np.ndarray | None = None
     factor: tuple[np.ndarray, ...] | None = None
-    nodes: np.ndarray | None = None
-    mid: np.ndarray | None = None
+
+    def advance(self, final: _Evaluation) -> None:
+        """Make the certified ``final`` the next step's start, read-only."""
+        final.X.flags.writeable = final.M.flags.writeable = False
+        self.steps += 1
+        # step 4 takes order 2, so the cubic never passes through rho0's nodes
+        self.back = [self.nodes, *self.back][:2 if self.steps == 3 else 3]
+        self.nodes, self.mid = final.X, final.M
+        self.before = (final.e_int, final.e_free)
 
     def keep(self, key: tuple[int, int], d: np.ndarray, e: np.ndarray):
         self.key, self.d, self.e, self.factor = key, d, e, None
-
-    def carry(self, final: _Evaluation) -> None:
-        """Keep the certified nodes of ``final`` and their midpoints, and
-        make both read-only: the next step reads them as ``Xprev`` and
-        ``P``."""
-        final.X.flags.writeable = final.M.flags.writeable = False
-        self.nodes, self.mid = final.X, final.M
 
     def solve(self, key: tuple[int, int], rhs: np.ndarray) -> np.ndarray | None:
         """``H^-1 rhs`` on the active set ``key``, or None if the stored
@@ -372,8 +381,7 @@ class _LastHessian:
 
 
 def _newton_solve(obj: _StepObjective, start: _Evaluation,
-                  increasing: bool = False,
-                  last_hessian: _LastHessian | None = None
+                  increasing: bool = False, run: _RunState | None = None
                   ) -> tuple[_Evaluation, int, float]:
     """Damped Newton on the banded system: ``(final, iterations, residual)``.
 
@@ -395,8 +403,8 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
     error.  A trial that equals the current nodes bit for bit is never
     accepted.
 
-    ``last_hessian`` holds a run's last Hessian, and each Hessian built here
-    replaces it.  From an ``increasing`` start (a warm step's predictor)
+    ``run``, if given, holds the run's last Hessian, and each Hessian built
+    here replaces it.  From an ``increasing`` start (a warm step's predictor)
     that misses the tolerance on the stored Hessian's active set, Newton
     first tries the full step ``-H_old^-1 g``, a chord step (Kelley,
     *Iterative Methods for Linear and Nonlinear Equations*, 1995, ch. 5).
@@ -412,7 +420,7 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
         X = X.clip(a, b)
         ev = start if (X == start.X).all() else obj.evaluate(X)
     m = obj.m
-    reuse = last_hessian if increasing else None
+    reuse = run if increasing else None
 
     def trial(step: float, dX: np.ndarray) -> np.ndarray:
         Xn = X.copy()
@@ -454,8 +462,8 @@ def _newton_solve(obj: _StepObjective, start: _Evaluation,
         if not (np.isfinite(d).all() and np.isfinite(e).all()
                 and np.isfinite(rhs).all()):
             raise stopped("the Newton system is not finite")
-        if last_hessian is not None:
-            last_hessian.keep((i0, i1), d, e)
+        if run is not None:
+            run.keep((i0, i1), d, e)
         *_, dX, info = dgtsv(e, d, e, rhs)
         if info != 0:
             raise stopped("the Newton system is singular")
@@ -542,37 +550,29 @@ def _predictor(obj: _StepObjective, nodes: list[np.ndarray],
 
 
 def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
-                   Xback: Sequence[np.ndarray] = (),
-                   before: tuple[float, float] | None = None, *,
-                   last_hessian: _LastHessian | None = None
+                   run: _RunState | None = None
                    ) -> tuple[np.ndarray, StepDiagnostics]:
     """One minimizing-movement step in quantile coordinates.
 
-    Called with ``Xprev`` alone, the step starts cold at ``Xprev``.  Inside a
-    run, ``Xback`` holds the node vectors of the steps before ``Xprev``,
-    newest first, and ``before`` the ``(E_internal, E_free)`` of ``Xprev``
-    that the previous step reported; the step then starts at the predictor
-    of order ``len(Xback)`` through them (module docstring), and
-    ``last_hessian``, if given, the run's state: its last Hessian
-    (``_newton_solve``) and the nodes the last step returned, with their
-    midpoints.  A step posed from those very nodes takes their midpoints as
-    ``P`` and copies no ``Xprev``.
+    Without ``run`` the step starts cold at ``Xprev``, which it never writes
+    to and may return as the step's nodes.  Inside a run, ``Xprev`` is
+    ``run.nodes``: the step takes ``run.mid`` as ``P`` (formed again if
+    None) and the carried energies as its starting ones, starts at the
+    predictor through ``Xprev`` and ``run.back`` (module docstring), lets
+    ``_newton_solve`` reuse and replace the run's last Hessian, and
+    advances the run to the nodes it certifies.
     """
-    P = None
-    if last_hessian is not None and Xprev is last_hessian.nodes:
-        P = last_hessian.mid
-    else:
-        Xprev = np.array(Xprev, dtype=float)
-    obj = _StepObjective(problem, Xprev, P)
+    obj = _StepObjective(problem, Xprev, None if run is None else run.mid)
+    before = None if run is None else run.before
     start = cold = None
-    if len(Xback) and before is not None:
-        start = _predictor(obj, [Xprev, *Xback], before[1])
+    if run is not None and run.back:
+        start = _predictor(obj, [Xprev, *run.back], before[1])
     if start is None:
         start = cold = obj.evaluate(Xprev)
         if before is None:
             before = (start.e_int, start.e_free)
     final, nit, r = _newton_solve(obj, start, increasing=start is not cold,
-                                  last_hessian=last_hessian)
+                                  run=run)
     if final.w.min() <= obj.wmin:  # ``w``: the gaps clamped at ``wmin``
         gaps = final.X[1:] - final.X[:-1]
         raise ConvergenceError(
@@ -582,8 +582,8 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
     if final.f > before[1] and final.f > before[1] + obj.rounding_error(final):
         raise ConvergenceError("step increased the objective", best=final.X,
                                residual=r)
-    if last_hessian is not None:
-        last_hessian.carry(final)
+    if run is not None:
+        run.advance(final)
     return final.X, _step_diagnostics(problem, before, final, r, nit)
 
 
@@ -619,10 +619,7 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
         raise InvalidDensityError(
             "the scheme needs strictly positive initial data; "
             "floor degenerate data first")
-    X = to_quantiles(rho0, problem.m).X
-    back: list[np.ndarray] = []  # the last three earlier nodes, newest first
-    before = None
-    last_hessian = _LastHessian()
+    run = _RunState(to_quantiles(rho0, problem.m).X)
     times = [0.0]
     densities = [rho0]
     diags: list[StepDiagnostics] = []
@@ -633,11 +630,9 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
         if repeat is not None:
             diag = repeat
         else:
-            # step 4's cubic would pass through rho0's nodes
-            order = 2 if k == 4 else 3
+            X = run.nodes
             try:
-                Xnext, diag = jko_step_nodes(problem, X, back[:order], before,
-                                             last_hessian=last_hessian)
+                Xnext, diag = jko_step_nodes(problem, X, run)
             except ConvergenceError as exc:
                 partial = SchemeTrajectory(times=tuple(times),
                                            densities=tuple(densities),
@@ -646,9 +641,7 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
                                        partial=partial) from exc
             if (Xnext == X).all():  # every later step repeats this one
                 repeat = replace(diag, iterations=0)
-            back, X = [X, *back[:2]], Xnext
-            before = (diag.E_internal_after, diag.E_free_after)
-            rho = from_quantiles(problem.domain, X, rho0.n)
+            rho = from_quantiles(problem.domain, Xnext, rho0.n)
         times.append(k * problem.h)
         densities.append(rho)
         diags.append(diag)

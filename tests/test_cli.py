@@ -768,6 +768,33 @@ def test_run_with_rho0_csv_roundtrip(tmp_path, outroot):
     assert cmd_run(str(path)) == 0
 
 
+@pytest.mark.parametrize("rows,shift,code", [
+    (128, 0.0, 0), (128, 0.5, 1), (127, 0.0, 1), (129, 0.0, 1),
+], ids=["written-for-the-grid", "half-cell-shift", "n-1-rows", "n+1-rows"])
+def test_rho0_csv_is_read_on_the_configured_grid(tmp_path, outroot, capsys,
+                                                 rows, shift, code):
+    # the cell centers wflow writes for [0.3, 0.9] span a domain that rounds
+    # to other endpoints; the config decides the grid, and only a file of
+    # other cells is rejected
+    from wflow.density import float_cells
+
+    dom = Domain(0.3, 0.9)
+    xhat = (dom.centers(rows) - dom.a) / dom.length
+    rho = normalize(1.0 + 0.3 * np.cos(np.pi * xhat), dom)[0]
+    csv_path = tmp_path / "rho0.csv"
+    csv_path.write_text("x,rho\n" + csv_rows(
+        float_cells(rho.centers + shift * rho.dx), float_cells(rho.values)))
+    path = write_config(tmp_path, domain_a=0.3, domain_b=0.9, n=128, m=128,
+                        rho0={"csv": str(csv_path)})
+    assert cmd_run(str(path)) == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error: ")
+    else:
+        cfg = load_config(path)
+        assert cfg.rho0.domain == dom
+        assert cfg.rho0.values.tobytes() == rho.values.tobytes()
+
+
 def test_study_needs_enough_values(tmp_path, outroot):
     path = write_config(tmp_path)
     assert cmd_study(str(path), values=[0.05, 0.025]) == 1

@@ -12,6 +12,7 @@ from wflow.density import (
     GridDensity,
     QuantileRep,
     _levels,
+    csv_rows,
     density_from_csv,
     density_to_csv,
     energy,
@@ -276,10 +277,9 @@ def test_csv_roundtrip_exact():
     rng = np.random.default_rng(11)
     rho, _ = normalize(rng.uniform(0.2, 3.0, 97), Domain(-0.75, 2.5))
     text = density_to_csv(rho)
-    back = density_from_csv(text)
+    back = density_from_csv(text, rho.domain)
     assert np.array_equal(back.values, rho.values)
-    assert back.domain.a == pytest.approx(rho.domain.a, abs=1e-15)
-    assert back.domain.b == pytest.approx(rho.domain.b, abs=1e-15)
+    assert back.domain == rho.domain
 
 
 def test_csv_writer_matches_per_row_reference():
@@ -333,7 +333,19 @@ def test_float_cells_read_back_on_the_notation_edges():
 
 def test_csv_rejects_bad_header():
     with pytest.raises(InvalidDensityError):
-        density_from_csv("a,b\n1,2\n")
+        density_from_csv("a,b\n1,2\n", UNIT)
+
+
+@pytest.mark.parametrize("shift", [0.5, 2e-9, math.nan],
+                         ids=["half-cell", "two-billionths", "nan"])
+def test_csv_rejects_centers_off_the_domain_grid(shift):
+    rho = smooth_density(Domain(0.3, 0.9), 128)
+    rows = [float_cells(rho.centers), float_cells(rho.values)]
+    back = density_from_csv("x,rho\n" + csv_rows(*rows), rho.domain)
+    assert back.values.tobytes() == rho.values.tobytes()
+    rows[0][7] = repr(float(rho.centers[7] + shift * rho.dx))
+    with pytest.raises(InvalidDensityError, match="not the 128-cell grid"):
+        density_from_csv("x,rho\n" + csv_rows(*rows), rho.domain)
 
 
 def test_l1_distance_mixed_resolution():

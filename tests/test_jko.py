@@ -319,6 +319,84 @@ def test_newton_never_takes_a_null_step():
     assert not any(np.array_equal(X, Xprev) for X in trials)
 
 
+def _stopped(reason, step):
+    with pytest.raises(ConvergenceError, match=reason) as info:
+        step()
+    assert info.value.best is not None
+    assert np.isfinite(info.value.residual)
+    return info.value
+
+
+def test_newton_stops_at_a_start_node_on_a_wall():
+    # the second node of the start sits on the left wall: Newton stops
+    # before it builds a system
+    pb = heat_problem(h=1e-2, m=8)
+    X = np.linspace(0.0, 1.0, 9)
+    X[1] = 0.0
+    err = _stopped("an interior node is on a wall",
+                   lambda: jko_step_nodes(pb, X))
+    assert err.best.tobytes() == X.tobytes() and err.residual > pb.tol
+
+
+@pytest.mark.parametrize("scale,reason", [
+    (-1.0, "the Newton direction is not a descent direction"),
+    (1e-30, "the line search failed"),
+], ids=["negated", "tiny"])
+def test_newton_stops_on_a_wrong_hessian(scale, reason, monkeypatch):
+    # a negated Hessian turns the Newton direction uphill; one scaled by
+    # 1e-30 makes it so long that no trial of the 60 halvings is increasing
+    hessian = jko._StepObjective.hessian
+    monkeypatch.setattr(jko._StepObjective, "hessian", lambda self, ev: tuple(
+        scale * a for a in hessian(self, ev)))
+    pb = heat_problem(h=2e-3, m=64)
+    X = to_quantiles(cosine_density(64), 64).X
+    err = _stopped(reason, lambda: jko_step_nodes(pb, X))
+    assert err.best.tobytes() == X.tobytes() and err.residual > pb.tol
+
+
+def _raising_the_objective_at(monkeypatch, call):
+    # _newton_solve whose ``call``-th solve returns its final evaluation with
+    # the objective one above what it is
+    solve, calls = jko._newton_solve, []
+
+    def raised(*args, **kw):
+        final, nit, r = solve(*args, **kw)
+        calls.append(None)
+        if len(calls) == call:
+            final = dataclasses.replace(final, f=final.f + 1.0)
+        return final, nit, r
+
+    monkeypatch.setattr(jko, "_newton_solve", raised)
+
+
+def test_step_that_raises_the_objective_fails(monkeypatch):
+    pb = heat_problem(h=1e-2, m=32)
+    X = to_quantiles(cosine_density(32), 32).X
+    want, _ = jko_step_nodes(pb, X)
+    _raising_the_objective_at(monkeypatch, 1)
+    err = _stopped("step increased the objective",
+                   lambda: jko_step_nodes(pb, X))
+    assert err.best.tobytes() == want.tobytes() and err.residual <= pb.tol
+
+
+def test_run_failing_at_step_3_keeps_the_steps_before(monkeypatch):
+    pb = heat_problem(h=1e-2, m=32)
+    rho0 = cosine_density(32)
+    ref = run_scheme(pb, rho0, T=0.05)
+    _raising_the_objective_at(monkeypatch, 3)
+    with pytest.raises(SchemeAbortError, match="step 3 failed: step "
+                       "increased the objective") as info:
+        run_scheme(pb, rho0, T=0.05)
+    partial = info.value.partial
+    assert partial.times == ref.times[:3]
+    assert [r.values.tobytes() for r in partial.densities] == \
+        [r.values.tobytes() for r in ref.densities[:3]]
+    assert partial.diagnostics == ref.diagnostics[:2]
+    cause = info.value.__cause__
+    assert isinstance(cause, ConvergenceError)
+    assert cause.best is not None and np.isfinite(cause.residual)
+
+
 def test_potential_step_upper_bound_only():
     pb = JkoProblem(cost=Q2, energy=ENTROPY,
                     potential=PotentialSpec.quadratic(1.0, 0.0), domain=SYM,
@@ -575,8 +653,7 @@ def _fp_problem():
                          ids=["p-laplacian", "fokker-planck"])
 def test_warm_started_run_matches_cold_steps(make, monkeypatch):
     # run_scheme starts each step at the polynomial predictor through the
-    # last nodes (linear at step 2, quadratic at steps 3-4, cubic from
-    # step 5) with the previous step's energies carried; the same steps
+    # last nodes with the previous step's energies carried; the same steps
     # started cold at X_k give the same nodes to within the step tolerance
     from wflow import jko
 
@@ -610,18 +687,11 @@ def test_warm_started_run_matches_cold_steps(make, monkeypatch):
 
 def _run_every_step(pb, rho0, T):
     # run_scheme's loop before fixed-point steps were repeated: every step
-    # goes through the solver, warm-started from the same node history and
-    # sharing one last Hessian
-    from wflow.jko import _LastHessian
-
-    X = to_quantiles(rho0, pb.m).X
-    back, before, last = [], None, _LastHessian()
+    # goes through the solver, warm-started from one run state
+    run = jko._RunState(to_quantiles(rho0, pb.m).X)
     densities, diags = [rho0], []
-    for k in range(1, step_count(T, pb.h) + 1):
-        Xnext, d = jko_step_nodes(pb, X, back[:2 if k == 4 else 3], before,
-                                  last_hessian=last)
-        back, X = [X, *back[:2]], Xnext
-        before = (d.E_internal_after, d.E_free_after)
+    for _ in range(step_count(T, pb.h)):
+        X, d = jko_step_nodes(pb, run.nodes, run)
         densities.append(from_quantiles(pb.domain, X, rho0.n))
         diags.append(d)
     return densities, diags
@@ -660,8 +730,8 @@ def test_fixed_point_steps_report_zero_iterations(monkeypatch):
     # a step that iterates its way back onto its start nodes ends the
     # solving; every step after it reports the zero iterations a re-solve
     # from those nodes would take
-    def back_to_start(pb, Xprev, Xback=(), before=None, **kw):
-        _, d = jko_step_nodes(pb, Xprev, Xback, before, **kw)
+    def back_to_start(pb, Xprev, run=None):
+        _, d = jko_step_nodes(pb, Xprev, run)
         return Xprev.copy(), dataclasses.replace(d, iterations=3)
 
     pb = heat_problem(h=1e-2, m=32)
@@ -674,12 +744,8 @@ def test_fixed_point_steps_report_zero_iterations(monkeypatch):
 
 def _steps_without_last_hessian(monkeypatch):
     # the solver as it was before warm steps reused a run's last Hessian:
-    # jko_step_nodes without the keyword makes no reuse trial
-    from wflow import jko
-
-    step = jko.jko_step_nodes
-    monkeypatch.setattr(jko, "jko_step_nodes",
-                        lambda *args, last_hessian=None: step(*args))
+    # the run state offers no solve, so no reuse trial is made
+    monkeypatch.setattr(jko._RunState, "solve", lambda self, key, rhs: None)
 
 
 def _assert_same_run(traj, ref):
@@ -712,8 +778,8 @@ def test_uncertified_reuse_trials_leave_the_run_bit_for_bit(make, monkeypatch):
     with monkeypatch.context() as mp:
         _steps_without_last_hessian(mp)
         ref = run_scheme(pb, rho, T)
-    keep = jko._LastHessian.keep
-    monkeypatch.setattr(jko._LastHessian, "keep",
+    keep = jko._RunState.keep
+    monkeypatch.setattr(jko._RunState, "keep",
                         lambda self, key, d, e: keep(self, key, 1e6 * d,
                                                      1e6 * e))
     trials = _counting(monkeypatch, jko, "dpttrs")
@@ -736,14 +802,14 @@ def test_no_reuse_trial_without_a_factor_for_the_active_set(poison,
         trials = _counting(mp, jko, "dpttrs")
         run_scheme(pb, rho, T)
     assert len(trials) >= 10  # the unpoisoned run does try
-    keep = jko._LastHessian.keep
+    keep = jko._RunState.keep
     if poison == "active set":
         def poisoned(self, key, d, e):
             keep(self, (key[0], key[1] + 1), d, e)
     else:
         def poisoned(self, key, d, e):
             keep(self, key, -d, e)
-    monkeypatch.setattr(jko._LastHessian, "keep", poisoned)
+    monkeypatch.setattr(jko._RunState, "keep", poisoned)
     factors = _counting(monkeypatch, jko, "dpttrf")
     trials = _counting(monkeypatch, jko, "dpttrs")
     _assert_same_run(run_scheme(pb, rho, T), ref)
@@ -756,7 +822,7 @@ def test_reuse_trial_that_raises_the_objective_is_discarded(monkeypatch):
     # objective excess large, so a chord step can land where the certificate
     # passes but the objective is above the predictor's; Newton then runs
     # from the predictor as if no trial had been made
-    from wflow.jko import _LastHessian, _newton_solve, _StepObjective
+    from wflow.jko import _newton_solve, _RunState, _StepObjective
 
     pb = heat_problem(h=1e-2, m=32, tol=1e-13)
     Xprev = to_quantiles(cosine_density(32), pb.m).X
@@ -777,8 +843,8 @@ def test_reuse_trial_that_raises_the_objective_is_discarded(monkeypatch):
     ev = obj.evaluate(start)
     assert r[1] < obj.pb.tol < r[0] and obj.evaluate(trial).f > ev.f
 
-    monkeypatch.setattr(_LastHessian, "solve", lambda self, key, rhs: chord)
-    got = _newton_solve(obj, ev, increasing=True, last_hessian=_LastHessian())
+    monkeypatch.setattr(_RunState, "solve", lambda self, key, rhs: chord)
+    got = _newton_solve(obj, ev, increasing=True, run=_RunState())
     want = _newton_solve(obj, ev, increasing=True)
     assert got[0].X.tobytes() == want[0].X.tobytes() != trial.tobytes()
     assert got[1:] == want[1:]
@@ -1086,21 +1152,15 @@ def _carry_problems():
 
 
 def _steps_posed_from(pb, rho0, T, carried):
-    # run_scheme's loop, each step posed from the nodes the step before
-    # returned (the run state's midpoints are reused) or from a fresh copy
-    # of them (they are formed again)
-    from wflow.jko import _LastHessian
-
-    X = to_quantiles(rho0, pb.m).X
-    back, before, last, steps = [], None, _LastHessian(), []
-    for k in range(1, step_count(T, pb.h) + 1):
-        Xprev = X if carried else X.copy()
-        assert (Xprev is last.nodes) == (carried and k > 1)
-        Xnext, d = jko_step_nodes(pb, Xprev, back[:2 if k == 4 else 3],
-                                  before, last_hessian=last)
-        back, X = [X, *back[:2]], Xnext
-        before = (d.E_internal_after, d.E_free_after)
-        steps.append((Xnext.tobytes(), d))
+    # run_scheme's loop, each step taking the run state's midpoints as its P
+    # or, with run.mid = None, forming them again
+    run = jko._RunState(to_quantiles(rho0, pb.m).X)
+    steps = []
+    for _ in range(step_count(T, pb.h)):
+        if not carried:
+            run.mid = None
+        X, d = jko_step_nodes(pb, run.nodes, run)
+        steps.append((X.tobytes(), d))
     return steps
 
 
@@ -1118,23 +1178,22 @@ def test_nothing_writes_to_an_evaluation_or_the_node_history(case,
     # the sweep may hand out c' = v and P = rho themselves, and the run state
     # the last nodes and their midpoints: no later stage of a step may write
     # to any of them
-    from wflow.jko import (_LastHessian, _newton_solve, _predictor,
+    from wflow.jko import (_newton_solve, _predictor, _RunState,
                            _step_diagnostics, _StepObjective)
 
     pb = _pinned_problems()[case]
-    X0 = to_quantiles(cosine_density(pb.m, domain=pb.domain), pb.m).X
-    last = _LastHessian()
-    X1, d1 = jko_step_nodes(pb, X0, last_hessian=last)
-    X2, d2 = jko_step_nodes(pb, X1, [X0], (d1.E_internal_after,
-                                           d1.E_free_after),
-                            last_hessian=last)
-    assert last.nodes is X2
-    history = [X2, X1, X0, last.mid]
+    run = _RunState(to_quantiles(cosine_density(pb.m, domain=pb.domain),
+                                 pb.m).X)
+    for _ in range(2):
+        X, _ = jko_step_nodes(pb, run.nodes, run)
+    assert run.nodes is X and len(run.back) == 2
+    history = [run.nodes, *run.back, run.mid]
     kept = [a.copy() for a in history]
-    assert not (X2.flags.writeable or last.mid.flags.writeable)
+    assert not (run.nodes.flags.writeable or run.mid.flags.writeable)
     # a tolerance the predictor misses, so that the chord trial is made
-    obj = _StepObjective(dataclasses.replace(pb, tol=1e-14), X2, last.mid)
-    ev = _predictor(obj, [X2, X1, X0], math.inf)
+    obj = _StepObjective(dataclasses.replace(pb, tol=1e-14), run.nodes,
+                         run.mid)
+    ev = _predictor(obj, history[:3], math.inf)
     assert (ev.cp is ev.v and ev.pres is ev.rho) == (case in (0, 1))
     fields = {f.name: getattr(ev, f.name).copy()
               for f in dataclasses.fields(ev)
@@ -1143,9 +1202,9 @@ def test_nothing_writes_to_an_evaluation_or_the_node_history(case,
     obj.hessian(ev)
     obj.rounding_error(ev)
     obj.kkt_residual(ev.X, ev.g)
-    _step_diagnostics(pb, (d2.E_internal_after, d2.E_free_after), ev, 0.0, 0)
+    _step_diagnostics(pb, run.before, ev, 0.0, 0)
     with contextlib.suppress(ConvergenceError):
-        _newton_solve(obj, ev, increasing=True, last_hessian=last)
+        _newton_solve(obj, ev, increasing=True, run=run)
     assert trials
     for name, want in fields.items():
         assert _same_bits(getattr(ev, name), want), name

@@ -61,7 +61,7 @@ def test_indefinite_tridiagonal_system_has_no_factor_to_reuse():
     diag = rng.uniform(2.0, 3.0, n)
     diag[n // 2] = -1.0
     assert jko.dpttrf(diag, off)[2] > 0
-    store = jko._LastHessian()
+    store = jko._RunState()
     store.keep((0, n - 1), diag, off)
     assert store.solve((0, n - 1), rng.standard_normal(n)) is None
     assert store.factor == ()
