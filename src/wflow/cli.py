@@ -61,10 +61,10 @@ MAX_DOMAIN = 1e6
 # largest value of the potential on the domain: about 2e4 times the largest
 # any test or benchmark uses, 45,300.5 (kappa 1 centred at -300 on [0, 1])
 MAX_POTENTIAL = 1e9
-# bytes the parent gathers before one write to a child's feed: 16 distinct
-# snapshots of 256 cells, or 4,096 steps past a fixed point, which send their
-# time alone; a run of 1,000 distinct steps wakes its writer 63 times, not
-# 1,001, and the run path also writes the queue out when the scheme returns
+# buffer size of the parent's end of a child's feed, which goes to the pipe in
+# one write when the next record no longer fits: 15 snapshots of 256 cells,
+# or 4,096 steps past a fixed point, which send their time alone.  Seed-0
+# fp-readme sends 505 snapshots and 496 repeats (1.04 MB) in 34 writes
 FEED_BATCH = 1 << 15
 # largest newton_max_iter: 12.5 times the default of 80, 8 times the 123
 # iterations of the stiffest step seen to certify (kappa = 1e5); a run stopped
@@ -497,19 +497,20 @@ def _in_child(task):
     """Run ``task(feed)`` in a forked child while the ``with`` block runs.
 
     ``feed`` is the child's end of a pipe, a binary file that carries the
-    bytes this process sends.  Yields ``(send, flush, result)``.
-    ``send(data)`` queues ``data`` and writes the queue to the feed in one
-    go once it holds ``FEED_BATCH`` bytes; it drops ``data`` once the child
-    is gone or where there is no child.  ``flush()`` writes what is queued
-    now, so that the child can work on it while this process goes on; an
-    empty queue writes nothing.  ``result(here)`` writes what is queued,
-    closes the feed and returns what ``task`` returned, or raises what it
-    raised:
+    bytes this process sends.  Yields ``(send, close, result)``.
+    ``send(data)`` writes ``data`` to this process's end, a binary file
+    buffered by ``FEED_BATCH`` bytes, whose buffer goes to the pipe in one
+    write once ``data`` no longer fits; it drops ``data`` once the child is
+    gone or where there is no child.  ``close()`` writes what is buffered
+    and closes the feed, so that the child can finish while this process
+    goes on.  ``result(here)`` closes the feed and returns what ``task``
+    returned, or raises what it raised:
     the child pickles its outcome through a second pipe, so an error keeps
     its type, message and attributes.  That outcome is authoritative.
-    Only where there is none, because ``os.fork`` is missing or fails or
-    the child died, does ``result`` return ``here()``, called in this
-    process.  Leaving the block kills and reaps the child on every path.
+    Only where there is none, because ``os.fork`` is missing, a pipe or the
+    fork fails, or the child died, does ``result`` return ``here()``,
+    called in this process.  Leaving the block kills and reaps the child
+    and closes both pipes on every path.
 
     The child ends in ``os._exit``: it never returns into the caller, runs
     no exit handler and flushes no buffer it inherited.  A fork copies only
@@ -518,20 +519,22 @@ def _in_child(task):
     """
     import signal  # loaded only by the commands that fork
 
-    pid = None
+    pid, fds = None, []
     if hasattr(os, "fork"):
-        (feed_r, feed), (back_r, back_w) = os.pipe(), os.pipe()
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             pid = os.fork()
-        except OSError:
-            for fd in (feed_r, feed, back_r, back_w):
+        except OSError:  # the task runs here, as where there is no fork
+            for fd in fds:
                 os.close(fd)
     if pid is None:
         yield (lambda data: None), (lambda: None), (lambda here: here())
         return
+    feed_r, feed_w, back_r, back_w = fds
     if pid == 0:
         try:
-            os.close(feed)
+            os.close(feed_w)
             os.close(back_r)
             # the feed is closed before the outcome goes back, so that a
             # parent still sending meets a broken pipe, not a full one
@@ -547,37 +550,24 @@ def _in_child(task):
     os.close(feed_r)
     os.close(back_w)
     back = open(back_r, "rb")
+    feed = open(feed_w, "wb", buffering=FEED_BATCH)
 
-    def close_feed() -> None:
+    def close() -> None:
         nonlocal feed
         if feed is not None:
-            os.close(feed)
-            feed = None
-
-    queue, queued = [], 0
-
-    def flush() -> None:
-        nonlocal queued
-        view = memoryview(b"".join(queue))
-        queue.clear()
-        queued = 0
-        try:
-            while feed is not None and view:
-                view = view[os.write(feed, view):]
-        except BrokenPipeError:  # the child is gone; result tells how
-            close_feed()
+            fh, feed = feed, None
+            with contextlib.suppress(BrokenPipeError):  # result tells how
+                fh.close()
 
     def send(data: bytes) -> None:
-        nonlocal queued
         if feed is not None:
-            queue.append(data)
-            queued += len(data)
-            if queued >= FEED_BATCH:
-                flush()
+            try:
+                feed.write(data)
+            except BrokenPipeError:  # the child is gone; result tells how
+                close()
 
     def result(here):
-        flush()
-        close_feed()
+        close()
         try:
             ok, value = pickle.load(back)
         except Exception:  # the child died, or its outcome cannot load
@@ -587,12 +577,12 @@ def _in_child(task):
         return value
 
     try:
-        yield send, flush, result
+        yield send, close, result
     finally:
-        close_feed()
-        back.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+        close()  # to a dead child: what is buffered is dropped
+        back.close()
 
 
 @contextlib.contextmanager
@@ -608,15 +598,15 @@ def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
     step before, goes as its time alone, negated: every time after
     ``rho0``'s is ``k * h > 0``, so the sign marks a repeat, and the child
     writes its rows from the text it formatted for the snapshot before.
-    What is still queued is written to the child as soon as the scheme
-    returns, so that the child formats the last rows while this process
-    writes ``diagnostics.jsonl`` and runs the block.  The block's end waits
+    The feed is written out and closed as soon as the scheme returns, so
+    that the child formats the last rows while this process writes
+    ``diagnostics.jsonl`` and runs the block.  The block's end waits
     for the child and raises what it raised; where the child leaves no
     outcome, the file is written here.  A failed step raises its
     ``WflowError`` once both files hold the partial trajectory.  Once the
     scheme has finished, an ``Exception`` from writing ``diagnostics.jsonl``
     or from the block still waits for the child; only an interrupt kills
-    it, which may leave the file short of up to one batch.
+    it, which may leave the file short of up to one buffer of snapshots.
     """
     path, rho0 = out / "trajectory.csv", cfg.rho0
     _write_json(out / "config.json", cfg.raw)
@@ -636,7 +626,7 @@ def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
             with open(path, "w") as fh:
                 _write_rows(snapshots(feed), fh)
 
-    with _in_child(write) as (send, flush, result):
+    with _in_child(write) as (send, close, result):
         last = None
 
         def on_snapshot(t: float, rho: GridDensity) -> None:
@@ -654,12 +644,12 @@ def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
             traj = run_scheme(problem, rho0, cfg.T, on_snapshot=on_snapshot)
         except WflowError as exc:
             if getattr(exc, "partial", None) is not None:
-                flush()
+                close()
                 _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl,
                         exc.partial)
                 finish(exc.partial)
             raise
-        flush()
+        close()
         try:
             _stream(out / "diagnostics.jsonl", diagnostics_to_jsonl, traj)
             yield traj

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -732,6 +733,22 @@ def test_run_solver_failure_exits_2_with_partial(tmp_path, outroot):
     assert diff is None, diff
 
 
+@pytest.mark.xfail(strict=True, raises=SchemeAbortError,
+                   reason="on [0, 1e-5] Newton stops at step 1 just above the "
+                          "KKT tolerance; the cause is not known")
+def test_run_certifies_the_diffusive_rescaling_of_a_unit_run(tmp_path):
+    # x -> L x, t -> L^2 t carries the heat flow on [0, 1] onto [0, L]: the
+    # run on [0, 1e-5] with h = 1e-12 is the one on [0, 1] with h = 1e-2 in
+    # other units, and that run certifies every step (so does L = 1e-4)
+    for L, h, T in [(1.0, 1e-2, 0.2), (1e-4, 1e-10, 2e-9),
+                    (1e-5, 1e-12, 2e-11)]:
+        cfg = load_config(write_config(
+            tmp_path, domain_b=L, h=h, T=T,
+            rho0={"profile": "cosine", "amplitude": 0.3}))
+        traj = run_scheme(cfg.problem(), cfg.rho0, cfg.T)
+        assert len(traj.times) == 21
+
+
 def test_failed_rerun_removes_the_earlier_report(tmp_path, outroot, capsys):
     # the run directory is named by the config, whose hash covers the path
     # of rho0's file but not its bytes; from a nearly flat start Newton stops
@@ -1203,20 +1220,80 @@ def fork_fails():
     raise OSError("fork refused")
 
 
-@pytest.mark.parametrize("no_fork", ["raises", "missing"])
+def pipes_failing_at(nth):
+    """``os.pipe`` failing as at the limit of open files on every nth call:
+    each ``_in_child`` makes two pipes, so 1 fails its first one and 2 its
+    second one."""
+    pipe, calls = os.pipe, []
+
+    def pipe_or_fail():
+        calls.append(None)
+        if len(calls) % nth == 0:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return pipe()
+
+    return pipe_or_fail
+
+
+def without_fork(monkeypatch, how):
+    if how == "raises":
+        monkeypatch.setattr(os, "fork", fork_fails)
+    elif how == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "pipe", pipes_failing_at(
+            {"first-pipe-fails": 1, "second-pipe-fails": 2}[how]))
+
+
+NO_FORK = ["raises", "missing", "first-pipe-fails", "second-pipe-fails"]
+
+
+@pytest.mark.parametrize("no_fork", NO_FORK)
 @pytest.mark.parametrize("command", [cmd_run, cmd_crosscheck],
                          ids=["run", "crosscheck"])
 def test_crosscheck_without_fork_writes_the_same_bytes(tmp_path, monkeypatch,
                                                        command, no_fork):
     path = write_config(tmp_path, h=1e-3)
     assert command(str(path), root=str(tmp_path / "forked")) == 0
-    if no_fork == "raises":
-        monkeypatch.setattr(os, "fork", fork_fails)
-    else:
-        monkeypatch.delattr(os, "fork")
+    without_fork(monkeypatch, no_fork)
     assert command(str(path), root=str(tmp_path / "serial")) == 0
     assert (crosscheck_files(tmp_path / "serial")
             == crosscheck_files(tmp_path / "forked"))
+
+
+@pytest.mark.parametrize("exit_path", [
+    "task-returns", "task-raises", "child-killed", "block-raises",
+    "interrupt", *NO_FORK])
+def test_in_child_leaves_no_descriptor_open(monkeypatch, exit_path):
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    parent = os.getpid()
+
+    def task(feed):
+        feed.read()
+        if exit_path == "child-killed" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if exit_path == "task-raises":
+            raise ValueError("raised in the child")
+        return os.getpid()
+
+    if exit_path in NO_FORK:
+        without_fork(monkeypatch, exit_path)
+    raised = {"task-raises": ValueError, "block-raises": RuntimeError,
+              "interrupt": KeyboardInterrupt}.get(exit_path)
+    before = sorted(os.listdir(fds))
+    with pytest.raises(raised) if raised else contextlib.nullcontext():
+        with cli._in_child(task) as (send, close, result):
+            # more than one buffer, and a record left in the buffer
+            send(bytes(2 * cli.FEED_BATCH))
+            send(bytes(8))
+            if exit_path == "block-raises":
+                raise RuntimeError("raised in the block")
+            if exit_path == "interrupt":
+                raise KeyboardInterrupt
+            result(lambda: task(io.BytesIO()))
+    assert sorted(os.listdir(fds)) == before
 
 
 # more snapshots than the pipe holds: the child dies or fails on the first
@@ -1283,17 +1360,31 @@ def test_run_raises_the_writers_own_error(tmp_path, outroot, monkeypatch):
     assert here == []
 
 
+def record_feed(monkeypatch, on_write):
+    """Call ``on_write(data)`` with the bytes of each write from this
+    process's feed buffer to the writer's pipe: the buffered file that
+    ``_in_child`` opens gets a raw file that records what it is given."""
+    parent = os.getpid()
+
+    class RecordedFeed(io.FileIO):
+        def write(self, data):
+            if os.getpid() == parent:
+                on_write(bytes(data))
+            return super().write(data)
+
+    def feed_open(file, mode="r", buffering=-1, **kwargs):
+        if mode == "wb" and buffering == cli.FEED_BATCH:
+            return io.BufferedWriter(RecordedFeed(file, "w"), buffering)
+        return open(file, mode, buffering, **kwargs)
+
+    monkeypatch.setattr(cli, "open", feed_open, raising=False)
+
+
 def test_run_sends_snapshots_to_the_writer_in_batches(tmp_path, monkeypatch):
-    # 50 snapshots of 256 cells: one pipe write per FEED_BATCH bytes queued,
-    # and one for the rest when the run finishes
-    parent, write, writes = os.getpid(), os.write, []
-
-    def counted(fd, data):
-        if os.getpid() == parent:
-            writes.append(len(data))
-        return write(fd, data)
-
-    monkeypatch.setattr(os, "write", counted)
+    # 50 snapshots of 256 cells: one pipe write per FEED_BATCH bytes
+    # buffered, and one for the rest when the run finishes
+    writes = []
+    record_feed(monkeypatch, lambda data: writes.append(len(data)))
     path = write_config(tmp_path, n=256, T=0.49)
     assert cmd_run(str(path), root=tmp_path / "out") == 0
     sent = 50 * 8 * (256 + 1)
@@ -1313,14 +1404,8 @@ def test_run_sends_repeated_steps_as_their_time_alone(tmp_path, monkeypatch):
     # step past the fixed point as its time alone, negated; nothing else is
     # sent, and the writer, and this process where the writer dies, write
     # the rows of every step
-    parent, write, sent = os.getpid(), os.write, []
-
-    def recorded(fd, data):
-        if os.getpid() == parent:
-            sent.append(bytes(data))
-        return write(fd, data)
-
-    monkeypatch.setattr(os, "write", recorded)
+    parent, sent = os.getpid(), []
+    record_feed(monkeypatch, sent.append)
     path = fixed_point_config(tmp_path)
     cfg = load_config(path)
     traj = run_scheme(cfg.problem(), cfg.rho0, cfg.T)
@@ -1365,19 +1450,14 @@ def test_feed_is_written_out_before_the_diagnostics(tmp_path, monkeypatch,
     # the writer gets the last snapshots when the scheme returns, not when
     # the run path's block ends: it formats them while this process writes
     # diagnostics.jsonl and runs the ledger or the comparison.  The run
-    # sends less than one batch, so its one write is that flush.
-    parent, write, events = os.getpid(), os.write, []
-
-    def recorded(fd, data):
-        if os.getpid() == parent:
-            events.append("write")
-        return write(fd, data)
+    # sends less than one buffer, so its one write is the feed's close.
+    events = []
 
     def jsonl(traj, fh):
         events.append("diagnostics")
         diagnostics_to_jsonl(traj, fh)
 
-    monkeypatch.setattr(os, "write", recorded)
+    record_feed(monkeypatch, lambda data: events.append("write"))
     monkeypatch.setattr(cli, "diagnostics_to_jsonl", jsonl)
     path = write_config(tmp_path, n=32, m=32, h=1e-3, T=0.02)
     assert command(str(path), root=tmp_path / "out") == 0
@@ -1388,7 +1468,7 @@ def test_feed_is_written_out_before_the_diagnostics(tmp_path, monkeypatch,
 def test_run_failing_after_a_batch_writes_the_partial_trajectory(
         tmp_path, outroot, capsys, monkeypatch):
     # step 40 fails after two batches went to the writer; the snapshots
-    # still queued in this process reach the file too
+    # still buffered in this process reach the file too
     step, solved, aborts = jko.jko_step_nodes, [], []
 
     def fails_at_step_40(*args, **kwargs):
