@@ -25,8 +25,8 @@ import numpy as np
 from . import diagnostics, refsolve, transport
 from .convex import (PRESET_EXPONENTS, CostSpec, EnergySpec, PotentialSpec,
                      preset_specs)
-from .density import (Domain, GridDensity, csv_rows, density_from_csv,
-                      float_cells, normalize)
+from .density import (Domain, GridDensity, density_from_csv, float_cells,
+                      normalize)
 from .errors import ParameterError, WflowError
 from .jko import (JkoProblem, SchemeTrajectory, floored_density, run_scheme,
                   step_count)
@@ -329,14 +329,15 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def output_dir(cfg: RunConfig, root: str | Path, verdicts: list[str]) -> Path:
-    """The config's run directory under ``root``, created if missing.  The
-    files named in ``verdicts`` are removed, so that a rerun that fails does
-    not leave the verdict of the run before it."""
+def output_dir(cfg: RunConfig, root: str | Path, verdict: str) -> Path:
+    """The config's run directory under ``root``, created if missing, with
+    ``config.json``, the config as read, written into it.  The command's
+    verdict file ``verdict`` is removed, so that a rerun that fails does not
+    leave the verdict of the run before it."""
     d = Path(root) / f"{cfg.label}_{config_hash(cfg.raw)}"
     d.mkdir(parents=True, exist_ok=True)
-    for name in verdicts:
-        (d / name).unlink(missing_ok=True)
+    (d / verdict).unlink(missing_ok=True)
+    _write_json(d / "config.json", cfg.raw)
     return d
 
 
@@ -408,19 +409,6 @@ def _stream(path: Path, writer, traj: SchemeTrajectory) -> None:
         writer(traj, fh)
 
 
-def _report_document(cfg: RunConfig, *, led=None, rate_fits=(),
-                     comparisons=()) -> dict:
-    """One report shape for every command; unused sections stay empty."""
-    return {
-        "run_config": cfg.raw,
-        "config_hash": config_hash(cfg.raw),
-        "ledger": (None if led is None
-                   else {**asdict(led), "all_pass": led.all_pass}),
-        "rate_fits": list(rate_fits),
-        "comparisons": list(comparisons),
-    }
-
-
 def _config_error(exc: Exception) -> int:
     print(f"config error: {exc}", file=sys.stderr)
     return EXIT_CONFIG
@@ -434,7 +422,7 @@ def cmd_run(config_path: str, root: str | Path = "out") -> int:
     try:
         cfg = load_config(config_path)
         problem = cfg.problem()
-        out = output_dir(cfg, root, ["report.json"])
+        out = output_dir(cfg, root, "report.json")
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     try:
@@ -443,7 +431,8 @@ def cmd_run(config_path: str, root: str | Path = "out") -> int:
     except WflowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _write_json(out / "report.json", _report_document(cfg, led=led))
+    _write_json(out / "report.json",
+                {"ledger": {**asdict(led), "all_pass": led.all_pass}})
     print(f"artifacts in {out}")
     return EXIT_OK if led.all_pass else EXIT_SOLVER
 
@@ -454,7 +443,7 @@ def cmd_study(config_path: str, values: list[float],
         cfg = load_config(config_path)
         diagnostics.check_step_sizes(values)
         problems = [cfg.problem(h=h) for h in values]  # checked before any run
-        out = output_dir(cfg, root, ["rate.json", "rate.csv"])
+        out = output_dir(cfg, root, "rate.json")
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     results, failures = [], []
@@ -468,7 +457,7 @@ def cmd_study(config_path: str, values: list[float],
     results.sort()
     if failures:
         _write_json(out / "rate.json", {
-            **_report_document(cfg), "partial": True, "failures": failures,
+            "partial": True, "failures": failures,
             "completed": [{"h": h, "total": tot} for h, tot in results]})
         print(f"study aborted: {len(failures)} member(s) failed", file=sys.stderr)
         return EXIT_SOLVER
@@ -480,14 +469,12 @@ def cmd_study(config_path: str, values: list[float],
         return EXIT_SOLVER
     expected = min(1.0, cfg.cost.q - 1.0)
     passes = fit.slope >= expected - 0.15
-    _write_json(out / "rate.json", {**_report_document(cfg, rate_fits=[{
+    _write_json(out / "rate.json", {"rate_fits": [{
         "vary": "h",
         "fit": asdict(fit),
         "expected_exponent": expected,
         "passes": passes,
-    }]), "passes": passes})
-    (out / "rate.csv").write_text(
-        "h,total_second_moment\n" + csv_rows(float_cells(hs), float_cells(totals)))
+    }], "passes": passes})
     print(f"slope {fit.slope!r} (expected >= {expected - 0.15!r}); artifacts in {out}")
     return EXIT_OK if passes else EXIT_SOLVER
 
@@ -587,11 +574,10 @@ def _in_child(task):
 
 @contextlib.contextmanager
 def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
-    """The one run path of ``run`` and ``crosscheck``: write ``config.json``
-    to the run directory ``out``, run ``run_scheme`` while a forked child
-    (``_in_child``) formats each snapshot it is sent into
-    ``trajectory.csv``, write ``diagnostics.jsonl`` and yield the
-    trajectory.
+    """The one run path of ``run`` and ``crosscheck``: in the run directory
+    ``out``, run ``run_scheme`` while a forked child (``_in_child``) formats
+    each snapshot it is sent into ``trajectory.csv``, write
+    ``diagnostics.jsonl`` and yield the trajectory.
 
     A snapshot goes to the child as float64: its time, then its n values.
     A step past the fixed point, whose snapshot is the very object of the
@@ -609,7 +595,6 @@ def _scheme_run(out: Path, cfg: RunConfig, problem: JkoProblem):
     it, which may leave the file short of up to one buffer of snapshots.
     """
     path, rho0 = out / "trajectory.csv", cfg.rho0
-    _write_json(out / "config.json", cfg.raw)
 
     def snapshots(feed):
         values = None
@@ -679,7 +664,7 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         cfg = load_config(config_path)
         problem = cfg.problem()
         fd_cfg = refsolve.FdConfig(n=cfg.n, dt=cfg.h)
-        out = output_dir(cfg, root, ["comparison.json", "comparison.csv"])
+        out = output_dir(cfg, root, "comparison.json")
     except (WflowError, OSError) as exc:
         return _config_error(exc)
     ref_path = out / "reference.csv"
@@ -707,15 +692,12 @@ def cmd_crosscheck(config_path: str, threshold: float = 1e-2,
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     passes = table.l1_final <= threshold
-    _write_json(out / "comparison.json", {
-        **_report_document(cfg, comparisons=[{
-            "against": "finite-difference reference",
-            "threshold": threshold,
-            "table": asdict(table),
-            "passes": passes,
-        }]), "passes": passes})
-    (out / "comparison.csv").write_text("t,l1_error\n" + csv_rows(
-        float_cells(table.times), float_cells(table.l1_errors)))
+    _write_json(out / "comparison.json", {"comparisons": [{
+        "against": "finite-difference reference",
+        "threshold": threshold,
+        "table": asdict(table),
+        "passes": passes,
+    }], "passes": passes})
     print(f"final-time L1 gap {table.l1_final!r} vs threshold {threshold!r}")
     return EXIT_OK if passes else EXIT_SOLVER
 

@@ -25,7 +25,6 @@ class LedgerFlag:
     name: str
     passed: bool
     slack: float
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -53,22 +52,23 @@ def conjugate_growth_constant(alpha: float, q: float) -> float:
     return 1.0 / (qstar * (alpha * q) ** (qstar - 1.0))
 
 
-def _flag(name: str, value: float, bound: float, detail: str) -> LedgerFlag:
+def _flag(name: str, value: float, bound: float) -> LedgerFlag:
     """A flag that passes when ``value <= bound``; its slack is the gap."""
-    return LedgerFlag(name=name, passed=value <= bound, slack=bound - value,
-                      detail=detail)
+    return LedgerFlag(name=name, passed=value <= bound, slack=bound - value)
 
 
 def ledger(problem: JkoProblem, trajectory: SchemeTrajectory
            ) -> InequalityLedger:
     """Audit one run against every per-step and cumulative inequality.
 
-    Each flag tests one value against one bound (``_flag``): (a) the largest
-    rise of the free energy between steps; (b) the summed work against the
-    initial energy excess; (c) the largest excess of any distinct later
-    snapshot over the initial essential bounds widened by
+    Each flag tests one value against one bound (``_flag``):
+    ``energy-monotone``, the largest rise of the free energy between steps;
+    ``cumulative-work-bound``, the summed work against the initial energy
+    excess; ``comparison-principle``, the largest excess of any distinct
+    later snapshot over the initial essential bounds widened by
     ``BOUND_SLACK_CELLS / m`` (the lower one only without a potential),
-    against 0; (d) the summed dissipation against the growth-derived cap.
+    against 0; ``dissipation-bound``, the summed dissipation against the
+    growth-derived cap.
     A trajectory with no step raises ``ParameterError``.
     """
     diags = trajectory.diagnostics
@@ -111,16 +111,11 @@ def ledger(problem: JkoProblem, trajectory: SchemeTrajectory
         dissipation_sum=total_dis,
         dissipation_cap=float(cap),
         flags=(
-            _flag("energy-monotone", rise, ENERGY_MONOTONE_TOL,
-                  "free energy nonincreasing across steps"),
+            _flag("energy-monotone", rise, ENERGY_MONOTONE_TOL),
             _flag("cumulative-work-bound", total_work,
-                  budget + CUMULATIVE_WORK_TOL,
-                  "sum of h*W covered by initial energy excess"),
-            _flag("comparison-principle", excess, 0.0,
-                  "essential bounds inherited from initial data"),
-            _flag("dissipation-bound", total_dis, cap + DISSIPATION_TOL,
-                  "summed h * int rho |d(F'(rho)+V)|^{q*} under the growth "
-                  "cap"),
+                  budget + CUMULATIVE_WORK_TOL),
+            _flag("comparison-principle", excess, 0.0),
+            _flag("dissipation-bound", total_dis, cap + DISSIPATION_TOL),
         ),
     )
 

@@ -588,7 +588,10 @@ def jko_step_nodes(problem: JkoProblem, Xprev: np.ndarray,
 
 
 def step_count(T: float, h: float) -> int:
-    """Number of steps of size ``h`` to the horizon ``T``, within 1..MAX_STEPS."""
+    """Number of steps of size ``h`` to the horizon ``T``: ``T / h`` rounded
+    to the nearest integer, a tie to the even one, so that ``T = h / 2``
+    gives 0 steps and ``T = 1.5 h`` and ``T = 2.5 h`` both give 2.  A count
+    outside 1..MAX_STEPS raises ``ParameterError``."""
     ratio = T / h
     steps = int(round(ratio)) if math.isfinite(ratio) else 0
     if not 1 <= steps <= MAX_STEPS:

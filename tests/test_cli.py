@@ -828,9 +828,9 @@ def test_study_rate_report(tmp_path, outroot):
     assert report["passes"] is True
     entry = report["rate_fits"][0]
     assert entry["fit"]["slope"] >= entry["expected_exponent"] - 0.15
-    csv = (rundir / "rate.csv").read_text().strip().splitlines()
-    assert csv[0] == "h,total_second_moment"
-    assert len(csv) == 5
+    # one total per member, in increasing h
+    assert entry["fit"]["h_values"] == [1 / 160, 1 / 80, 1 / 40, 1 / 20]
+    assert len(entry["fit"]["totals"]) == 4
 
 
 @pytest.mark.parametrize("repeats", [1, 2])
@@ -1737,11 +1737,12 @@ def test_fresh_command_loads_no_scipy_subpackage(tmp_path, command):
 
 
 # the files of an earlier run that a failed rerun of each command must not
-# keep: its verdicts, and for crosscheck the reference
+# keep: its verdict, and for crosscheck the reference.  A failed study writes
+# a verdict of its own, the partial rate.json, in place of the earlier one
 STALE_ON_FAILURE = {
     "run": {"report.json"},
-    "study": {"rate.csv"},
-    "crosscheck": {"comparison.json", "comparison.csv", "reference.csv"},
+    "study": set(),
+    "crosscheck": {"comparison.json", "reference.csv"},
 }
 
 
@@ -1762,6 +1763,54 @@ def test_failed_rerun_keeps_no_earlier_verdict(tmp_path, outroot, capsys,
     assert main(argv) == 2
     assert "failed" in capsys.readouterr().err
     assert not STALE_ON_FAILURE[command] & {p.name for p in rundir.iterdir()}
+    if command == "study":
+        assert json.loads((rundir / "rate.json").read_text())["partial"]
+
+
+# the keys of each command's verdict document
+VERDICT_KEYS = {
+    "report.json": {"ledger"},
+    "comparison.json": {"comparisons", "passes"},
+    "rate.json": {"rate_fits", "passes"},
+}
+STUDY_VALUES = FRESH_COMMANDS["study"][1]
+
+
+def test_commands_share_the_run_directory(tmp_path, outroot):
+    # run, crosscheck and study of one config write into one directory: each
+    # keeps the others' verdicts and config.json, and a second pass of the
+    # three rewrites every file with the same bytes
+    path = write_config(tmp_path, domain_b=2.0, h=1e-3, T=0.5,
+                        rho0={"profile": "cosine", "amplitude": 0.4,
+                              "frequency": 0.5})
+    commands = [["run"], ["crosscheck"], ["study", *STUDY_VALUES]]
+    passes = []
+    for _ in range(2):
+        for command in commands:
+            assert main([*command, "--config", str(path)]) == 0
+            passes.append(crosscheck_files(outroot))
+    first, second = passes[:3], passes[3:]
+    assert first[0].items() <= first[1].items() <= first[2].items()
+    assert set(first[-1]) == {
+        "config.json", "diagnostics.jsonl", "trajectory.csv", "reference.csv",
+        *VERDICT_KEYS}
+    assert second == [first[-1]] * 3
+    for name, keys in VERDICT_KEYS.items():
+        assert set(json.loads(first[-1][name])) == keys, name
+    ledger = json.loads(first[-1]["report.json"])["ledger"]
+    assert ledger["all_pass"] is True
+    assert {tuple(sorted(flag)) for flag in ledger["flags"]} == {
+        ("name", "passed", "slack")}
+
+
+def test_study_whose_members_all_fail_leaves_config_json(tmp_path, outroot):
+    path = write_config(tmp_path, newton_max_iter=0, domain_b=2.0, T=0.2)
+    assert main(["study", "--config", str(path), *STUDY_VALUES]) == 2
+    files = crosscheck_files(outroot)
+    assert set(files) == {"config.json", "rate.json"}
+    report = json.loads(files["rate.json"])
+    assert set(report) == {"partial", "failures", "completed"}
+    assert report["completed"] == [] and len(report["failures"]) == 4
 
 
 def test_out_sets_the_output_root(tmp_path, outroot, monkeypatch):
