@@ -60,10 +60,12 @@ class CostSpec:
             raise InvalidSpecError("cost needs at least one term")
         terms = tuple((float(A), float(qi)) for A, qi in self.terms)
         for A, qi in terms:
-            if not (A > 0.0):
-                raise InvalidSpecError(f"cost coefficient must be > 0, got {A}")
-            if not (qi > 1.0):
-                raise InvalidSpecError(f"cost exponent must be > 1, got {qi}")
+            if not (0.0 < A < math.inf):
+                raise InvalidSpecError(
+                    f"cost coefficient must be > 0 and finite, got {A}")
+            if not (1.0 < qi < math.inf):
+                raise InvalidSpecError(
+                    f"cost exponent must be > 1 and finite, got {qi}")
         object.__setattr__(self, "terms", terms)
         q = max(qi for _, qi in terms)
         object.__setattr__(self, "q", q)
@@ -186,16 +188,18 @@ class EnergySpec:
             kind = term[0]
             if kind == "entropy":
                 A = float(term[1])
-                if not (A > 0.0):
-                    raise InvalidSpecError("entropy coefficient must be > 0")
+                if not (0.0 < A < math.inf):
+                    raise InvalidSpecError(
+                        f"entropy coefficient must be > 0 and finite, got {A}")
                 norm.append(("entropy", A))
             elif kind == "power":
                 A, m = float(term[1]), float(term[2])
-                if not (A > 0.0):
-                    raise InvalidSpecError("power coefficient must be > 0")
-                if not (m > 0.0) or m == 1.0:
+                if not (0.0 < A < math.inf):
                     raise InvalidSpecError(
-                        f"power exponent must be positive and != 1, got {m}")
+                        f"power coefficient must be > 0 and finite, got {A}")
+                if not (0.0 < m < math.inf) or m == 1.0:
+                    raise InvalidSpecError(f"power exponent must be positive, "
+                                           f"finite and != 1, got {m}")
                 norm.append(("power", A, m))
             else:
                 raise InvalidSpecError(f"unknown energy term kind {kind!r}")
@@ -432,13 +436,14 @@ def validate_assumptions(cost: CostSpec, energy: EnergySpec,
     Every hypothesis on one spec alone is its constructor's, so no spec that
     can be built fails it:
 
-    - ``CostSpec`` takes terms with ``A_i > 0`` and ``q_i > 1`` only, so
-      ``c`` vanishes only at 0, ``c(z)/|z|`` increases without bound and
-      ``beta |z|^q <= c(z) <= alpha (|z|^q + 1)``;
-    - ``EnergySpec`` takes power exponents ``m > 0`` only, so ``x F(1/x)`` is
-      convex (``m >= 1 - 1/d`` in dimension ``d = 1``), and ``F`` is
-      superlinear (an entropy term or some ``m > 1``) or else decreasing
-      (every ``m < 1``);
+    - ``CostSpec`` takes terms with finite ``A_i > 0`` and ``q_i > 1``
+      only, so ``c`` vanishes only at 0, ``c(z)/|z|`` increases without
+      bound and ``beta |z|^q <= c(z) <= alpha (|z|^q + 1)``;
+    - ``EnergySpec`` takes finite coefficients ``> 0`` and finite power
+      exponents ``m > 0`` only, so ``x F(1/x)`` is convex
+      (``m >= 1 - 1/d`` in dimension ``d = 1``), and ``F`` is superlinear
+      (an entropy term or some ``m > 1``) or else decreasing (every
+      ``m < 1``);
     - ``PotentialSpec`` takes a finite ``kappa >= 0`` and center, and convex
       tables of finite values ``>= 0`` at finite nodes only.
 

@@ -286,9 +286,13 @@ def density_from_csv(text: str, domain: Domain) -> GridDensity:
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows or rows[0].strip() != "x,rho":
         raise InvalidDensityError("expected header 'x,rho'")
-    data = np.array([[float(tok) for tok in row.split(",")] for row in rows[1:]])
-    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != 2:
-        raise InvalidDensityError("expected rows of 'x,rho' pairs")
+    try:
+        data = np.array([[float(tok) for tok in row.split(",")]
+                         for row in rows[1:]])
+    except ValueError:  # a cell that is not a number, or a ragged row
+        data = None
+    if data is None or data.ndim != 2 or data.shape[1] != 2:
+        raise InvalidDensityError("expected rows of 'x,rho' number pairs")
     x, v = data[:, 0], data[:, 1]
     if not (np.abs(x - domain.centers(x.size)).max()
             <= 1e-9 * (domain.length / x.size)):

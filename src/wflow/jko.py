@@ -67,21 +67,20 @@ took about 140 us on a 2-core x86_64 host, against about 560 us for a
 fresh Hessian and its ``dgtsv``.  Each Hessian Newton builds replaces the stored one, so a stale
 factor costs one evaluation and never an uncertified step.
 
-A step posed from its predecessor's minimizer is not solved again.  When
-step ``k`` returned the nodes it started from (``X_k == X_{k-1}`` exactly,
-element for element; never to a tolerance), step ``k + 1`` would return
-step ``k``'s density and diagnostics with zero iterations: it poses step
-``k``'s problem (same ``P``, same nodes), its predictor is ``X_k`` itself
-(at ``X_k == X_{k-1}`` the predictor is ``X_k``, whatever its order), and
-the carried energies are the energies of those nodes, which step ``k``
-also reported as its starting ones.  Evaluating the predictor reproduces
-step ``k``'s final evaluation bit for bit, so the step would find the same
-certified residual and return ``X_k`` after zero iterations.  Step
-``k + 2`` then starts from ``X_{k+1} == X_k`` again, and the repeat holds
-for every later step.  So ``run_scheme`` solves no step after step ``k``
-and compares no nodes: each later step appends step ``k``'s density
-object and one shared record, step ``k``'s with zero iterations, and is
-still passed to ``on_snapshot``.
+A step posed from its predecessor's minimizer is not solved again.  A
+step's problem depends only on its start nodes, through their midpoints
+``P``.  When step ``k`` returned the nodes it started from
+(``X_k == X_{k-1}`` exactly, element for element; never to a tolerance),
+step ``k + 1``'s ``P`` is step ``k``'s.  So step ``k + 1`` poses step
+``k``'s problem, and ``X_k`` is already its certified minimizer.  Its
+record for step ``k + 1`` is step ``k``'s with ``iterations=0``, bit for
+bit: a cold step from ``X_k`` evaluates step ``k``'s final nodes against
+step ``k``'s ``P``, starts from the energies of ``X_{k-1} == X_k``, and
+certifies them after zero iterations.  The same holds for every later
+step.  So ``run_scheme`` makes this one comparison per solved step and
+solves no step after step ``k``: each later step appends step ``k``'s
+density object and one shared record, and is still passed to
+``on_snapshot``.
 """
 
 from __future__ import annotations
@@ -526,23 +525,18 @@ def _predictor(obj: _StepObjective, nodes: list[np.ndarray],
     through the nodes one step ahead,
     ``sum_j (-1)^j C(p + 1, j + 1) X_{k-j}``: ``2 X_k - X_{k-1}`` for
     ``p = 1``, ``4 X_k - 6 X_{k-1} + 4 X_{k-2} - X_{k-3}`` for ``p = 3``.
-    At a fixed point, ``X_k == X_{k-1}`` exactly, the predictor is ``X_k``.
     Summed from the first term, it is the zero-started sum bit for bit; the
     last coefficient, ``C(p + 1, p + 1) = 1``, takes no multiply.
     """
-    X = nodes[0]
-    if (X == nodes[1]).all():
-        guess = X.copy()
-    else:
-        p = len(nodes) - 1
-        guess = (p + 1) * X
-        term = np.empty_like(X)
-        for j in range(1, p + 1):
-            t = nodes[j] if j == p else np.multiply(
-                nodes[j], math.comb(p + 1, j + 1), out=term)
-            (np.subtract if j % 2 else np.add)(guess, t, out=guess)
-        guess[0] = max(guess[0], obj.pb.domain.a)
-        guess[-1] = min(guess[-1], obj.pb.domain.b)
+    p = len(nodes) - 1
+    guess = (p + 1) * nodes[0]
+    term = np.empty_like(guess)
+    for j in range(1, p + 1):
+        t = nodes[j] if j == p else np.multiply(
+            nodes[j], math.comb(p + 1, j + 1), out=term)
+        (np.subtract if j % 2 else np.add)(guess, t, out=guess)
+    guess[0] = max(guess[0], obj.pb.domain.a)
+    guess[-1] = min(guess[-1], obj.pb.domain.b)
     if not (guess[1:] > guess[:-1]).all():
         return None
     ev = obj.evaluate(guess)
@@ -607,13 +601,14 @@ def run_scheme(problem: JkoProblem, rho0: GridDensity, T: float,
 
     The evolution state is kept in quantile coordinates across steps; grid
     snapshots are derived views, rasterized straight from the nodes each
-    step certified.  Once a step returns the nodes it started from, every
-    later step poses the same problem: the rest of the run appends that
-    step's snapshot object and one copy of its record with zero iterations
-    (module docstring).  A failing step aborts with the partial trajectory
-    attached.  ``on_snapshot(t, rho)``, if given, is called for ``rho0``
-    and right after each later snapshot is appended, so the snapshots of a
-    partial trajectory are exactly the ones it was called with.
+    step certified.  Once step ``k`` returns its start nodes ``X_k``, every
+    later step poses step ``k``'s problem, which ``X_k`` already solves:
+    the rest of the run appends step ``k``'s snapshot object and one copy
+    of its record with zero iterations (module docstring).  A failing
+    step aborts with the partial trajectory attached.
+    ``on_snapshot(t, rho)``, if given, is called for ``rho0`` and right
+    after each later snapshot is appended, so the snapshots of a partial
+    trajectory are exactly the ones it was called with.
     """
     steps = step_count(T, problem.h)
     if rho0.domain != problem.domain:

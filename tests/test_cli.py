@@ -427,6 +427,37 @@ REJECTED_CONFIGS = {
          "energy_terms": [{"kind": "entropy", "exponent": 7}]},
         "unknown energy term key(s): exponent (energy term kind 'entropy' "
         "takes kind, coeff)"),
+    "potential-kind-unknown": ({"potential": {"kind": "cubic"}},
+                               "unrecognized potential description "
+                               "{'kind': 'cubic'}"),
+    "potential-kind-not-a-string": ({"potential": {"kind": 2}},
+                                    "unrecognized potential description "
+                                    "{'kind': 2}"),
+    "energy-term-kind-not-a-string": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": 1}]},
+        "unknown energy term {'kind': 1}"),
+    # an infinite parameter (JSON's 1e400 reads as inf): each run wrote
+    # config.json, trajectory.csv and diagnostics.jsonl after RuntimeWarnings,
+    # then exited 2 with "the Newton system is not finite"
+    "cost-coefficient-inf": ({"preset": None,
+                              "cost_terms": [[float("inf"), 2.0]],
+                              "energy_terms": [{"kind": "entropy"}]},
+                             "cost coefficient must be > 0 and finite, "
+                             "got inf"),
+    "cost-exponent-inf": ({"preset": None,
+                           "cost_terms": [[0.5, float("inf")]],
+                           "energy_terms": [{"kind": "entropy"}]},
+                          "cost exponent must be > 1 and finite, got inf"),
+    "energy-entropy-coeff-inf": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": "entropy", "coeff": float("inf")}]},
+        "entropy coefficient must be > 0 and finite, got inf"),
+    "energy-power-coeff-inf": (
+        {"preset": None, "cost_terms": [[0.5, 2.0]],
+         "energy_terms": [{"kind": "power", "coeff": float("inf"),
+                           "exponent": 2.0}]},
+        "power coefficient must be > 0 and finite, got inf"),
 }
 
 
@@ -705,6 +736,21 @@ def test_run_byte_identical(tmp_path, outroot):
     assert cmd_run(str(path)) == 0
     second = {p.name: p.read_bytes() for p in rundir.iterdir()}
     assert first == second
+
+
+def test_p_laplacian_at_p_2_runs_as_fokker_planck(tmp_path, outroot):
+    # p = 2 steps the p-laplacian preset down to the heat equation, so its
+    # run writes the fokker-planck run's artifacts, byte for byte
+    runs = []
+    for preset, exponents in (("fokker-planck", {}),
+                              ("p-laplacian", {"exponent_p": 2.0})):
+        path = write_config(tmp_path, name=f"{preset}.json", preset=preset,
+                            n=32, m=32, T=0.2, **exponents)
+        assert cmd_run(str(path)) == 0
+        rundir = next(outroot.glob(f"{preset}_*"))
+        runs.append([(rundir / name).read_bytes() for name in
+                     ("trajectory.csv", "diagnostics.jsonl", "report.json")])
+    assert runs[0] == runs[1]
 
 
 def test_run_rejects_invalid_exponent(tmp_path, outroot):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -353,6 +356,38 @@ def test_potential_rejects_non_finite_parameters(build):
         build()
 
 
+# each spec check: the constructor call, and the message it fails with
+REJECTED_SPECS = {
+    "cost-without-terms": (lambda: CostSpec(terms=()),
+                           "cost needs at least one term"),
+    "cost-coefficient-inf": (lambda: CostSpec(terms=((math.inf, 2.0),)),
+                             "cost coefficient must be > 0 and finite, "
+                             "got inf"),
+    "cost-exponent-inf": (lambda: CostSpec(terms=((1.0, math.inf),)),
+                          "cost exponent must be > 1 and finite, got inf"),
+    "energy-without-terms": (lambda: EnergySpec(terms=()),
+                             "energy needs at least one term"),
+    "energy-unknown-kind": (lambda: EnergySpec(terms=(("logarithm", 1.0),)),
+                            "unknown energy term kind 'logarithm'"),
+    "entropy-coefficient-inf": (lambda: EnergySpec.entropy(math.inf),
+                                "entropy coefficient must be > 0 and "
+                                "finite, got inf"),
+    "power-coefficient-inf": (lambda: EnergySpec.power(2.0, coeff=math.inf),
+                              "power coefficient must be > 0 and finite, "
+                              "got inf"),
+    "power-exponent-inf": (
+        lambda: EnergySpec(terms=(("power", 1.0, math.inf),)),
+        "power exponent must be positive, finite and != 1, got inf"),
+}
+
+
+@pytest.mark.parametrize("build,message", REJECTED_SPECS.values(),
+                         ids=REJECTED_SPECS.keys())
+def test_spec_rejects_invalid_terms(build, message):
+    with pytest.raises(InvalidSpecError, match=re.escape(message)):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # assumption validation
 # ---------------------------------------------------------------------------
@@ -466,6 +501,12 @@ def test_preset_window_agrees_with_validator(p, n):
         return
     cost, F = preset_specs(name, p=p, n=n)
     validate_assumptions(cost, F, PotentialSpec.zero(), domain=(0.0, 1.0))
+
+
+def test_preset_p_laplacian_at_p_2_is_fokker_planck():
+    # m = (2p - 3)/(p - 1) = 1 at p = 2: the preset steps down to the heat
+    # equation's quadratic cost and entropy
+    assert preset_specs("p-laplacian", p=2.0) == preset_specs("fokker-planck")
 
 
 def test_preset_unknown():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,6 +347,63 @@ def test_csv_rejects_centers_off_the_domain_grid(shift):
     rows[0][7] = repr(float(rho.centers[7] + shift * rho.dx))
     with pytest.raises(InvalidDensityError, match="not the 128-cell grid"):
         density_from_csv("x,rho\n" + csv_rows(*rows), rho.domain)
+
+
+# each input check: the call, the typed error and its message
+REJECTED_INPUTS = {
+    "grid-density-matrix": (
+        lambda: GridDensity(domain=UNIT, values=np.ones((2, 2))),
+        InvalidDensityError, "density values must form a nonempty vector"),
+    "grid-density-empty": (lambda: GridDensity(domain=UNIT, values=[]),
+                           InvalidDensityError,
+                           "density values must form a nonempty vector"),
+    "quantile-level-above-1": (
+        lambda: smooth_density(UNIT, 8).quantile([0.5, 1.5]),
+        ParameterError, "mass levels must lie in [0, 1]"),
+    "quantile-rep-one-node": (lambda: QuantileRep(domain=UNIT, X=[0.5]),
+                              InvalidDensityError,
+                              "quantile vector needs at least two nodes"),
+    "quantile-rep-off-the-domain": (
+        lambda: QuantileRep(domain=UNIT, X=[0.0, 0.5, 1.5]),
+        InvalidDensityError, "quantile nodes leave the domain"),
+    "normalize-empty": (lambda: normalize([], UNIT), InvalidDensityError,
+                        "expected a nonempty value vector"),
+    "to-quantiles-m-0": (lambda: to_quantiles(smooth_density(UNIT, 8), 0),
+                         ParameterError,
+                         "need at least one mass cell, got m=0"),
+    "from-quantiles-n-0": (
+        lambda: from_quantiles(UNIT, np.array([0.0, 0.5, 1.0]), 0),
+        ParameterError, "need at least one grid cell, got n=0"),
+    "repeated-quantile-nodes": (
+        lambda: quantile_internal_energy(np.array([0.0, 0.5, 0.5, 1.0]),
+                                         EnergySpec.entropy()),
+        InvalidDensityError, "repeated quantile nodes"),
+    "l1-across-domains": (
+        lambda: l1_distance(smooth_density(UNIT, 8),
+                            smooth_density(Domain(0.0, 2.0), 8)),
+        ParameterError, "densities live on different domains"),
+    "csv-without-rows": (lambda: density_from_csv("x,rho\n", UNIT),
+                         InvalidDensityError,
+                         "expected rows of 'x,rho' number pairs"),
+    "csv-three-columns": (
+        lambda: density_from_csv("x,rho\n0.25,1,0\n0.75,1,0\n", UNIT),
+        InvalidDensityError, "expected rows of 'x,rho' number pairs"),
+    # a ragged row and a cell that is not a number escaped as ValueError
+    "csv-ragged-row": (lambda: density_from_csv("x,rho\n0.25,1\n0.75\n",
+                                                UNIT),
+                       InvalidDensityError,
+                       "expected rows of 'x,rho' number pairs"),
+    "csv-cell-not-a-number": (
+        lambda: density_from_csv("x,rho\n0.25,1\n0.75,one\n", UNIT),
+        InvalidDensityError, "expected rows of 'x,rho' number pairs"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", REJECTED_INPUTS.values(),
+                         ids=REJECTED_INPUTS.keys())
+def test_input_checks_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_l1_distance_mixed_resolution():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from wflow.errors import (
 )
 from wflow.jko import (
     JkoProblem,
+    SchemeTrajectory,
     euler_lagrange_residual,
     floored_density,
     jko_step_nodes,
@@ -726,6 +728,25 @@ def test_fixed_point_steps_repeat_what_the_solver_returns(monkeypatch):
     assert traj.diagnostics == tuple(diags)
 
 
+def test_fixed_point_is_its_own_problems_certified_minimizer(monkeypatch):
+    # step k returned its start X_k, so step k + 1 poses step k's problem:
+    # a cold step from X_k certifies X_k at once, and its record is the one
+    # the run repeats, step k's with zero iterations, bit for bit
+    pb = JkoProblem(cost=Q2, energy=ENTROPY,
+                    potential=PotentialSpec.quadratic(1.0, 0.0), domain=SYM,
+                    h=0.05, m=32)
+    calls = _counting_step_nodes(monkeypatch)
+    traj = run_scheme(pb, cosine_density(32, amp=0.3, freq=0.5, domain=SYM),
+                      T=10.0)
+    assert len(calls) < len(traj.diagnostics)
+    Xk = calls[-1][1]  # the start of the last step solved, which it returned
+    X, d = jko_step_nodes(pb, Xk)
+    assert X.tobytes() == Xk.tobytes()
+    assert d == traj.diagnostics[-1]  # zero iterations, as every repeat
+    assert d == dataclasses.replace(traj.diagnostics[len(calls) - 1],
+                                    iterations=0)
+
+
 def test_fixed_point_steps_report_zero_iterations(monkeypatch):
     # a step that iterates its way back onto its start nodes ends the
     # solving; every step after it reports the zero iterations a re-solve
@@ -911,6 +932,33 @@ def test_run_scheme_rejects_bad_horizon():
     rho = cosine_density(64)
     with pytest.raises(ParameterError):
         run_scheme(pb, rho, T=1e-4)
+
+
+# each input check: the call and the message it fails with
+REJECTED_INPUTS = {
+    "trajectory-without-times": (
+        lambda: SchemeTrajectory(times=(), densities=()),
+        "need one density per time"),
+    "trajectory-with-a-time-too-many": (
+        lambda: SchemeTrajectory(times=(0.0, 0.1),
+                                 densities=(cosine_density(16),)),
+        "need one density per time"),
+    "trajectory-from-a-later-time": (
+        lambda: SchemeTrajectory(times=(0.1,),
+                                 densities=(cosine_density(16),)),
+        "trajectories start at t = 0"),
+    "run-on-another-domain": (
+        lambda: run_scheme(heat_problem(h=1e-2, m=16),
+                           cosine_density(16, domain=SYM), T=0.02),
+        "initial density lives on the wrong domain"),
+}
+
+
+@pytest.mark.parametrize("call,message", REJECTED_INPUTS.values(),
+                         ids=REJECTED_INPUTS.keys())
+def test_input_checks_raise_parameter_errors(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 def test_run_scheme_abort_carries_partial():

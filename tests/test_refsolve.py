@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,30 @@ def test_barenblatt_rejects_bad_parameters():
         barenblatt(1.0, 1.0, 0.1, 0.0)
     with pytest.raises(ParameterError):
         barenblatt(2.0, 1.0, 0.0, 0.0)
+
+
+# each input check: the call and the message it fails with
+REJECTED_INPUTS = {
+    "fd-initial-data-on-another-grid": (
+        lambda: fd_solve(Q2, ENTROPY, PotentialSpec.zero(), UNIT,
+                         normalize(np.ones(16), UNIT)[0], T=0.01,
+                         cfg=FdConfig(n=32, dt=1e-3)),
+        "initial data has 16 cells, config says 32"),
+    "fd-initial-data-on-another-domain": (
+        lambda: fd_solve(Q2, ENTROPY, PotentialSpec.zero(), UNIT,
+                         normalize(np.ones(16), SYM)[0], T=0.01,
+                         cfg=FdConfig(n=16, dt=1e-3)),
+        "initial density lives on the wrong domain"),
+    "barenblatt-mass-0": (lambda: barenblatt(2.0, 0.0, 0.1, 0.0),
+                          "mass must be positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("call,message", REJECTED_INPUTS.values(),
+                         ids=REJECTED_INPUTS.keys())
+def test_input_checks_raise_parameter_errors(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 def test_barenblatt_scaling_invariance():

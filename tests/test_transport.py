@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,29 @@ def test_oracle_rejects_oversize():
     x = np.zeros(65)
     with pytest.raises(ParameterError, match="at most 64 atoms, got 65"):
         lp_oracle(x, x, Q2, h=1.0)
+
+
+# each input check: the call and the message it fails with
+REJECTED_INPUTS = {
+    "oracle-lengths-differ": (
+        lambda: lp_oracle([0.1, 0.2], [0.1], Q2, h=1.0),
+        "atom lists must be nonempty 1-D of equal length"),
+    "oracle-empty": (lambda: lp_oracle([], [], Q2, h=1.0),
+                     "atom lists must be nonempty 1-D of equal length"),
+    "oracle-matrix": (lambda: lp_oracle(np.zeros((2, 2)), np.zeros((2, 2)),
+                                        Q2, h=1.0),
+                      "atom lists must be nonempty 1-D of equal length"),
+    "monotone-lengths-differ": (
+        lambda: monotone_atom_cost([0.1, 0.2], [0.1], Q2, h=1.0),
+        "atom lists must have equal length"),
+}
+
+
+@pytest.mark.parametrize("call,message", REJECTED_INPUTS.values(),
+                         ids=REJECTED_INPUTS.keys())
+def test_input_checks_raise_parameter_errors(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 def test_assignment_path_agrees_with_exhaustive_path():
